@@ -43,9 +43,13 @@ class CliError(Exception):
 
 
 def _read_instance(path: str, delta_pm: int | None) -> Instance:
-    policy = (
-        DeltaPolicy.symmetric(delta_pm) if delta_pm is not None else DeltaPolicy.explicit()
-    )
+    try:
+        policy = (
+            DeltaPolicy.symmetric(delta_pm) if delta_pm is not None
+            else DeltaPolicy.explicit()
+        )
+    except model.ModelError as exc:
+        raise CliError(f"invalid --delta {delta_pm}: {exc}") from None
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

@@ -14,6 +14,7 @@ the half width.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .model import Instance
@@ -32,73 +33,85 @@ class ConflictPair:
 
 
 class ConflictSet:
-    """Immutable collection of conflict pairs with adjacency indexes.
+    """Cross-radius block masks of an instance; conflict pairs on demand.
 
-    Besides the raw pairs, it answers the two queries the solvers need in
-    their hot paths: for resonance (r, j), which other resonances does it
-    touch; and for an ordered radius pair (r, r'), which indices of r are
-    blocked by *any* resonance of r' (as a bitmask over indices of r).
+    ``ids`` lists the radius ids in ascending order, and a radius's
+    position is its place in that list.  ``block[a][b]`` is the bitmask over
+    resonance indices of the radius at position ``a`` that some resonance
+    of the radius at position ``b`` conflicts with; the diagonal is 0.  The
+    solvers read only these masks.  The pairs themselves are rebuilt from
+    the sorted intervals each time they are asked for, so nothing is ever
+    written after construction and a set can be shared across solves.
     """
 
-    __slots__ = ("pairs", "_adjacency", "_cross_block")
+    __slots__ = ("ids", "block", "_pos", "_items", "_count")
 
-    def __init__(self, pairs: frozenset[ConflictPair]):
-        self.pairs = frozenset(pairs)
-        adjacency: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        cross_block: dict[tuple[int, int], int] = {}
-        for p in self.pairs:
-            adjacency.setdefault(p.first, []).append(p.second)
-            adjacency.setdefault(p.second, []).append(p.first)
-            if p.kind == CROSS:
-                (r1, i1), (r2, i2) = p.first, p.second
-                cross_block[r1, r2] = cross_block.get((r1, r2), 0) | (1 << i1)
-                cross_block[r2, r1] = cross_block.get((r2, r1), 0) | (1 << i2)
-        self._adjacency = {k: tuple(sorted(v)) for k, v in adjacency.items()}
-        self._cross_block = cross_block
-
-    def neighbors(self, radius_id: int, index: int) -> tuple[tuple[int, int], ...]:
-        return self._adjacency.get((radius_id, index), ())
+    def __init__(self, ids, block, items, count: int):
+        self.ids: tuple[int, ...] = tuple(ids)
+        self.block: tuple[tuple[int, ...], ...] = tuple(map(tuple, block))
+        self._pos = {rid: p for p, rid in enumerate(self.ids)}
+        self._items = tuple(items)  # (lmin, lmax, position, index), sorted
+        self._count = count
 
     def cross_blocked_mask(self, radius_id: int, other_id: int) -> int:
         """Bitmask over indices of `radius_id` blocked by resonances of `other_id`."""
-        return self._cross_block.get((radius_id, other_id), 0)
+        return self.block[self._pos[radius_id]][self._pos[other_id]]
+
+    def _iter_pairs(self):
+        ids, items = self.ids, self._items
+        for i, end in _overlaps(items):
+            _, _, p, j = items[i]
+            for _, _, p2, j2 in items[i + 1:end]:
+                a, b = sorted(((ids[p], j), (ids[p2], j2)))
+                yield ConflictPair(WITHIN if p == p2 else CROSS, a, b)
+
+    @property
+    def pairs(self) -> frozenset[ConflictPair]:
+        return frozenset(self._iter_pairs())
 
     def cross_pairs(self) -> list[ConflictPair]:
-        return sorted(p for p in self.pairs if p.kind == CROSS)
+        return sorted(p for p in self._iter_pairs() if p.kind == CROSS)
 
     def within_pairs(self) -> list[ConflictPair]:
-        return sorted(p for p in self.pairs if p.kind == WITHIN)
+        return sorted(p for p in self._iter_pairs() if p.kind == WITHIN)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self._count
+
+
+def _overlaps(items):
+    """For each item i of a list sorted by lmin, the end of the run of later
+    items whose intervals meet it: they start no later than item i ends."""
+    lmins = [t[0] for t in items]
+    return [(i, bisect_right(lmins, t[1], i + 1)) for i, t in enumerate(items)]
 
 
 def conflicts_of(instance: Instance) -> ConflictSet:
-    """Compute all cross- and within-radius conflict pairs of an instance.
+    """Compute the conflict relation of an instance as block masks.
 
-    A pair is present iff the two closed intervals intersect; equal
+    Two resonances conflict iff their closed intervals intersect; equal
     nominals always conflict since both intervals contain the nominal.
     Uses a sweep over intervals sorted by lmin, so the cost is
     O(n log n + pairs) rather than a full pairwise scan.
     """
-    items: list[tuple[int, int, int, int]] = []  # (lmin, lmax, rid, idx)
-    for e in instance.radii:
-        for j, r in enumerate(e.resonances):
-            items.append((r.lmin, r.lmax, e.id, j))
-    items.sort()
-    pairs: set[ConflictPair] = set()
-    n = len(items)
-    for i in range(n):
-        lmin_i, lmax_i, rid_i, idx_i = items[i]
-        for k in range(i + 1, n):
-            lmin_k, lmax_k, rid_k, idx_k = items[k]
-            if lmin_k > lmax_i:
-                break
-            a, b = (rid_i, idx_i), (rid_k, idx_k)
-            if a > b:
-                a, b = b, a
-            pairs.add(ConflictPair(WITHIN if rid_i == rid_k else CROSS, a, b))
-    return ConflictSet(frozenset(pairs))
+    ids = sorted(instance.ids())
+    pos = {rid: p for p, rid in enumerate(ids)}
+    items = sorted(
+        (r.lmin, r.lmax, pos[e.id], j)
+        for e in instance.radii
+        for j, r in enumerate(e.resonances)
+    )
+    block = [[0] * len(ids) for _ in ids]
+    count = 0
+    for i, end in _overlaps(items):
+        _, _, p, j = items[i]
+        count += end - i - 1
+        row, bit = block[p], 1 << j
+        for _, _, p2, j2 in items[i + 1:end]:
+            if p2 != p:
+                row[p2] |= bit
+                block[p2][p] |= 1 << j2
+    return ConflictSet(ids, block, items, count)
 
 
 def usable_resonances(

@@ -18,8 +18,9 @@ too few viable candidates remain.
 Among equally good optima the solver returns the lexicographically
 smallest solution (by sorted radius ids, then per-radius selections).
 Branch and bound in capacity order cannot promise that on its own, so a
-second, cheap pass re-derives the canonical subset: a threshold search in
-ascending id order for the first subset sustaining the proven optimum.
+second, cheap pass re-derives the canonical subset: the same search, run
+in ascending id order with the floor just below the proven optimum, stops
+at the first subset sustaining it.
 """
 
 from __future__ import annotations
@@ -70,45 +71,95 @@ class _Timeout(Exception):
     pass
 
 
-class _Workspace:
-    """Per-solve tables: resonance intervals, usable-index bitmasks, MIS cache."""
+class _MisCache(dict):
+    """Greedy MIS size of one radius's usable-index masks, memoised by mask."""
 
-    def __init__(self, instance: Instance, conflicts: ConflictSet):
-        self.instance = instance
-        self.conflicts = conflicts
-        self.ids = sorted(e.id for e in instance.radii)
-        self.full: dict[int, int] = {}
-        self.by_lmax: dict[int, list[tuple[int, int, int]]] = {}  # (lmin, lmax, idx)
-        for e in instance.radii:
-            self.full[e.id] = (1 << len(e.resonances)) - 1
-            order = sorted(
-                ((r.lmin, r.lmax, j) for j, r in enumerate(e.resonances)),
-                key=lambda t: (t[1], t[2]),
-            )
-            self.by_lmax[e.id] = order
-        self._mis_cache: dict[tuple[int, int], int] = {}
+    def __init__(self, resonances):
+        super().__init__()
+        self.by_lmax = sorted(  # (lmin, lmax, idx)
+            ((r.lmin, r.lmax, j) for j, r in enumerate(resonances)),
+            key=lambda t: (t[1], t[2]),
+        )
 
-    def mis(self, rid: int, mask: int) -> int:
-        key = (rid, mask)
-        hit = self._mis_cache.get(key)
-        if hit is not None:
-            return hit
+    def __missing__(self, mask: int) -> int:
         count, end = 0, None
-        for lmin, lmax, idx in self.by_lmax[rid]:
+        for lmin, lmax, idx in self.by_lmax:
             if mask >> idx & 1 and (end is None or lmin > end):
                 count += 1
                 end = lmax
-        self._mis_cache[key] = count
+        self[mask] = count
         return count
 
-    def usable_mask(self, rid: int, others) -> int:
-        mask = self.full[rid]
-        for o in others:
-            mask &= ~self.conflicts.cross_blocked_mask(rid, o)
-        return mask
 
-    def capacity(self, rid: int) -> int:
-        return self.mis(rid, self.full[rid])
+class _Workspace:
+    """Per-solve tables by radius position (see `ConflictSet`): full index
+    masks, MIS caches, and ``keep[b][a] = ~block[a][b]``, the indices of
+    radius a that radius b leaves usable."""
+
+    def __init__(self, instance: Instance, conflicts: ConflictSet):
+        resonances = {e.id: e.resonances for e in instance.radii}
+        rows = [resonances[rid] for rid in conflicts.ids]
+        self.full = [(1 << len(res)) - 1 for res in rows]
+        self.mis = [_MisCache(res) for res in rows]
+        self.keep = [tuple(~m for m in col) for col in zip(*conflicts.block)]
+
+    def capacity(self, pos: int) -> int:
+        return self.mis[pos][self.full[pos]]
+
+    def search(self, order: list[int], n_radii: int, floor: int, first: bool,
+               deadline: float | None) -> tuple[int, list[int] | None, bool]:
+        """Depth-first search over size-`n_radii` subsets of `order`, in its order.
+
+        A branch dies as soon as a capacity on it is <= `floor`, or when too
+        few candidates remain.  Each leaf becomes the incumbent and raises
+        the floor to its min capacity; with `first` the search stops there.
+        Pool entries carry their mask against the chosen radii, so choosing
+        a radius updates each in O(1).  Returns the floor, the incumbent's
+        sorted positions and whether the deadline cut the search short.
+        """
+        keep, mis = self.keep, self.mis
+        incumbent: list[int] | None = None
+
+        def dfs(pool, chosen: list[int], masks: list[int]) -> bool:
+            nonlocal floor, incumbent
+            need = n_radii - len(chosen)
+            for i, (rid, mask_r) in enumerate(pool):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise _Timeout
+                if len(pool) - i < need:
+                    return False
+                bound = mis[rid][mask_r]
+                if bound <= floor:
+                    continue
+                kept = keep[rid]
+                new_masks = []
+                for c, m in zip(chosen, masks):
+                    m2 = m & kept[c]
+                    q = mis[c][m2]
+                    if q <= floor:
+                        break
+                    new_masks.append(m2)
+                    if q < bound:
+                        bound = q
+                else:
+                    if need == 1:
+                        floor, incumbent = bound, sorted(chosen + [rid])
+                        if first:
+                            return True
+                        continue
+                    child = [(r2, m2) for r2, m in pool[i + 1:]
+                             if mis[r2][m2 := m & kept[r2]] > floor]
+                    if len(child) >= need - 1 and dfs(
+                        child, chosen + [rid], new_masks + [mask_r]
+                    ):
+                        return True
+            return False
+
+        try:
+            dfs([(p, self.full[p]) for p in order], [], [])
+        except _Timeout:
+            return floor, incumbent, True
+        return floor, incumbent, False
 
 
 def evaluate_subset(
@@ -128,161 +179,17 @@ def evaluate_subset(
     return out
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise _Timeout
-
-
-def _bnb_best_value(
-    ws: _Workspace, n_radii: int, deadline: float | None
-) -> tuple[int, list[int] | None, bool]:
-    """Best achievable min-capacity over size-n subsets, plus one witness subset.
-
-    The third element reports whether the deadline cut the search short;
-    the incumbent found so far is still returned.
-    """
-    order = sorted(ws.ids, key=lambda r: (-ws.capacity(r), r))
-    best = 0
-    best_subset: list[int] | None = None
-
-    def dfs(pool: list[int], chosen: list[int], masks: list[int]) -> None:
-        nonlocal best, best_subset
-        need = n_radii - len(chosen)
-        for i, rid in enumerate(pool):
-            _check_deadline(deadline)
-            if len(pool) - i < need:
-                return
-            new_masks = []
-            bound = None
-            viable = True
-            for c, m in zip(chosen, masks):
-                m2 = m & ~ws.conflicts.cross_blocked_mask(c, rid)
-                q = ws.mis(c, m2)
-                if q <= best:
-                    viable = False
-                    break
-                new_masks.append(m2)
-                bound = q if bound is None else min(bound, q)
-            if not viable:
-                continue
-            mask_r = ws.usable_mask(rid, chosen)
-            q_r = ws.mis(rid, mask_r)
-            if q_r <= best:
-                continue
-            new_masks.append(mask_r)
-            bound = q_r if bound is None else min(bound, q_r)
-            new_chosen = chosen + [rid]
-            if need == 1:
-                best = bound
-                best_subset = sorted(new_chosen)
-                continue
-            child_pool = [
-                r2
-                for r2 in pool[i + 1:]
-                if ws.mis(r2, ws.usable_mask(r2, new_chosen)) > best
-            ]
-            if len(child_pool) >= need - 1:
-                dfs(child_pool, new_chosen, new_masks)
-
-    try:
-        dfs(order, [], [])
-    except _Timeout:
-        return best, best_subset, True
-    return best, best_subset, False
-
-
-def _threshold_search(
-    ws: _Workspace, n_radii: int, target: int, deadline: float | None
-) -> list[int] | None:
-    """First subset, in ascending-id order, with every capacity >= target.
-
-    Enumerating candidates in ascending id order makes the first hit the
-    lexicographically smallest qualifying subset.
-    """
-
-    def dfs(pool: list[int], chosen: list[int], masks: list[int]) -> list[int] | None:
-        need = n_radii - len(chosen)
-        for i, rid in enumerate(pool):
-            _check_deadline(deadline)
-            if len(pool) - i < need:
-                return None
-            new_masks = []
-            viable = True
-            for c, m in zip(chosen, masks):
-                m2 = m & ~ws.conflicts.cross_blocked_mask(c, rid)
-                if ws.mis(c, m2) < target:
-                    viable = False
-                    break
-                new_masks.append(m2)
-            if not viable:
-                continue
-            mask_r = ws.usable_mask(rid, chosen)
-            if ws.mis(rid, mask_r) < target:
-                continue
-            new_chosen = chosen + [rid]
-            if need == 1:
-                return new_chosen
-            new_masks.append(mask_r)
-            child_pool = [
-                r2
-                for r2 in pool[i + 1:]
-                if ws.mis(r2, ws.usable_mask(r2, new_chosen)) >= target
-            ]
-            if len(child_pool) >= need - 1:
-                found = dfs(child_pool, new_chosen, new_masks)
-                if found is not None:
-                    return found
-        return None
-
-    root = [r for r in ws.ids if ws.capacity(r) >= target]
-    if len(root) < n_radii:
-        return None
-    return dfs(root, [], [])
-
-
-def _exhaustive_best(
-    ws: _Workspace, n_radii: int, deadline: float | None
-) -> tuple[int, list[int] | None, bool]:
-    """Evaluate every size-n subset in ascending-id order; keep strict improvements."""
-    best = 0
-    best_subset: list[int] | None = None
-    for subset in combinations(ws.ids, n_radii):
-        try:
-            _check_deadline(deadline)
-        except _Timeout:
-            return best, best_subset, True
-        worst = None
-        for rid in subset:
-            mask = ws.usable_mask(rid, (o for o in subset if o != rid))
-            q = ws.mis(rid, mask)
-            if worst is None or q < worst:
-                worst = q
-            if worst <= best:
-                break
-        if worst is not None and worst > best:
-            best = worst
-            best_subset = list(subset)
-    return best, best_subset, False
-
-
-def _assemble(
-    instance: Instance,
-    conflicts: ConflictSet,
-    subset: list[int],
-    trim: bool,
-    status: str,
-) -> ParallelismSolution:
-    evaluated = evaluate_subset(instance, conflicts, set(subset))
-    counts = {rid: q for rid, (q, _) in evaluated.items()}
+def _solution(rows: dict[int, tuple[int, ...]] | None, timed_out: bool):
+    """The solution selecting `rows` (radius id -> indices), or the empty one."""
+    if timed_out:
+        status = INCUMBENT_TIMEOUT
+    else:
+        status = INFEASIBLE if rows is None else OPTIMAL
+    if rows is None:
+        return ParallelismSolution((), {}, {}, None, status)
+    counts = {rid: len(picks) for rid, picks in rows.items()}
     p = min(counts.values())
-    selections: dict[int, tuple[int, ...]] = {}
-    for rid in sorted(subset):
-        witness = evaluated[rid][1]
-        if trim:
-            witness = witness[:p]
-            counts[rid] = p
-        selections[rid] = witness
-    return ParallelismSolution(tuple(sorted(subset)), selections, counts, p, status)
+    return ParallelismSolution(tuple(sorted(rows)), rows, counts, p, status)
 
 
 def solve_max_parallelism(
@@ -297,33 +204,100 @@ def solve_max_parallelism(
     optimal solution, ``infeasible`` when no size-``n_radii`` subset keeps
     every chosen radius at capacity >= 1 (this covers ``n_radii`` larger
     than the instance), or ``incumbent-timeout`` with the best incumbent
-    (possibly empty) when the time limit expires.
+    (possibly empty) when the time limit expires.  The ``exhaustive``
+    method runs the oracle's enumeration under the same time limit.
     """
     if config is None:
         config = SolveConfig()
     if n_radii < 1:
         raise ValueError("n_radii must be >= 1")
-    if n_radii > len(instance.radii):
-        return ParallelismSolution((), {}, {}, None, INFEASIBLE)
     deadline = config.deadline()
-    ws = _Workspace(instance, conflicts)
     if config.method == METHOD_EXHAUSTIVE:
-        best, subset, timed_out = _exhaustive_best(ws, n_radii, deadline)
+        sol = _enumerate(instance, n_radii, deadline)
+    elif n_radii > len(instance.radii):
+        sol = _solution(None, False)
     else:
-        best, subset, timed_out = _bnb_best_value(ws, n_radii, deadline)
+        ws = _Workspace(instance, conflicts)
+        positions = range(len(conflicts.ids))
+        by_capacity = sorted(positions, key=lambda p: (-ws.capacity(p), p))
+        best, subset, timed_out = ws.search(by_capacity, n_radii, 0, False, deadline)
         if subset is not None and not timed_out:
-            # Value is proven; swap in the canonical witness subset.
-            try:
-                canonical = _threshold_search(ws, n_radii, best, deadline)
-            except _Timeout:
-                canonical, timed_out = None, True
-            if canonical is not None:
-                subset = canonical
-    if subset is None:
-        status = INCUMBENT_TIMEOUT if timed_out else INFEASIBLE
-        return ParallelismSolution((), {}, {}, None, status)
-    status = INCUMBENT_TIMEOUT if timed_out else OPTIMAL
-    return _assemble(instance, conflicts, subset, config.trim_to_p, status)
+            # The value is proven; the first subset in ascending id order
+            # that sustains it is the canonical witness.
+            root = [p for p in positions if ws.capacity(p) >= best]
+            _, canonical, timed_out = ws.search(root, n_radii, best - 1, True, deadline)
+            subset = canonical or subset
+        rows = None
+        if subset is not None:
+            chosen = {conflicts.ids[p] for p in subset}
+            evaluated = evaluate_subset(instance, conflicts, chosen)
+            rows = {rid: witness for rid, (_, witness) in evaluated.items()}
+        sol = _solution(rows, timed_out)
+    if config.trim_to_p and sol.parallelism is not None:
+        p = sol.parallelism
+        trimmed = {rid: picks[:p] for rid, picks in sol.selections.items()}
+        sol = _solution(trimmed, sol.status == INCUMBENT_TIMEOUT)
+    return sol
+
+
+# --- oracle ----------------------------------------------------------------
+
+
+def _longest_chain(res, usable: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically smallest largest set of pairwise disjoint intervals.
+
+    Resonances ascend by nominal and each interval holds its nominal, so
+    disjoint intervals lie in index order: a compatible set is a chain
+    j1 < j2 < ... with each interval ending before the next begins.
+    ``longest[j]`` is the length of the longest chain starting at j.
+    """
+    longest: dict[int, int] = {}
+    for j in reversed(usable):
+        longest[j] = 1 + max(
+            (n for k, n in longest.items() if res[j].lmax < res[k].lmin), default=0
+        )
+    size, chain = max(longest.values(), default=0), []
+    for j in usable:
+        if size and longest[j] == size and (
+            not chain or res[chain[-1]].lmax < res[j].lmin
+        ):
+            chain.append(j)
+            size -= 1
+    return tuple(chain)
+
+
+def _enumerate(instance: Instance, n_radii: int, deadline: float | None):
+    """Every size-n subset in ascending id order, evaluated straight from the
+    intervals with plain loops; strict improvements win."""
+    res = {e.id: e.resonances for e in instance.radii}
+    blocked: dict[tuple[int, int], set[int]] = {}  # indices of r meeting o
+    chains: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+    best, best_rows, timed_out = 0, None, False
+    for subset in combinations(sorted(res), n_radii):
+        if deadline is not None and time.monotonic() > deadline:
+            timed_out = True
+            break
+        rows = {}
+        for r in subset:
+            hit: set[int] = set()
+            for o in subset:
+                if o == r:
+                    continue
+                if (r, o) not in blocked:
+                    blocked[r, o] = {
+                        j for j, x in enumerate(res[r])
+                        if any(x.lmin <= y.lmax and y.lmin <= x.lmax for y in res[o])
+                    }
+                hit |= blocked[r, o]
+            usable = tuple(j for j in range(len(res[r])) if j not in hit)
+            if (r, usable) not in chains:
+                chains[r, usable] = _longest_chain(res[r], usable)
+            rows[r] = chains[r, usable]
+            if len(rows[r]) <= best:
+                break
+        else:
+            best, best_rows = min(map(len, rows.values())), rows
+    return _solution(best_rows, timed_out)
 
 
 def oracle_max_parallelism(
@@ -331,16 +305,12 @@ def oracle_max_parallelism(
 ) -> ParallelismSolution:
     """Exhaustive reference solver; intended for small instances.
 
-    Enumerates every size-``n_radii`` subset, so it is trustworthy by
-    construction and shares nothing with the branch-and-bound search path
-    except the per-subset evaluation it is defined by.
+    Enumerates every size-``n_radii`` subset and evaluates each from the
+    resonance intervals with plain loops and a longest-chain count, so it
+    shares no code with the branch-and-bound path: no conflict masks, no
+    workspace, no MIS cache.  `conflicts` is ignored; it keeps the
+    solver's signature.
     """
     if n_radii < 1:
         raise ValueError("n_radii must be >= 1")
-    if n_radii > len(instance.radii):
-        return ParallelismSolution((), {}, {}, None, INFEASIBLE)
-    ws = _Workspace(instance, conflicts)
-    best, subset, _ = _exhaustive_best(ws, n_radii, None)
-    if subset is None:
-        return ParallelismSolution((), {}, {}, None, INFEASIBLE)
-    return _assemble(instance, conflicts, subset, trim=False, status=OPTIMAL)
+    return _enumerate(instance, n_radii, None)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from wronoc import cli
 
 
@@ -264,6 +266,23 @@ class TestErrors:
             ["max-parallelism", "--instance", table1_file, "--n-radii", "0"],
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["max-parallelism", "--n-radii", "2"],
+            ["conflicts"],
+            ["validate"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_delta_exits_2(self, capsys, table1_file, argv):
+        code, _, err = run_cli(
+            capsys, argv + ["--instance", table1_file, "--delta", "-5"]
+        )
+        assert code == 2
+        assert "--delta -5" in err
+        assert "Traceback" not in err
 
     def test_timeout_exits_3(self, capsys, tmp_path):
         gen = tmp_path / "gen.txt"

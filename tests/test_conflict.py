@@ -6,8 +6,12 @@ from hypothesis import strategies as st
 
 from conftest import build_instance, table1_instance, with_delta
 from wronoc import (
+    ConflictPair,
+    GenSpec,
     SplitMix64,
+    apply_delta,
     conflicts_of,
+    generate,
     generate_random_small,
     max_compatible_count,
     usable_resonances,
@@ -88,6 +92,59 @@ class TestConflictsOf:
                 }
                 assert prev <= pairs
                 prev = pairs
+
+
+def brute_force_conflicts(instance):
+    """Block masks and pairs from a plain O(n^2) scan over every interval pair."""
+    block = {(r, o): 0 for r in instance.ids() for o in instance.ids()}
+    pairs = set()
+    flat = [
+        (e.id, j, res)
+        for e in instance.radii
+        for j, res in enumerate(e.resonances)
+    ]
+    for a, (r, i, x) in enumerate(flat):
+        for o, j, y in flat[a + 1:]:
+            if x.lmin <= y.lmax and y.lmin <= x.lmax:
+                kind = "within" if r == o else "cross"
+                pairs.add(ConflictPair(kind, *sorted(((r, i), (o, j)))))
+                if r != o:
+                    block[r, o] |= 1 << i
+                    block[o, r] |= 1 << j
+    return block, pairs
+
+
+_SMALL_SWEEP = GenSpec(r_max_pm=10_000_000, jitter_pm=100, seed=7)
+MASK_TABLE_CASES = {
+    **{
+        f"explicit-{seed}": lambda seed=seed: explicit_interval_instance(seed, 5)
+        for seed in range(6)
+    },
+    **{
+        f"generated-small-d{delta}":
+            lambda delta=delta: apply_delta(generate(_SMALL_SWEEP), delta)
+        for delta in (0, 100, 1000)
+    },
+    "generated-full-d1000":
+        lambda: apply_delta(generate(GenSpec(jitter_pm=100, seed=3)), 1000),
+}
+
+
+class TestMaskTable:
+    @pytest.mark.parametrize("case", sorted(MASK_TABLE_CASES))
+    def test_matches_brute_force_scan(self, case):
+        instance = MASK_TABLE_CASES[case]()
+        block, pairs = brute_force_conflicts(instance)
+        cs = conflicts_of(instance)
+        assert cs.ids == tuple(sorted(instance.ids()))
+        for a, r in enumerate(cs.ids):
+            for b, o in enumerate(cs.ids):
+                assert cs.block[a][b] == block[r, o], (r, o)
+                assert cs.cross_blocked_mask(r, o) == block[r, o]
+        assert cs.pairs == pairs
+        assert len(cs) == len(pairs)
+        assert cs.cross_pairs() == sorted(p for p in pairs if p.kind == "cross")
+        assert cs.within_pairs() == sorted(p for p in pairs if p.kind == "within")
 
 
 class TestUsableResonances:

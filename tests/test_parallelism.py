@@ -2,8 +2,11 @@ import pytest
 
 from conftest import build_instance, table1_instance, with_delta
 from wronoc import (
+    GenSpec,
     SolveConfig,
+    apply_delta,
     conflicts_of,
+    generate,
     evaluate_subset,
     generate_random_small,
     oracle_max_parallelism,
@@ -172,3 +175,51 @@ class TestMonotonicity:
                 if prev is not None:
                     assert p <= prev
                 prev = p
+
+
+def _without(stop, *gaps):
+    return tuple(j for j in range(stop) if j not in gaps)
+
+
+# Phase-1 results on generated desk-scale instances (jitter 100 pm), which any
+# rewrite of the search must reproduce exactly: (seed, delta, n_radii, trim)
+# -> (P, selected radii, selections).  The 16-radius case is a full
+# infeasibility proof.
+PINNED = {
+    (0, 100, 4, False): (24, (82, 87, 94, 101), {
+        82: _without(26, 3, 11),
+        87: _without(26, 11, 12),
+        94: _without(28, 3, 11, 12, 13),
+        101: _without(30, 12, 13),
+    }),
+    (0, 1000, 4, True): (5, (3, 6, 9, 16), {
+        3: (0, 1, 3, 4, 5), 6: (0, 1, 3, 4, 5), 9: (0, 1, 2, 4, 5), 16: (0, 1, 2, 4, 5),
+    }),
+    (1, 1000, 8, False): (2, (1, 2, 4, 5, 7, 9, 14, 25), {
+        1: (0, 4), 2: (0, 4), 4: (4, 5), 5: (4, 5), 7: (0, 4), 9: (0, 6),
+        14: (1, 2, 4, 5, 7), 25: (3, 5, 10),
+    }),
+    (2, 1000, 8, False): (2, (1, 2, 5, 8, 15, 19, 26, 38), {
+        1: (0, 4), 2: (0, 4), 5: (0, 4), 8: (0, 4), 15: (1, 5, 7), 19: (1, 7),
+        26: (3, 5), 38: (5, 7),
+    }),
+    (0, 1000, 16, False): (None, (), {}),
+}
+
+
+class TestPinnedDeskScale:
+    @pytest.mark.parametrize("case", sorted(PINNED), ids=str)
+    def test_matches_pinned(self, case):
+        seed, delta, n_radii, trim = case
+        inst = apply_delta(generate(GenSpec(seed=seed, jitter_pm=100)), delta)
+        sol = solve_max_parallelism(
+            inst, conflicts_of(inst), n_radii, SolveConfig(trim_to_p=trim)
+        )
+        p, radii, selections = PINNED[case]
+        assert sol.status == ("optimal" if p else "infeasible")
+        assert (sol.parallelism, sol.selected_radii, sol.selections) == (
+            p, radii, selections
+        )
+        assert sol.counts == {rid: len(picks) for rid, picks in selections.items()}
+        if p:
+            assert check_parallelism_solution(inst, sol, n_radii) == []
