@@ -7,13 +7,7 @@ so the carriers spread as widely as possible over the spectrum.  Both
 phases are exact, deterministic, and come with brute-force oracles.
 """
 
-from .conflict import (
-    ConflictPair,
-    ConflictSet,
-    conflicts_of,
-    max_compatible_count,
-    usable_resonances,
-)
+from .conflict import ConflictPair, ConflictSet, conflicts_of
 from .generator import GenSpec, GeneratorError, SplitMix64, generate, generate_random_small
 from .model import (
     DeltaPolicy,
@@ -32,20 +26,10 @@ from .model import (
 from .parallelism import (
     ParallelismSolution,
     SolveConfig,
-    evaluate_subset,
     oracle_max_parallelism,
     solve_max_parallelism,
 )
-from .spacing import (
-    SpacingProblem,
-    SpacingSolution,
-    cross_constraint_ok,
-    dist_upper_bound,
-    distance_ladder,
-    feasible,
-    oracle_spacing,
-    solve_spacing,
-)
+from .spacing import SpacingProblem, SpacingSolution, oracle_spacing, solve_spacing
 from .verify import check_parallelism_solution, check_spacing_solution
 
 __version__ = "0.1.0"
@@ -70,22 +54,15 @@ __all__ = [
     "check_parallelism_solution",
     "check_spacing_solution",
     "conflicts_of",
-    "cross_constraint_ok",
-    "dist_upper_bound",
-    "distance_ladder",
-    "evaluate_subset",
     "export_asp_facts",
-    "feasible",
     "format_instance",
     "generate",
     "generate_random_small",
     "instance_digest",
-    "max_compatible_count",
     "oracle_max_parallelism",
     "oracle_spacing",
     "parse_instance",
     "solve_max_parallelism",
     "solve_spacing",
-    "usable_resonances",
     "validate",
 ]

@@ -11,6 +11,7 @@ independent checker and was refused).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -60,12 +61,16 @@ def _read_instance(path: str, delta_pm: int | None) -> Instance:
         raise CliError(f"invalid instance {path}: {exc}") from None
 
 
-def _emit(document: dict, out: str | None) -> None:
-    text = json.dumps(document, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+def _emit(document: dict | str, out: str | None) -> None:
+    """Write a JSON document, or text as it is, to `out` or to stdout."""
+    text = document if isinstance(document, str) else json.dumps(document, indent=2) + "\n"
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}") from None
 
 
 def _command_echo(args: argparse.Namespace, fields: list[str]) -> dict:
@@ -182,11 +187,7 @@ def _cmd_validate(args) -> int:
 def _cmd_export(args) -> int:
     instance = _read_instance(args.instance, args.delta)
     if args.format == "asp":
-        text = model.export_asp_facts(instance)
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        _emit(model.export_asp_facts(instance), args.out)
     else:
         document = {
             "schema_version": SCHEMA_VERSION,
@@ -297,14 +298,20 @@ def _cmd_spacing(args) -> int:
 def _cmd_pipeline(args) -> int:
     instance = _read_instance(args.instance, args.delta)
     conflicts = conflicts_of(instance)
+    config = _solve_config(args)
     started = time.monotonic()
-    phase1 = solve_max_parallelism(instance, conflicts, args.n_radii, _solve_config(args))
+    phase1 = solve_max_parallelism(instance, conflicts, args.n_radii, config)
     _checked_parallelism(instance, phase1, args.n_radii)
     phase2_doc = None
     status = phase1.status
     if phase1.status == OPTIMAL and phase1.parallelism:
         problem = SpacingProblem(args.n_radii, phase1.parallelism, args.mode)
-        phase2 = solve_spacing(instance, problem, _solve_config(args))
+        if config.time_limit:
+            # One budget for both phases.  A spent one must still stop
+            # Phase 2 at once, and a time limit of 0 would lift it.
+            left = config.time_limit - (time.monotonic() - started)
+            config = dataclasses.replace(config, time_limit=max(left, 1e-9))
+        phase2 = solve_spacing(instance, problem, config)
         _checked_spacing(instance, problem, phase2)
         phase2_doc = _spacing_payload(instance, problem, phase2)
         if phase2.status != OPTIMAL:
@@ -343,16 +350,13 @@ def _cmd_generate(args) -> int:
         instance = generator.generate(spec)
     except generator.GeneratorError as exc:
         raise CliError(str(exc)) from None
-    text = model.format_instance(instance)
+    _emit(model.format_instance(instance), args.out)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
         print(
             f"wrote {len(instance.radii)} radii, "
             f"{sum(len(e.resonances) for e in instance.radii)} resonances to {args.out}",
             file=sys.stderr,
         )
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -372,7 +376,10 @@ def _cmd_bench(args) -> int:
     if any(p not in (1, 2) for p in phases):
         raise CliError("--phases entries must be 1 or 2")
     out_path = Path(args.out) if args.out else None
-    stream = out_path.open("w", encoding="utf-8") if out_path else sys.stdout
+    try:
+        stream = out_path.open("w", encoding="utf-8") if out_path else sys.stdout
+    except OSError as exc:
+        raise CliError(f"cannot write {out_path}: {exc}") from None
     try:
         stream.write("instance,n_radii,delta_pm,phase,status,objective,wall_time_ms\n")
         stream.flush()

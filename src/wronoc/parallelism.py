@@ -25,11 +25,12 @@ at the first subset sustaining it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .conflict import ConflictSet, max_compatible_count, usable_resonances
+from .conflict import ConflictSet
 from .model import Instance
 
 OPTIMAL = "optimal"
@@ -54,9 +55,6 @@ class SolveConfig:
         if self.method not in (METHOD_BNB, METHOD_EXHAUSTIVE):
             raise ValueError(f"unknown method {self.method!r}")
 
-    def deadline(self) -> float | None:
-        return time.monotonic() + self.time_limit if self.time_limit else None
-
 
 @dataclass(frozen=True)
 class ParallelismSolution:
@@ -68,14 +66,42 @@ class ParallelismSolution:
 
 
 class _Timeout(Exception):
-    pass
+    """Raised by `_Clock.tick` once the time limit has passed."""
+
+
+class _Clock:
+    """The time limit of one solve, shared by every search loop in it.
+
+    Each loop calls `tick` once per step.  The clock is read on the first
+    step, so a spent limit stops a search at once, and then on every
+    256th, so a search overruns its limit by at most 256 steps.  A time
+    limit of 0 never expires.
+    """
+
+    __slots__ = ("deadline", "steps")
+
+    def __init__(self, time_limit: float):
+        self.deadline = time.monotonic() + time_limit if time_limit else math.inf
+        self.steps = 0
+
+    def tick(self) -> None:
+        if not self.steps & 255 and time.monotonic() > self.deadline:
+            raise _Timeout
+        self.steps += 1
 
 
 class _MisCache(dict):
-    """Greedy MIS size of one radius's usable-index masks, memoised by mask."""
+    """Greedy MIS size of one radius's usable-index masks, memoised by mask.
+
+    Within one radius the conflict graph is an interval graph (each
+    resonance is its interval [lmin, lmax]), so the greedy activity
+    selection scan in ascending lmax order finds a maximum independent set
+    exactly; the brute-force tests guard that claim.
+    """
 
     def __init__(self, resonances):
         super().__init__()
+        self.resonances = resonances
         self.by_lmax = sorted(  # (lmin, lmax, idx)
             ((r.lmin, r.lmax, j) for j, r in enumerate(resonances)),
             key=lambda t: (t[1], t[2]),
@@ -89,6 +115,28 @@ class _MisCache(dict):
                 end = lmax
         self[mask] = count
         return count
+
+    def witness(self, mask: int) -> tuple[int, ...]:
+        """The lexicographically smallest maximum compatible subset of `mask`.
+
+        Walks the indices upward and takes j when it clears the last pick
+        and the indices after j that clear it still hold enough compatible
+        resonances to reach the maximum.
+        """
+        res = self.resonances
+        need, picks, end = self[mask], [], None
+        for j in range(len(res)):
+            if not need:
+                break
+            if not mask >> j & 1 or (end is not None and res[j].lmin <= end):
+                continue
+            lmax = res[j].lmax
+            after = sum(1 << k for k in range(j + 1, len(res)) if res[k].lmin > lmax)
+            if 1 + self[mask & after] >= need:
+                picks.append(j)
+                need -= 1
+                end = lmax
+        return tuple(picks)
 
 
 class _Workspace:
@@ -107,7 +155,7 @@ class _Workspace:
         return self.mis[pos][self.full[pos]]
 
     def search(self, order: list[int], n_radii: int, floor: int, first: bool,
-               deadline: float | None) -> tuple[int, list[int] | None, bool]:
+               clock: _Clock) -> tuple[int, list[int] | None, bool]:
         """Depth-first search over size-`n_radii` subsets of `order`, in its order.
 
         A branch dies as soon as a capacity on it is <= `floor`, or when too
@@ -115,17 +163,16 @@ class _Workspace:
         the floor to its min capacity; with `first` the search stops there.
         Pool entries carry their mask against the chosen radii, so choosing
         a radius updates each in O(1).  Returns the floor, the incumbent's
-        sorted positions and whether the deadline cut the search short.
+        sorted positions and whether the time limit cut the search short.
         """
-        keep, mis = self.keep, self.mis
+        keep, mis, tick = self.keep, self.mis, clock.tick
         incumbent: list[int] | None = None
 
         def dfs(pool, chosen: list[int], masks: list[int]) -> bool:
             nonlocal floor, incumbent
             need = n_radii - len(chosen)
             for i, (rid, mask_r) in enumerate(pool):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise _Timeout
+                tick()
                 if len(pool) - i < need:
                     return False
                 bound = mis[rid][mask_r]
@@ -161,22 +208,15 @@ class _Workspace:
             return floor, incumbent, True
         return floor, incumbent, False
 
-
-def evaluate_subset(
-    instance: Instance, conflicts: ConflictSet, subset: set[int] | frozenset[int]
-) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """For each radius in `subset`, its usable-carrier capacity and a witness.
-
-    A capacity of zero makes the subset inadmissible: every selected
-    radius must carry at least one resonance.
-    """
-    if not subset:
-        raise ValueError("subset must be non-empty")
-    out: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for rid in sorted(subset):
-        usable = usable_resonances(instance, conflicts, set(subset), rid)
-        out[rid] = max_compatible_count(instance, conflicts, usable, rid)
-    return out
+    def rows(self, ids: tuple[int, ...], subset: list[int]) -> dict[int, tuple[int, ...]]:
+        """Radius id -> canonical witness for the sorted positions `subset`."""
+        rows = {}
+        for c in subset:
+            mask = self.full[c]
+            for o in subset:
+                mask &= self.keep[o][c]  # keep[c][c] is ~0
+            rows[ids[c]] = self.mis[c].witness(mask)
+        return rows
 
 
 def _solution(rows: dict[int, tuple[int, ...]] | None, timed_out: bool):
@@ -211,27 +251,23 @@ def solve_max_parallelism(
         config = SolveConfig()
     if n_radii < 1:
         raise ValueError("n_radii must be >= 1")
-    deadline = config.deadline()
+    clock = _Clock(config.time_limit)
     if config.method == METHOD_EXHAUSTIVE:
-        sol = _enumerate(instance, n_radii, deadline)
+        sol = _enumerate(instance, n_radii, clock)
     elif n_radii > len(instance.radii):
         sol = _solution(None, False)
     else:
         ws = _Workspace(instance, conflicts)
         positions = range(len(conflicts.ids))
         by_capacity = sorted(positions, key=lambda p: (-ws.capacity(p), p))
-        best, subset, timed_out = ws.search(by_capacity, n_radii, 0, False, deadline)
+        best, subset, timed_out = ws.search(by_capacity, n_radii, 0, False, clock)
         if subset is not None and not timed_out:
             # The value is proven; the first subset in ascending id order
             # that sustains it is the canonical witness.
             root = [p for p in positions if ws.capacity(p) >= best]
-            _, canonical, timed_out = ws.search(root, n_radii, best - 1, True, deadline)
+            _, canonical, timed_out = ws.search(root, n_radii, best - 1, True, clock)
             subset = canonical or subset
-        rows = None
-        if subset is not None:
-            chosen = {conflicts.ids[p] for p in subset}
-            evaluated = evaluate_subset(instance, conflicts, chosen)
-            rows = {rid: witness for rid, (_, witness) in evaluated.items()}
+        rows = None if subset is None else ws.rows(conflicts.ids, subset)
         sol = _solution(rows, timed_out)
     if config.trim_to_p and sol.parallelism is not None:
         p = sol.parallelism
@@ -266,37 +302,38 @@ def _longest_chain(res, usable: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(chain)
 
 
-def _enumerate(instance: Instance, n_radii: int, deadline: float | None):
+def _enumerate(instance: Instance, n_radii: int, clock: _Clock):
     """Every size-n subset in ascending id order, evaluated straight from the
     intervals with plain loops; strict improvements win."""
     res = {e.id: e.resonances for e in instance.radii}
     blocked: dict[tuple[int, int], set[int]] = {}  # indices of r meeting o
     chains: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
     best, best_rows, timed_out = 0, None, False
-    for subset in combinations(sorted(res), n_radii):
-        if deadline is not None and time.monotonic() > deadline:
-            timed_out = True
-            break
-        rows = {}
-        for r in subset:
-            hit: set[int] = set()
-            for o in subset:
-                if o == r:
-                    continue
-                if (r, o) not in blocked:
-                    blocked[r, o] = {
-                        j for j, x in enumerate(res[r])
-                        if any(x.lmin <= y.lmax and y.lmin <= x.lmax for y in res[o])
-                    }
-                hit |= blocked[r, o]
-            usable = tuple(j for j in range(len(res[r])) if j not in hit)
-            if (r, usable) not in chains:
-                chains[r, usable] = _longest_chain(res[r], usable)
-            rows[r] = chains[r, usable]
-            if len(rows[r]) <= best:
-                break
-        else:
-            best, best_rows = min(map(len, rows.values())), rows
+    try:
+        for subset in combinations(sorted(res), n_radii):
+            clock.tick()
+            rows = {}
+            for r in subset:
+                hit: set[int] = set()
+                for o in subset:
+                    if o == r:
+                        continue
+                    if (r, o) not in blocked:
+                        blocked[r, o] = {
+                            j for j, x in enumerate(res[r])
+                            if any(x.lmin <= y.lmax and y.lmin <= x.lmax for y in res[o])
+                        }
+                    hit |= blocked[r, o]
+                usable = tuple(j for j in range(len(res[r])) if j not in hit)
+                if (r, usable) not in chains:
+                    chains[r, usable] = _longest_chain(res[r], usable)
+                rows[r] = chains[r, usable]
+                if len(rows[r]) <= best:
+                    break
+            else:
+                best, best_rows = min(map(len, rows.values())), rows
+    except _Timeout:
+        timed_out = True
     return _solution(best_rows, timed_out)
 
 
@@ -313,4 +350,4 @@ def oracle_max_parallelism(
     """
     if n_radii < 1:
         raise ValueError("n_radii must be >= 1")
-    return _enumerate(instance, n_radii, None)
+    return _enumerate(instance, n_radii, _Clock(0))

@@ -33,13 +33,20 @@ not require and which would cut off optimal solutions.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import combinations, product
 
 from .model import Instance
-from .parallelism import INCUMBENT_TIMEOUT, INFEASIBLE, OPTIMAL, SolveConfig
+from .parallelism import (
+    INCUMBENT_TIMEOUT,
+    INFEASIBLE,
+    METHOD_EXHAUSTIVE,
+    OPTIMAL,
+    SolveConfig,
+    _Clock,
+    _Timeout,
+)
 
 BASE = "base"
 REFINED = "refined"
@@ -72,66 +79,17 @@ class SpacingSolution:
     status: str = OPTIMAL
 
 
-class _Timeout(Exception):
-    pass
-
-
-def distance_ladder(
-    instance: Instance, selected, n_lambda: int | None = None
-) -> tuple[int, ...]:
-    """All candidate optimum distances for a radius subset: 0 plus every
-    pairwise |difference| among the nominals of the selected radii.
-
-    Any feasible matrix has its binding gap between two such nominals (in
-    base mode between two carriers, in refined mode possibly between a
-    carrier and a non-selected resonance), so the optimum always lies on
-    this ladder.  ``n_lambda`` does not change the candidate set; the
-    parameter is kept so callers can pass the problem through unchanged.
-    """
-    noms: list[int] = []
-    for rid in set(selected):
-        noms.extend(instance.entry(rid).nominals())
-    noms.sort()
-    ladder = {0}
-    for i in range(len(noms)):
-        for j in range(i + 1, len(noms)):
-            ladder.add(noms[j] - noms[i])
-    return tuple(sorted(ladder))
-
-
-def dist_upper_bound(instance: Instance, selected, n_lambda: int) -> int:
-    """Even-spacing bound: (count-1) * dist cannot exceed the spectrum span
-    of the selected radii, so dist <= floor(span / (count-1))."""
-    total = len(set(selected)) * n_lambda
-    if total < 2:
-        raise ValueError("bound undefined for a single carrier")
-    noms = [n for rid in set(selected) for n in instance.entry(rid).nominals()]
-    return (max(noms) - min(noms)) // (total - 1)
-
-
-def cross_constraint_ok(
-    instance: Instance,
-    selected,
-    carrier: tuple[int, int],
-    dist_pm: int,
-    mode: str,
-) -> bool:
-    """Check one carrier against the spectra of the other selected radii."""
-    rid, idx = carrier
-    sel = set(selected)
-    if rid not in sel:
-        raise ValueError(f"carrier radius {rid} is not selected")
-    value = instance.entry(rid).resonances[idx].nominal
-    for other in sel:
-        if other == rid:
-            continue
-        for res in instance.entry(other).resonances:
-            if mode == BASE:
-                if res.nominal == value:
-                    return False
-            elif abs(res.nominal - value) < dist_pm:
-                return False
-    return True
+def _solution(rows, dist: int | None, timed_out: bool) -> SpacingSolution:
+    """The solution with witness `rows` ((radius id, indices) in row order),
+    or the empty one."""
+    if timed_out:
+        status = INCUMBENT_TIMEOUT
+    else:
+        status = INFEASIBLE if rows is None else OPTIMAL
+    if rows is None:
+        return SpacingSolution((), (), None, status)
+    radii = tuple(r for r, _ in rows)
+    return SpacingSolution(radii, tuple(tuple(idxs) for _, idxs in rows), dist, status)
 
 
 class _RowSearch:
@@ -143,11 +101,11 @@ class _RowSearch:
     lexicographically smallest feasible matrix.
     """
 
-    def __init__(self, instance, selected, n_lambda, dist, mode, deadline):
+    def __init__(self, instance, selected, n_lambda, dist, mode, clock: _Clock):
         self.n_lambda = n_lambda
         self.dist = dist
         self.mode = mode
-        self.deadline = deadline
+        self._tick = clock.tick
         self.sel = sorted(set(selected))
         self.vals = {r: list(instance.entry(r).nominals()) for r in self.sel}
         self.other_set = {}
@@ -159,16 +117,6 @@ class _RowSearch:
         self.placed: list[int] = []  # sorted nominal values of placed carriers
         self.rows: list[tuple[int, list[int]]] = []
         self.used: set[int] = set()
-        self._steps = 0
-
-    def _tick(self):
-        self._steps += 1
-        if (
-            self.deadline is not None
-            and self._steps % 256 == 0
-            and time.monotonic() > self.deadline
-        ):
-            raise _Timeout
 
     def _ok(self, rid: int, value: int) -> bool:
         if self.dist > 0 and self.placed:
@@ -252,24 +200,6 @@ class _RowSearch:
         return None
 
 
-def feasible(
-    instance: Instance,
-    selected,
-    n_lambda: int,
-    dist_pm: int,
-    mode: str,
-) -> list[tuple[int, tuple[int, ...]]] | None:
-    """Find a carrier matrix for the given radii at spacing >= dist_pm.
-
-    Returns canonical witness rows ``(radius_id, indices)`` in ascending
-    first-carrier order, or None when no assignment satisfies the mode's
-    constraints at this distance.
-    """
-    if dist_pm < 0:
-        raise ValueError("dist_pm must be >= 0")
-    return _RowSearch(instance, selected, n_lambda, dist_pm, mode, None).run()
-
-
 def _subset_span_bound(min_nom: int, max_nom: int, total: int) -> int:
     return (max_nom - min_nom) // (total - 1)
 
@@ -296,16 +226,15 @@ def solve_spacing(
     """
     if config is None:
         config = SolveConfig()
-    if config.method == "exhaustive":
-        # Oracle-grade enumeration on request; exact and identically
-        # tie-broken, but it ignores the time limit and only suits small
-        # inputs.
-        return oracle_spacing(instance, problem)
+    clock = _Clock(config.time_limit)
+    if config.method == METHOD_EXHAUSTIVE:
+        # The oracle's enumeration: exact and identically tie-broken, but
+        # only suits small inputs.
+        return _enumerate(instance, problem, clock)
     if problem.n_radii > len(instance.radii):
         return SpacingSolution((), (), None, INFEASIBLE)
     if problem.n_radii * problem.n_lambda == 1:
         return _sentinel_solution(instance)
-    deadline = config.deadline()
     total = problem.n_radii * problem.n_lambda
     eligible = [
         e.id
@@ -378,9 +307,9 @@ def solve_spacing(
                 out.add(noms[j] - v)
         return sorted(out)
 
-    def leaf(subset: list[int]) -> None:
+    def leaf(subset: list[int], min_nom: int, max_nom: int) -> None:
         nonlocal best_d, best_rows
-        ub = dist_upper_bound(instance, subset, problem.n_lambda)
+        ub = _subset_span_bound(min_nom, max_nom, total)
         cap = subset_cap(subset)
         if cap is not None:
             ub = min(ub, cap)
@@ -391,7 +320,7 @@ def solve_spacing(
         if not ladder:
             return
         probe = _RowSearch(
-            instance, subset, problem.n_lambda, ladder[0], problem.mode, deadline
+            instance, subset, problem.n_lambda, ladder[0], problem.mode, clock
         ).run()
         if probe is None:
             return
@@ -400,7 +329,7 @@ def solve_spacing(
         while lo < hi:
             mid = (lo + hi + 1) // 2
             w = _RowSearch(
-                instance, subset, problem.n_lambda, ladder[mid], problem.mode, deadline
+                instance, subset, problem.n_lambda, ladder[mid], problem.mode, clock
             ).run()
             if w is None:
                 hi = mid - 1
@@ -413,11 +342,10 @@ def solve_spacing(
     def dfs(pool: list[int], chosen: list[int], lo: int, hi: int) -> None:
         need = problem.n_radii - len(chosen)
         if need == 0:
-            leaf(chosen)
+            leaf(chosen, lo, hi)
             return
         for i, rid in enumerate(pool):
-            if deadline is not None and time.monotonic() > deadline:
-                raise _Timeout
+            clock.tick()
             rest = pool[i + 1:]
             if len(rest) + 1 < need:
                 return
@@ -446,16 +374,8 @@ def solve_spacing(
     try:
         dfs(eligible, [], -1, -1)
     except _Timeout:
-        if best_rows is None:
-            return SpacingSolution((), (), None, INCUMBENT_TIMEOUT)
-        rows = tuple(idxs for _, idxs in best_rows)
-        radii = tuple(r for r, _ in best_rows)
-        return SpacingSolution(radii, rows, best_d, INCUMBENT_TIMEOUT)
-    if best_rows is None:
-        return SpacingSolution((), (), None, INFEASIBLE)
-    rows = tuple(idxs for _, idxs in best_rows)
-    radii = tuple(r for r, _ in best_rows)
-    return SpacingSolution(radii, rows, best_d, OPTIMAL)
+        return _solution(best_rows, best_d, True)
+    return _solution(best_rows, best_d, False)
 
 
 def _matrix_key(rows_ordered, vals):
@@ -469,6 +389,69 @@ def _matrix_key(rows_ordered, vals):
     return tuple(key)
 
 
+def _enumerate(instance: Instance, problem: SpacingProblem, clock: _Clock):
+    """Every radius subset in ascending id order and every carrier matrix,
+    each scored straight from the definitions; on timeout, the best matrix
+    of the subsets finished so far."""
+    if problem.n_radii > len(instance.radii):
+        return SpacingSolution((), (), None, INFEASIBLE)
+    if problem.n_radii * problem.n_lambda == 1:
+        return _sentinel_solution(instance)
+    vals = {e.id: list(e.nominals()) for e in instance.radii}
+    eligible = sorted(r for r in instance.ids() if len(vals[r]) >= problem.n_lambda)
+    best_d: int | None = None
+    best_rows = None
+    try:
+        for subset in combinations(eligible, problem.n_radii):
+            sub_best: int | None = None
+            sub_key = None
+            sub_rows = None
+            others = {
+                r: [v for o in subset if o != r for v in vals[o]] for r in subset
+            }
+            others_set = {r: set(lst) for r, lst in others.items()}
+            index_choices = [
+                list(combinations(range(len(vals[r])), problem.n_lambda)) for r in subset
+            ]
+            for pick in product(*index_choices):
+                clock.tick()
+                rows = list(zip(subset, pick))
+                carriers = [(vals[r][j], r) for r, idxs in rows for j in idxs]
+                if problem.mode == BASE and any(
+                    v in others_set[r] for v, r in carriers
+                ):
+                    continue
+                # Binding gap: min pairwise carrier distance, plus in refined
+                # mode the distance from each carrier to every resonance of
+                # the other selected radii.  The scan aborts as soon as the
+                # running minimum falls below the subset incumbent, since the
+                # final gap can then no longer win or tie.
+                values = sorted(v for v, _ in carriers)
+                gap = min(b - a for a, b in zip(values, values[1:]))
+                if sub_best is not None and gap < sub_best:
+                    continue
+                if problem.mode == REFINED:
+                    for v, r in carriers:
+                        for w in others[r]:
+                            d = abs(v - w)
+                            if d < gap:
+                                gap = d
+                        if sub_best is not None and gap < sub_best:
+                            break
+                    if sub_best is not None and gap < sub_best:
+                        continue
+                ordered = sorted(rows, key=lambda row: (vals[row[0]][row[1][0]], row[0]))
+                key = _matrix_key(ordered, vals)
+                if sub_best is None or gap > sub_best or (gap == sub_best and key < sub_key):
+                    sub_best, sub_key, sub_rows = gap, key, ordered
+            if sub_best is not None and (best_d is None or sub_best > best_d):
+                best_d = sub_best
+                best_rows = sub_rows
+    except _Timeout:
+        return _solution(best_rows, best_d, True)
+    return _solution(best_rows, best_d, False)
+
+
 def oracle_spacing(instance: Instance, problem: SpacingProblem) -> SpacingSolution:
     """Brute-force reference solver: enumerate every radius subset and every
     carrier matrix, score each directly from the definitions.
@@ -478,61 +461,4 @@ def oracle_spacing(instance: Instance, problem: SpacingProblem) -> SpacingSoluti
     ties break identically (first subset in ascending-id order, then the
     canonical matrix key).
     """
-    if problem.n_radii > len(instance.radii):
-        return SpacingSolution((), (), None, INFEASIBLE)
-    if problem.n_radii * problem.n_lambda == 1:
-        return _sentinel_solution(instance)
-    vals = {e.id: list(e.nominals()) for e in instance.radii}
-    eligible = sorted(r for r in instance.ids() if len(vals[r]) >= problem.n_lambda)
-    best_d: int | None = None
-    best_rows = None
-
-    for subset in combinations(eligible, problem.n_radii):
-        sub_best: int | None = None
-        sub_key = None
-        sub_rows = None
-        others = {
-            r: [v for o in subset if o != r for v in vals[o]] for r in subset
-        }
-        others_set = {r: set(lst) for r, lst in others.items()}
-        index_choices = [
-            list(combinations(range(len(vals[r])), problem.n_lambda)) for r in subset
-        ]
-        for pick in product(*index_choices):
-            rows = list(zip(subset, pick))
-            carriers = [(vals[r][j], r) for r, idxs in rows for j in idxs]
-            if problem.mode == BASE and any(
-                v in others_set[r] for v, r in carriers
-            ):
-                continue
-            # Binding gap: min pairwise carrier distance, plus in refined
-            # mode the distance from each carrier to every resonance of
-            # the other selected radii.  The scan aborts as soon as the
-            # running minimum falls below the subset incumbent, since the
-            # final gap can then no longer win or tie.
-            values = sorted(v for v, _ in carriers)
-            gap = min(b - a for a, b in zip(values, values[1:]))
-            if sub_best is not None and gap < sub_best:
-                continue
-            if problem.mode == REFINED:
-                for v, r in carriers:
-                    for w in others[r]:
-                        d = abs(v - w)
-                        if d < gap:
-                            gap = d
-                    if sub_best is not None and gap < sub_best:
-                        break
-                if sub_best is not None and gap < sub_best:
-                    continue
-            ordered = sorted(rows, key=lambda row: (vals[row[0]][row[1][0]], row[0]))
-            key = _matrix_key(ordered, vals)
-            if sub_best is None or gap > sub_best or (gap == sub_best and key < sub_key):
-                sub_best, sub_key, sub_rows = gap, key, ordered
-        if sub_best is not None and (best_d is None or sub_best > best_d):
-            best_d = sub_best
-            best_rows = sub_rows
-    if best_rows is None:
-        return SpacingSolution((), (), None, INFEASIBLE)
-    radii = tuple(r for r, _ in best_rows)
-    rows = tuple(tuple(idxs) for _, idxs in best_rows)
-    return SpacingSolution(radii, rows, best_d, OPTIMAL)
+    return _enumerate(instance, problem, _Clock(0))

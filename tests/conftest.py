@@ -48,6 +48,30 @@ def with_delta(instance, half_width):
     return apply_delta(instance, half_width)
 
 
+def restrict(instance, ids):
+    """The instance cut down to the radii in `ids`."""
+    return Instance(tuple(e for e in instance.radii if e.id in ids), instance.label)
+
+
+# Test-side reference for the Phase-2 ladder argument, from the definitions.
+
+def distance_ladder(instance, selected):
+    """Every candidate optimum distance for a radius subset: 0 plus every
+    pairwise |difference| among the nominals of the selected radii."""
+    noms = sorted(n for rid in set(selected) for n in instance.entry(rid).nominals())
+    return tuple(sorted({0} | {b - a for i, a in enumerate(noms) for b in noms[i + 1:]}))
+
+
+def dist_upper_bound(instance, selected, n_lambda):
+    """Even-spacing bound: (count-1) * dist cannot exceed the spectrum span
+    of the selected radii, so dist <= floor(span / (count-1))."""
+    total = len(set(selected)) * n_lambda
+    if total < 2:
+        raise ValueError("bound undefined for a single carrier")
+    noms = [n for rid in set(selected) for n in instance.entry(rid).nominals()]
+    return (max(noms) - min(noms)) // (total - 1)
+
+
 @pytest.fixture
 def table1():
     return table1_instance()

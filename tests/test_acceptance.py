@@ -7,14 +7,18 @@ deferred to later calibration.
 
 import time
 
-from conftest import radius1_instance, table1_instance, with_delta
+from conftest import (
+    dist_upper_bound,
+    distance_ladder,
+    radius1_instance,
+    table1_instance,
+    with_delta,
+)
 from wronoc import (
     GenSpec,
     SpacingProblem,
     cli,
     conflicts_of,
-    distance_ladder,
-    dist_upper_bound,
     export_asp_facts,
     generate,
     generate_random_small,

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from wronoc import cli
+import wronoc
+from wronoc import cli, model, verify
 
 
 def run_cli(capsys, argv):
@@ -103,6 +109,55 @@ class TestPipeline:
         assert p == 5
         assert doc["result"]["phase2"]["n_lambda"] == p
         assert doc["result"]["phase2"]["status"] == "optimal"
+
+    def test_time_limit_is_one_budget(self, capsys, table1_file, monkeypatch):
+        # Phase 1 spends the whole budget, so Phase 2 gets none of it.
+        solve = cli.solve_max_parallelism
+
+        def slow_solve(*args, **kwargs):
+            time.sleep(0.3)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_max_parallelism", slow_solve)
+        code, doc, _ = run_json(
+            capsys,
+            ["pipeline", "--instance", table1_file, "--delta", "0",
+             "--n-radii", "2", "--time-limit", "0.2"],
+        )
+        assert code == 3
+        assert doc["result"]["phase1"]["status"] == "optimal"
+        assert doc["result"]["phase2"]["status"] == "incumbent-timeout"
+        assert doc["status"] == "incumbent-timeout"
+
+
+# The names bench/tracing.py replaces with timing wrappers.  The CLI must
+# call each through the attribute it patches, at call time.
+TRACED = [
+    (cli, "conflicts_of"),
+    (cli, "solve_max_parallelism"),
+    (cli, "solve_spacing"),
+    (model, "parse_instance"),
+    (model, "instance_digest"),
+    (verify, "check_parallelism_solution"),
+    (verify, "check_spacing_solution"),
+]
+
+
+class TestTracedNames:
+    def test_called_through_their_owners(self, capsys, table1_file, monkeypatch):
+        called = set()
+        for owner, name in TRACED:
+            def wrapper(*args, _original=getattr(owner, name), _name=name, **kwargs):
+                called.add(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+        code, _, _ = run_json(
+            capsys,
+            ["pipeline", "--instance", table1_file, "--delta", "0", "--n-radii", "2"],
+        )
+        assert code == 0
+        assert called == {name for _, name in TRACED}
 
 
 class TestConflicts:
@@ -283,6 +338,43 @@ class TestErrors:
         assert code == 2
         assert "--delta -5" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["max-parallelism", "--n-radii", "2"],
+            ["export-asp"],
+            ["export-asp", "--format", "json"],
+            ["generate"],
+            ["bench", "--n-radii", "2"],
+        ],
+        ids=["max-parallelism", "export-asp", "export-json", "generate", "bench"],
+    )
+    def test_unwritable_out_exits_2(self, capsys, table1_file, tmp_path, argv):
+        if argv[0] != "generate":
+            argv = argv + ["--instance", table1_file]
+        out = tmp_path / "missing" / "out.txt"
+        code, _, err = run_cli(capsys, argv + ["--out", str(out)])
+        assert code == 2
+        assert f"cannot write {out}" in err
+        assert "Traceback" not in err
+
+    def test_exhaustive_spacing_honours_time_limit(self, tmp_path):
+        gen = tmp_path / "gen.txt"
+        assert cli.main(["generate", "--seed", "1", "--out", str(gen)]) == 0
+        src = str(Path(wronoc.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "wronoc.cli", "spacing", "--instance", str(gen),
+             "--n-radii", "2", "--parallelism", "2", "--method", "exhaustive",
+             "--time-limit", "1"],
+            capture_output=True, text=True, env=env, timeout=15,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert time.monotonic() - started < 8
+        assert json.loads(proc.stdout)["status"] == "incumbent-timeout"
 
     def test_timeout_exits_3(self, capsys, tmp_path):
         gen = tmp_path / "gen.txt"

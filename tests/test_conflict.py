@@ -1,27 +1,29 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_instance, table1_instance, with_delta
+from conftest import build_instance, restrict, table1_instance, with_delta
 from wronoc import (
     ConflictPair,
     GenSpec,
+    Instance,
+    ParallelismSolution,
+    RadiusEntry,
+    Resonance,
     SplitMix64,
     apply_delta,
     conflicts_of,
     generate,
     generate_random_small,
-    max_compatible_count,
-    usable_resonances,
+    solve_max_parallelism,
 )
+from wronoc.verify import check_parallelism_solution
 
 
 def explicit_interval_instance(seed, n_radii):
     """Instance whose intervals are asymmetric and can nest arbitrarily."""
-    from wronoc import Instance, RadiusEntry, Resonance
-
     rng = SplitMix64(seed)
     radii = []
     for rid in range(1, n_radii + 1):
@@ -35,7 +37,8 @@ def explicit_interval_instance(seed, n_radii):
 
 
 def brute_force_mis(entry, indices):
-    """Exhaustive maximum independent set over within-radius conflicts."""
+    """Exhaustive maximum independent set over within-radius conflicts: its
+    size and its lexicographically smallest witness."""
     res = entry.resonances
 
     def compatible(subset):
@@ -44,12 +47,19 @@ def brute_force_mis(entry, indices):
             for a, b in combinations(subset, 2)
         )
 
-    best = 0
     for size in range(len(indices), 0, -1):
-        if any(compatible(c) for c in combinations(indices, size)):
-            best = size
-            break
-    return best
+        for subset in combinations(indices, size):  # in lexicographic order
+            if compatible(subset):
+                return size, subset
+    return 0, ()
+
+
+def solve_one_radius(instance):
+    """Phase 1 on a single-radius instance: the MIS of all its resonances."""
+    (rid,) = instance.ids()
+    sol = solve_max_parallelism(instance, conflicts_of(instance), 1)
+    assert sol.status == "optimal"
+    return sol.parallelism, sol.selections[rid]
 
 
 class TestConflictsOf:
@@ -140,11 +150,20 @@ class TestMaskTable:
         for a, r in enumerate(cs.ids):
             for b, o in enumerate(cs.ids):
                 assert cs.block[a][b] == block[r, o], (r, o)
-                assert cs.cross_blocked_mask(r, o) == block[r, o]
         assert cs.pairs == pairs
         assert len(cs) == len(pairs)
         assert cs.cross_pairs() == sorted(p for p in pairs if p.kind == "cross")
         assert cs.within_pairs() == sorted(p for p in pairs if p.kind == "within")
+
+
+def usable_resonances(instance, cs, selected, radius_id):
+    """Indices of `radius_id` that no other radius in `selected` blocks,
+    read from the block masks the solver uses."""
+    a = cs.ids.index(radius_id)
+    mask = (1 << len(instance.entry(radius_id).resonances)) - 1
+    for other in selected:
+        mask &= ~cs.block[a][cs.ids.index(other)]
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 class TestUsableResonances:
@@ -164,11 +183,6 @@ class TestUsableResonances:
         assert len(idx) == 6  # only the shared 1521.3 nm resonance drops out
         assert 1 not in idx
 
-    def test_requires_membership(self, table1):
-        cs = conflicts_of(table1)
-        with pytest.raises(ValueError):
-            usable_resonances(table1, cs, {1, 2}, 3)
-
     def test_antitone_in_selected(self):
         for seed in range(15):
             inst = with_delta(generate_random_small(seed, 5, 8), 700)
@@ -185,24 +199,21 @@ class TestUsableResonances:
 
 
 class TestMaxCompatibleCount:
+    """The one MIS routine, through Phase 1 on single-radius instances."""
+
     def test_conflict_free_returns_everything(self, table1):
-        cs = conflicts_of(table1)
-        usable = list(range(7))
-        count, witness = max_compatible_count(table1, cs, usable, 4)
-        assert count == 7
-        assert witness == tuple(usable)
+        assert solve_one_radius(restrict(table1, {4})) == (7, tuple(range(7)))
 
     def test_forced_pair(self):
         inst = build_instance({1: (1500000, 1500500, 1510000)}, half_width=400)
-        cs = conflicts_of(inst)
-        count, witness = max_compatible_count(inst, cs, [0, 1, 2], 1)
-        assert count == 2
-        assert witness == (0, 2)  # lexicographically smallest witness
+        # (0, 2) is the lexicographically smallest witness
+        assert solve_one_radius(inst) == (2, (0, 2))
 
     def test_out_of_range_index(self, table1):
-        cs = conflicts_of(table1)
-        with pytest.raises(ValueError):
-            max_compatible_count(table1, cs, [99], 1)
+        sol = ParallelismSolution((1,), {1: (99,)}, {1: 1}, 1)
+        assert check_parallelism_solution(table1, sol, 1) == [
+            "radius 1: selection index out of range"
+        ]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_brute_force(self, seed):
@@ -212,14 +223,7 @@ class TestMaxCompatibleCount:
         )
         hw = (200, 600, 1500)[seed % 3]
         inst = build_instance({1: tuple(noms)}, half_width=hw)
-        cs = conflicts_of(inst)
-        usable = list(range(len(noms)))
-        count, witness = max_compatible_count(inst, cs, usable, 1)
-        assert count == brute_force_mis(inst.entry(1), usable)
-        assert len(witness) == count
-        entry = inst.entry(1)
-        for a, b in combinations(witness, 2):
-            assert entry.resonances[a].lmax < entry.resonances[b].lmin
+        assert solve_one_radius(inst) == brute_force_mis(inst.entry(1), range(len(noms)))
 
     @given(
         nominals=st.lists(
@@ -233,24 +237,37 @@ class TestMaxCompatibleCount:
     @settings(max_examples=60, deadline=None)
     def test_greedy_is_exact_property(self, nominals, half_width):
         inst = build_instance({1: tuple(nominals)}, half_width=half_width)
-        cs = conflicts_of(inst)
-        usable = list(range(len(nominals)))
-        count, _ = max_compatible_count(inst, cs, usable, 1)
-        assert count == brute_force_mis(inst.entry(1), usable)
+        assert solve_one_radius(inst) == brute_force_mis(
+            inst.entry(1), range(len(nominals))
+        )
+
+    @given(
+        intervals=st.lists(
+            st.tuples(
+                st.integers(min_value=1_500_000, max_value=1_510_000),
+                st.integers(min_value=0, max_value=4000),
+                st.integers(min_value=0, max_value=4000),
+            ),
+            min_size=1,
+            max_size=10,
+            unique_by=lambda t: t[0],
+        ),
+    )
+    # A wide first interval that blocks two compatible later ones.
+    @example(intervals=[(1_500_000, 0, 4000), (1_500_001, 0, 0), (1_500_003, 0, 0)])
+    @settings(max_examples=60, deadline=None)
+    def test_explicit_intervals_property(self, intervals):
+        # Each resonance widens by its own amounts below and above.
+        res = tuple(Resonance(v, v - lo, v + hi) for v, lo, hi in sorted(intervals))
+        inst = Instance((RadiusEntry(1, 0, res),), "explicit")
+        assert solve_one_radius(inst) == brute_force_mis(inst.entry(1), range(len(res)))
 
     @pytest.mark.parametrize("seed", range(25))
     def test_explicit_nested_intervals(self, seed):
         # Asymmetric, possibly nested uncertainty intervals still form an
         # interval graph, so the greedy scan must stay exact.
         inst = explicit_interval_instance(seed, n_radii=1)
-        cs = conflicts_of(inst)
-        usable = list(range(len(inst.entry(1).resonances)))
-        count, witness = max_compatible_count(inst, cs, usable, 1)
-        assert count == brute_force_mis(inst.entry(1), usable)
         entry = inst.entry(1)
-        for a, b in combinations(witness, 2):
-            lo, hi = sorted((a, b))
-            assert (
-                entry.resonances[lo].lmax < entry.resonances[hi].lmin
-                or entry.resonances[hi].lmax < entry.resonances[lo].lmin
-            )
+        assert solve_one_radius(inst) == brute_force_mis(
+            entry, range(len(entry.resonances))
+        )

@@ -1,13 +1,13 @@
 import pytest
 
-from conftest import build_instance, table1_instance, with_delta
+from conftest import build_instance, restrict, table1_instance, with_delta
 from wronoc import (
     GenSpec,
+    ParallelismSolution,
     SolveConfig,
     apply_delta,
     conflicts_of,
     generate,
-    evaluate_subset,
     generate_random_small,
     oracle_max_parallelism,
     solve_max_parallelism,
@@ -20,22 +20,30 @@ def table1_conflicts(table1):
     return conflicts_of(table1)
 
 
+def evaluate_subset(instance, subset):
+    """Per-radius capacities of one radius subset: Phase 1 on the instance
+    cut down to it, where that subset is the only choice."""
+    inst = restrict(instance, subset)
+    sol = solve_max_parallelism(inst, conflicts_of(inst), len(subset))
+    assert check_parallelism_solution(inst, sol, len(subset)) == []
+    return sol.counts
+
+
 class TestEvaluateSubset:
-    def test_worked_example(self, table1, table1_conflicts):
-        ev = evaluate_subset(table1, table1_conflicts, {2, 3, 4})
-        assert {r: q for r, (q, _) in ev.items()} == {2: 4, 3: 5, 4: 5}
+    def test_worked_example(self, table1):
+        assert evaluate_subset(table1, {2, 3, 4}) == {2: 4, 3: 5, 4: 5}
 
-    def test_singleton_conflict_free(self, table1, table1_conflicts):
-        ev = evaluate_subset(table1, table1_conflicts, {4})
-        assert ev[4][0] == 7
+    def test_singleton_conflict_free(self, table1):
+        assert evaluate_subset(table1, {4}) == {4: 7}
 
-    def test_pair_34(self, table1, table1_conflicts):
-        ev = evaluate_subset(table1, table1_conflicts, {3, 4})
-        assert {r: q for r, (q, _) in ev.items()} == {3: 5, 4: 6}
+    def test_pair_34(self, table1):
+        assert evaluate_subset(table1, {3, 4}) == {3: 5, 4: 6}
 
-    def test_empty_subset_rejected(self, table1, table1_conflicts):
-        with pytest.raises(ValueError):
-            evaluate_subset(table1, table1_conflicts, set())
+    def test_empty_subset_rejected(self, table1):
+        sol = ParallelismSolution((), status="optimal")
+        assert check_parallelism_solution(table1, sol, 1) == [
+            "status optimal but no radii selected"
+        ]
 
 
 class TestSolve:

@@ -1,17 +1,16 @@
 import pytest
 
-from conftest import build_instance, radius1_instance
+from conftest import build_instance, dist_upper_bound, distance_ladder, radius1_instance
 from wronoc import (
     SolveConfig,
     SpacingProblem,
-    cross_constraint_ok,
-    dist_upper_bound,
-    distance_ladder,
-    feasible,
+    SpacingSolution,
     generate_random_small,
     oracle_spacing,
     solve_spacing,
 )
+from wronoc.parallelism import _Clock
+from wronoc.spacing import _RowSearch
 from wronoc.verify import check_spacing_solution
 
 
@@ -22,28 +21,52 @@ def nominal_rows(instance, solution):
     ]
 
 
+def check_rows(instance, mode, dist, rows):
+    """Checker verdict on a matrix given as (radius id, indices) rows."""
+    problem = SpacingProblem(len(rows), len(rows[0][1]), mode)
+    radii = tuple(rid for rid, _ in rows)
+    matrix = tuple(idxs for _, idxs in rows)
+    return check_spacing_solution(instance, problem, SpacingSolution(radii, matrix, dist))
+
+
 class TestCrossConstraint:
+    """The cross-radius rules, as the independent checker applies them."""
+
     def test_base_equality_exclusion(self, table1):
         j_1587 = table1.entry(2).nominals().index(1587500)
-        assert not cross_constraint_ok(table1, {2, 4}, (2, j_1587), 0, "base")
+        assert check_rows(table1, "base", 0, [(4, (0,)), (2, (j_1587,))]) == [
+            "carrier 1587500 of radius 2 equals a resonance of radius 4"
+        ]
 
     def test_singleton_always_ok(self, table1):
         for mode in ("base", "refined"):
-            assert cross_constraint_ok(table1, {3}, (3, 0), 10**6, mode)
+            assert check_rows(table1, mode, 10**6, [(3, (0,))]) == []
 
     def test_refined_distance(self, table1):
         # 1503.4 nm of radius 3 sits 2200 pm from 1505.6 nm of radius 4
-        assert not cross_constraint_ok(table1, {3, 4}, (3, 0), 3000, "refined")
-        assert cross_constraint_ok(table1, {3, 4}, (3, 0), 2200, "refined")
+        rows = [(3, (0,)), (4, (6,))]
+        assert check_rows(table1, "refined", 3000, rows) == [
+            "carrier 1503400 of radius 3 within dist_pm of a resonance of radius 4"
+        ]
+        assert check_rows(table1, "refined", 2200, rows) == []
 
     def test_requires_selected_carrier(self, table1):
-        with pytest.raises(ValueError):
-            cross_constraint_ok(table1, {1, 2}, (3, 0), 0, "base")
+        # A third row of carriers belongs to no selected radius.
+        sol = SpacingSolution((1, 2), ((0,), (2,), (4,)), 0)
+        assert check_spacing_solution(table1, SpacingProblem(2, 1, "base"), sol) == [
+            "matrix row count does not match selected radii"
+        ]
+
+
+def row_search(instance, selected, n_lambda, dist, mode="base"):
+    return _RowSearch(instance, selected, n_lambda, dist, mode, _Clock(0)).run()
 
 
 class TestFeasible:
+    """The per-distance witness search of `solve_spacing`."""
+
     def test_radius1_triple_at_50700(self, table1):
-        rows = feasible(table1, {1}, 3, 50700, "base")
+        rows = row_search(table1, {1}, 3, 50700)
         assert rows is not None
         (rid, idxs), = rows
         noms = table1.entry(1).nominals()
@@ -51,22 +74,25 @@ class TestFeasible:
         assert [noms[j] for j in idxs] == [1496400, 1547100, 1601400]
 
     def test_radius1_triple_at_50800_is_none(self, table1):
-        assert feasible(table1, {1}, 3, 50800, "base") is None
+        assert row_search(table1, {1}, 3, 50800) is None
 
     def test_zero_distance_single_carriers(self, table1):
-        rows = feasible(table1, {1, 2, 3, 4}, 1, 0, "base")
+        rows = row_search(table1, {1, 2, 3, 4}, 1, 0)
         assert rows is not None
         assert len(rows) == 4
 
     def test_too_many_carriers_is_none(self, table1):
-        assert feasible(table1, {1}, 6, 0, "base") is None
+        assert row_search(table1, {1}, 6, 0) is None
 
     def test_negative_distance_rejected(self, table1):
-        with pytest.raises(ValueError):
-            feasible(table1, {1}, 1, -1, "base")
+        assert check_rows(table1, "base", -1, [(1, (0,))]) == [
+            "missing or negative dist_pm"
+        ]
 
 
 class TestLadderAndBound:
+    """The test-side reference the ladder and bound properties rely on."""
+
     def test_radius1_ladder(self, table1):
         ladder = distance_ladder(table1, {1})
         assert ladder[0] == 0
