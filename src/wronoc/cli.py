@@ -11,6 +11,7 @@ independent checker and was refused).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -141,28 +142,42 @@ def _status_exit(status: str) -> int:
     return EXIT_INTERNAL
 
 
-def _solve_config(args: argparse.Namespace) -> SolveConfig:
-    return SolveConfig(
-        time_limit=args.time_limit,
-        method=args.method,
-        trim_to_p=getattr(args, "trim", False),
-    )
-
-
-def _checked_parallelism(instance, sol, n_radii) -> None:
-    problems = verify.check_parallelism_solution(instance, sol, n_radii)
-    if problems:
-        raise _InternalError("solution rejected by checker: " + "; ".join(problems))
-
-
-def _checked_spacing(instance, problem, sol) -> None:
-    problems = verify.check_spacing_solution(instance, problem, sol)
-    if problems:
-        raise _InternalError("solution rejected by checker: " + "; ".join(problems))
-
-
 class _InternalError(Exception):
-    pass
+    """A solution failed the independent checker; maps to exit code 4."""
+
+
+def _solve(instance, conflicts, n_radii, parallelism, mode, config):
+    """Run Phase 1 unless `parallelism` is given, then Phase 2 when there is
+    a `mode` and a P, and pass each solution through the checker.
+
+    Both phases share the one budget of `config`.  Returns the status of
+    the run, the Phase-1 solution, the Phase-2 problem and solution (None
+    for a phase that did not run) and the milliseconds of each phase, its
+    check included.
+    """
+    started = time.monotonic()
+    phase1 = problem = phase2 = None
+    ms = [0, 0]
+    if parallelism is None:
+        phase1 = solve_max_parallelism(instance, conflicts, n_radii, config)
+        if problems := verify.check_parallelism_solution(instance, phase1, n_radii):
+            raise _InternalError("; ".join(problems))
+        ms[0] = int((time.monotonic() - started) * 1000)
+        parallelism = phase1.parallelism if phase1.status == OPTIMAL else None
+    if mode is not None and parallelism is not None:
+        problem = SpacingProblem(n_radii, parallelism, mode)
+        phase2_started = time.monotonic()
+        if config.time_limit:
+            # A spent budget must still stop Phase 2 at once, and a time
+            # limit of 0 would lift it.
+            left = config.time_limit - (phase2_started - started)
+            config = dataclasses.replace(config, time_limit=max(left, 1e-9))
+        phase2 = solve_spacing(instance, problem, config)
+        if problems := verify.check_spacing_solution(instance, problem, phase2):
+            raise _InternalError("; ".join(problems))
+        ms[1] = int((time.monotonic() - phase2_started) * 1000)
+    status = phase1.status if phase2 is None else phase2.status
+    return status, phase1, problem, phase2, ms
 
 
 # --- subcommands -----------------------------------------------------------
@@ -252,84 +267,34 @@ def _cmd_conflicts(args) -> int:
     return EXIT_OK
 
 
-def _cmd_max_parallelism(args) -> int:
+def _cmd_solve(args) -> int:
+    """`max-parallelism`, `spacing` and `pipeline`: one solve, one document."""
     instance = _read_instance(args.instance, args.delta)
-    conflicts = conflicts_of(instance)
-    started = time.monotonic()
-    sol = solve_max_parallelism(instance, conflicts, args.n_radii, _solve_config(args))
-    wall_ms = int((time.monotonic() - started) * 1000)
-    _checked_parallelism(instance, sol, args.n_radii)
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "command": _command_echo(
-            args, ["instance", "n_radii", "method", "time_limit", "trim"]
-        ),
-        "instance_digest": model.instance_digest(instance),
-        "status": sol.status,
-        "result": _parallelism_payload(instance, sol),
-        "wall_time_ms": wall_ms,
-    }
-    _emit(document, args.out)
-    return _status_exit(sol.status)
-
-
-def _cmd_spacing(args) -> int:
-    instance = _read_instance(args.instance, args.delta)
-    problem = SpacingProblem(args.n_radii, args.parallelism, args.mode)
-    started = time.monotonic()
-    sol = solve_spacing(instance, problem, _solve_config(args))
-    wall_ms = int((time.monotonic() - started) * 1000)
-    _checked_spacing(instance, problem, sol)
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "command": _command_echo(
-            args, ["instance", "n_radii", "parallelism", "mode", "method",
-                   "time_limit"]
-        ),
-        "instance_digest": model.instance_digest(instance),
-        "status": sol.status,
-        "result": _spacing_payload(instance, problem, sol),
-        "wall_time_ms": wall_ms,
-    }
-    _emit(document, args.out)
-    return _status_exit(sol.status)
-
-
-def _cmd_pipeline(args) -> int:
-    instance = _read_instance(args.instance, args.delta)
-    conflicts = conflicts_of(instance)
-    config = _solve_config(args)
-    started = time.monotonic()
-    phase1 = solve_max_parallelism(instance, conflicts, args.n_radii, config)
-    _checked_parallelism(instance, phase1, args.n_radii)
-    phase2_doc = None
-    status = phase1.status
-    if phase1.status == OPTIMAL and phase1.parallelism:
-        problem = SpacingProblem(args.n_radii, phase1.parallelism, args.mode)
-        if config.time_limit:
-            # One budget for both phases.  A spent one must still stop
-            # Phase 2 at once, and a time limit of 0 would lift it.
-            left = config.time_limit - (time.monotonic() - started)
-            config = dataclasses.replace(config, time_limit=max(left, 1e-9))
-        phase2 = solve_spacing(instance, problem, config)
-        _checked_spacing(instance, problem, phase2)
-        phase2_doc = _spacing_payload(instance, problem, phase2)
-        if phase2.status != OPTIMAL:
-            status = phase2.status
-    wall_ms = int((time.monotonic() - started) * 1000)
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "command": _command_echo(
-            args, ["instance", "n_radii", "mode", "method", "time_limit", "trim"]
-        ),
-        "instance_digest": model.instance_digest(instance),
-        "status": status,
-        "result": {
+    parallelism = getattr(args, "parallelism", None)
+    conflicts = conflicts_of(instance) if parallelism is None else None
+    config = SolveConfig(args.time_limit, args.method, getattr(args, "trim", False))
+    status, phase1, problem, phase2, ms = _solve(
+        instance, conflicts, args.n_radii, parallelism, getattr(args, "mode", None),
+        config,
+    )
+    if args.command == "pipeline":
+        result = {
             "type": "pipeline",
             "phase1": _parallelism_payload(instance, phase1),
-            "phase2": phase2_doc,
-        },
-        "wall_time_ms": wall_ms,
+            "phase2": None if phase2 is None else _spacing_payload(instance, problem, phase2),
+        }
+    elif phase1 is not None:
+        result = _parallelism_payload(instance, phase1)
+    else:
+        result = _spacing_payload(instance, problem, phase2)
+    echo = ["instance", "n_radii", "parallelism", "mode", "method", "time_limit", "trim"]
+    document = {
+        "schema_version": SCHEMA_VERSION,
+        "command": _command_echo(args, [name for name in echo if hasattr(args, name)]),
+        "instance_digest": model.instance_digest(instance),
+        "status": status,
+        "result": result,
+        "wall_time_ms": sum(ms),
     }
     _emit(document, args.out)
     return _status_exit(status)
@@ -375,13 +340,17 @@ def _cmd_bench(args) -> int:
     phases = _parse_int_list(args.phases, "--phases")
     if any(p not in (1, 2) for p in phases):
         raise CliError("--phases entries must be 1 or 2")
+    config = SolveConfig(time_limit=args.time_limit)
+    mode = args.mode if 2 in phases else None
     out_path = Path(args.out) if args.out else None
     try:
         stream = out_path.open("w", encoding="utf-8") if out_path else sys.stdout
     except OSError as exc:
         raise CliError(f"cannot write {out_path}: {exc}") from None
     try:
-        stream.write("instance,n_radii,delta_pm,phase,status,objective,wall_time_ms\n")
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(["instance", "n_radii", "delta_pm", "phase", "status",
+                         "objective", "wall_time_ms"])
         stream.flush()
         for path in args.instance:
             for delta in delta_grid:
@@ -389,33 +358,20 @@ def _cmd_bench(args) -> int:
                 label = instance.label or Path(path).stem
                 conflicts = conflicts_of(instance)
                 for n_radii in n_radii_grid:
-                    config = SolveConfig(time_limit=args.time_limit)
-                    started = time.monotonic()
-                    phase1 = solve_max_parallelism(instance, conflicts, n_radii, config)
-                    ms = int((time.monotonic() - started) * 1000)
+                    _, phase1, _, phase2, ms = _solve(
+                        instance, conflicts, n_radii, None, mode, config
+                    )
+                    # csv writes a None objective as an empty field.
                     if 1 in phases:
-                        objective = "" if phase1.parallelism is None else phase1.parallelism
-                        stream.write(
-                            f"{label},{n_radii},{delta},1,{phase1.status},{objective},{ms}\n"
-                        )
+                        writer.writerow([label, n_radii, delta, 1, phase1.status,
+                                         phase1.parallelism, ms[0]])
                         stream.flush()
                     if 2 in phases:
-                        if phase1.status == OPTIMAL and phase1.parallelism:
-                            problem = SpacingProblem(
-                                n_radii, phase1.parallelism, args.mode
-                            )
-                            started = time.monotonic()
-                            phase2 = solve_spacing(instance, problem, config)
-                            ms = int((time.monotonic() - started) * 1000)
-                            objective = "" if phase2.dist_pm is None else phase2.dist_pm
-                            status = phase2.status
-                        else:
-                            # No parallelism to feed forward; the cell still
-                            # gets its row, carrying the phase-1 outcome.
-                            objective, ms, status = "", 0, phase1.status
-                        stream.write(
-                            f"{label},{n_radii},{delta},2,{status},{objective},{ms}\n"
-                        )
+                        # A cell with no P to feed forward still gets its
+                        # row, carrying the Phase-1 outcome.
+                        row = ([phase1.status, None, 0] if phase2 is None
+                               else [phase2.status, phase2.dist_pm, ms[1]])
+                        writer.writerow([label, n_radii, delta, 2] + row)
                         stream.flush()
     finally:
         if out_path:
@@ -532,9 +488,9 @@ _HANDLERS = {
     "validate": _cmd_validate,
     "export-asp": _cmd_export,
     "conflicts": _cmd_conflicts,
-    "max-parallelism": _cmd_max_parallelism,
-    "spacing": _cmd_spacing,
-    "pipeline": _cmd_pipeline,
+    "max-parallelism": _cmd_solve,
+    "spacing": _cmd_solve,
+    "pipeline": _cmd_solve,
     "generate": _cmd_generate,
     "bench": _cmd_bench,
 }
@@ -549,14 +505,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: solution rejected by checker: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

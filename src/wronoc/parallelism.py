@@ -50,7 +50,7 @@ class SolveConfig:
     trim_to_p: bool = False
 
     def __post_init__(self):
-        if self.time_limit < 0:
+        if not self.time_limit >= 0:  # NaN fails every comparison
             raise ValueError("time_limit must be >= 0")
         if self.method not in (METHOD_BNB, METHOD_EXHAUSTIVE):
             raise ValueError(f"unknown method {self.method!r}")
@@ -337,16 +337,13 @@ def _enumerate(instance: Instance, n_radii: int, clock: _Clock):
     return _solution(best_rows, timed_out)
 
 
-def oracle_max_parallelism(
-    instance: Instance, conflicts: ConflictSet, n_radii: int
-) -> ParallelismSolution:
+def oracle_max_parallelism(instance: Instance, n_radii: int) -> ParallelismSolution:
     """Exhaustive reference solver; intended for small instances.
 
     Enumerates every size-``n_radii`` subset and evaluates each from the
     resonance intervals with plain loops and a longest-chain count, so it
     shares no code with the branch-and-bound path: no conflict masks, no
-    workspace, no MIS cache.  `conflicts` is ignored; it keeps the
-    solver's signature.
+    workspace, no MIS cache.
     """
     if n_radii < 1:
         raise ValueError("n_radii must be >= 1")

@@ -114,6 +114,13 @@ class _RowSearch:
             others = [v for o in self.sel if o != r for v in self.vals[o]]
             self.other_set[r] = set(others)
             self.other_sorted[r] = sorted(others)
+        # Every carrier that can open a row, leaving room for n_lambda - 1
+        # more dist apart, as (value, radius id, index) in ascending order.
+        tail = n_lambda - 1
+        self.openers = sorted(
+            (v, r, j) for r in self.sel for j, v in enumerate(self.vals[r])
+            if j < len(self.vals[r]) - tail and v <= self.vals[r][-1] - tail * dist
+        )
         self.placed: list[int] = []  # sorted nominal values of placed carriers
         self.rows: list[tuple[int, list[int]]] = []
         self.used: set[int] = set()
@@ -137,47 +144,55 @@ class _RowSearch:
         return True
 
     def run(self) -> list[tuple[int, tuple[int, ...]]] | None:
+        """The first feasible matrix in candidate order, or None.
+
+        One loop over an explicit stack of frames, one per carrier placed,
+        so a matrix of any size needs no recursion.  A frame places each
+        of its candidates in turn and yields; the loop then pushes the
+        frame for the next carrier, or pops a spent one, whose parent then
+        takes its own carrier back and tries the next.
+        """
         if any(len(self.vals[r]) < self.n_lambda for r in self.sel):
             return None
-        return self._open_row(None)
+        rows, n_rows, n_lambda = self.rows, len(self.sel), self.n_lambda
+        open_row, fill_row = self._open_row, self._fill_row
+        stack = [open_row(None)]
+        while stack:
+            for _ in stack[-1]:
+                break
+            else:
+                stack.pop()
+                continue
+            rid, idxs = rows[-1]
+            if len(idxs) < n_lambda:
+                stack.append(fill_row(rid, idxs[-1], len(idxs)))
+            elif len(rows) < n_rows:
+                stack.append(open_row(self.vals[rid][idxs[0]] + self.dist))
+            else:
+                return [(r, tuple(idxs)) for r, idxs in rows]
+        return None
 
     def _open_row(self, min_first: int | None):
-        if len(self.rows) == len(self.sel):
-            return [(r, tuple(idxs)) for r, idxs in self.rows]
-        tail = self.n_lambda - 1
-        cands: list[tuple[int, int, int]] = []
-        for r in self.sel:
+        """Frame that opens the next row with each candidate in turn: the
+        openers from `min_first` up whose radius has no row yet."""
+        start = 0 if min_first is None else bisect_left(self.openers, (min_first,))
+        for v, r, j in self.openers[start:]:
             if r in self.used:
                 continue
-            lst = self.vals[r]
-            start = 0 if min_first is None else bisect_left(lst, min_first)
-            for j in range(start, len(lst)):
-                if len(lst) - j - 1 < tail:
-                    break
-                v = lst[j]
-                if self.dist and lst[-1] - v < tail * self.dist:
-                    break
-                cands.append((v, r, j))
-        cands.sort()
-        for v, r, j in cands:
             self._tick()
             if not self._ok(r, v):
                 continue
             insort(self.placed, v)
             self.rows.append((r, [j]))
             self.used.add(r)
-            found = self._fill_row(r, j, 1)
-            if found is not None:
-                return found
+            yield
             self.used.remove(r)
             self.rows.pop()
             self.placed.pop(bisect_left(self.placed, v))
-        return None
 
     def _fill_row(self, rid: int, last_j: int, count: int):
-        if count == self.n_lambda:
-            first_value = self.vals[rid][self.rows[-1][1][0]]
-            return self._open_row(first_value + self.dist)
+        """Frame that places carrier `count` of the open row, `rid`'s, with
+        each candidate in turn."""
         lst = self.vals[rid]
         tail = self.n_lambda - count - 1
         start = bisect_left(lst, lst[last_j] + self.dist, last_j + 1)
@@ -192,12 +207,9 @@ class _RowSearch:
                 continue
             insort(self.placed, v)
             self.rows[-1][1].append(j)
-            found = self._fill_row(rid, j, count + 1)
-            if found is not None:
-                return found
+            yield
             self.rows[-1][1].pop()
             self.placed.pop(bisect_left(self.placed, v))
-        return None
 
 
 def _subset_span_bound(min_nom: int, max_nom: int, total: int) -> int:

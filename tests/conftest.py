@@ -77,13 +77,18 @@ def table1():
     return table1_instance()
 
 
-@pytest.fixture
-def table1_text():
+def table1_file_text():
+    """The four-radius example table in the instance file format."""
     lines = ["# label: table1"]
     for rid, (pm, vals) in TABLE1_PM.items():
         lines.append(f"radius {rid} {pm}")
         lines.extend(f"resonance {rid} {v}" for v in vals)
     return "\n".join(lines) + "\n"
+
+
+@pytest.fixture
+def table1_text():
+    return table1_file_text()
 
 
 @pytest.fixture

@@ -61,7 +61,7 @@ def test_criterion_2_table1_phase1_derived_goldens():
     cs = conflicts_of(inst)
     failures = []
     for n_radii, expected in ((2, 5), (4, 4)):
-        oracle = oracle_max_parallelism(inst, cs, n_radii)
+        oracle = oracle_max_parallelism(inst, n_radii)
         if oracle.parallelism != expected:
             failures.append(f"oracle n_radii={n_radii}: {oracle.parallelism} != {expected}")
         sol = solve_max_parallelism(inst, cs, n_radii)
@@ -82,7 +82,7 @@ def test_criterion_3_phase1_oracle_equivalence():
             cs = conflicts_of(inst)
             for n in range(1, n_radii + 1):
                 sol = solve_max_parallelism(inst, cs, n)
-                oracle = oracle_max_parallelism(inst, cs, n)
+                oracle = oracle_max_parallelism(inst, n)
                 compared += 1
                 if sol != oracle:
                     failures.append(f"seed={seed} hw={half_width} n={n}")

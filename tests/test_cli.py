@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
@@ -6,9 +9,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wronoc
+from conftest import table1_file_text
 from wronoc import cli, model, verify
+from wronoc.model import DeltaPolicy
+from wronoc.parallelism import ParallelismSolution
+from wronoc.spacing import SpacingProblem, SpacingSolution
 
 
 def run_cli(capsys, argv):
@@ -20,6 +29,38 @@ def run_cli(capsys, argv):
 def run_json(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     return code, json.loads(out), err
+
+
+def payload_problems(doc, instance_file):
+    """What `verify` finds wrong with an emitted solve document, rebuilt
+    from its payload alone on a fresh parse of the instance."""
+    echo = doc["command"]
+    policy = echo["delta_policy"]
+    instance = model.parse_instance(
+        Path(instance_file).read_text(encoding="utf-8"),
+        DeltaPolicy.symmetric(policy["half_width_pm"]) if "half_width_pm" in policy
+        else DeltaPolicy.explicit(),
+    )
+    result = doc["result"]
+    results = [result["phase1"], result["phase2"]] if result["type"] == "pipeline" else [result]
+    problems = []
+    for part in filter(None, results):
+        rows = part["rows"]
+        if part["type"] == "parallelism":
+            sol = ParallelismSolution(
+                tuple(part["selected_radii"]),
+                {row["radius"]: tuple(row["indices"]) for row in rows},
+                {row["radius"]: row["q"] for row in rows},
+                part["P"], part["status"])
+            problems += verify.check_parallelism_solution(instance, sol, echo["n_radii"])
+        else:
+            problem = SpacingProblem(part["n_radii"], part["n_lambda"], part["mode"])
+            sol = SpacingSolution(
+                tuple(part["selected_radii"]),
+                tuple(tuple(row["indices"]) for row in rows),
+                part["dist_pm"], part["status"])
+            problems += verify.check_spacing_solution(instance, problem, sol)
+    return problems
 
 
 class TestMaxParallelism:
@@ -95,6 +136,36 @@ class TestSpacing:
         )
         assert code == 1
         assert doc["status"] == "infeasible"
+
+    def test_never_builds_conflicts(self, capsys, table1_file, monkeypatch):
+        def no_conflicts(*args, **kwargs):
+            raise AssertionError("spacing called conflicts_of")
+
+        monkeypatch.setattr(cli, "conflicts_of", no_conflicts)
+        code, doc, _ = run_json(
+            capsys,
+            ["spacing", "--instance", table1_file, "--delta", "1000", "--n-radii", "2",
+             "--parallelism", "2", "--mode", "refined"],
+        )
+        assert code == 0
+        assert doc["result"]["dist_pm"] == 9800
+
+    @pytest.mark.parametrize(
+        "shape", [("70", "13", "base"), ("70", "13", "refined"), ("63", "15", "base")]
+    )
+    def test_matrix_deeper_than_the_recursion_limit(self, capsys, tmp_path, shape):
+        gen = str(tmp_path / "gen.txt")
+        assert cli.main(["generate", "--seed", "0", "--jitter-pm", "100",
+                         "--out", gen]) == 0
+        capsys.readouterr()
+        n_radii, parallelism, mode = shape
+        code, doc, err = run_json(
+            capsys,
+            ["spacing", "--instance", gen, "--n-radii", n_radii,
+             "--parallelism", parallelism, "--mode", mode, "--time-limit", "1"],
+        )
+        assert code in (0, 3), err
+        assert payload_problems(doc, gen) == []
 
 
 class TestPipeline:
@@ -292,6 +363,62 @@ class TestBench:
         assert lines[2].split(",")[3:6] == ["2", "infeasible", ""]
 
 
+    def test_fields_are_quoted(self, capsys, tmp_path, table1_text):
+        labelled = tmp_path / "labelled.txt"
+        labelled.write_text(
+            table1_text.replace("# label: table1", "# label: chip A, rev 2"),
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(
+            capsys,
+            ["bench", "--instance", str(labelled), "--n-radii", "2,3",
+             "--delta", "0", "--phases", "1,2"],
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["instance", "n_radii", "delta_pm", "phase", "status",
+                           "objective", "wall_time_ms"]
+        assert [row[:6] for row in rows[1:]] == [
+            ["chip A, rev 2", "2", "0", "1", "optimal", "5"],
+            ["chip A, rev 2", "2", "0", "2", "optimal", "2900"],
+            ["chip A, rev 2", "3", "0", "1", "optimal", "4"],
+            ["chip A, rev 2", "3", "0", "2", "optimal", "3900"],
+        ]
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_rows_are_checked(self, capsys, table1_file, monkeypatch, phase):
+        name = ["check_parallelism_solution", "check_spacing_solution"][phase - 1]
+        monkeypatch.setattr(verify, name, lambda *args: ["planted fault"])
+        code, out, err = run_cli(
+            capsys,
+            ["bench", "--instance", table1_file, "--n-radii", "2", "--delta", "0",
+             "--phases", "1,2"],
+        )
+        assert code == 4
+        assert "planted fault" in err
+        assert out.splitlines()[1:] == []
+
+    def test_time_limit_is_one_budget_per_cell(self, capsys, table1_file, monkeypatch):
+        # Phase 1 spends the cell's whole budget, so its Phase 2 gets none.
+        solve = cli.solve_max_parallelism
+
+        def slow_solve(*args, **kwargs):
+            time.sleep(0.3)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_max_parallelism", slow_solve)
+        code, out, _ = run_cli(
+            capsys,
+            ["bench", "--instance", table1_file, "--n-radii", "2,3", "--delta", "0",
+             "--phases", "1,2", "--time-limit", "0.2"],
+        )
+        assert code == 0
+        assert [row[3:5] for row in csv.reader(io.StringIO(out))][1:] == [
+            ["1", "optimal"], ["2", "incumbent-timeout"],
+            ["1", "optimal"], ["2", "incumbent-timeout"],
+        ]
+
+
 class TestErrors:
     def test_unknown_flag_exits_2(self, capsys, table1_file):
         code, _, _ = run_cli(
@@ -359,6 +486,20 @@ class TestErrors:
         assert f"cannot write {out}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["max-parallelism", "--delta", "1000", "--n-radii", "16"],
+         ["bench", "--delta", "1000", "--n-radii", "16"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_nan_time_limit_exits_2(self, capsys, table1_file, argv):
+        code, out, err = run_cli(
+            capsys, argv + ["--instance", table1_file, "--time-limit", "nan"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "time_limit must be >= 0" in err
+
     def test_exhaustive_spacing_honours_time_limit(self, tmp_path):
         gen = tmp_path / "gen.txt"
         assert cli.main(["generate", "--seed", "1", "--out", str(gen)]) == 0
@@ -387,3 +528,51 @@ class TestErrors:
         )
         assert code == 3
         assert doc["status"] == "incumbent-timeout"
+
+
+@pytest.fixture(scope="module")
+def table1_path(tmp_path_factory):
+    # Module-scoped: hypothesis does not rerun function-scoped fixtures.
+    path = tmp_path_factory.mktemp("contract") / "table1.txt"
+    path.write_text(table1_file_text(), encoding="utf-8")
+    return str(path)
+
+
+@st.composite
+def solve_requests(draw):
+    command = draw(st.sampled_from(["max-parallelism", "spacing", "pipeline", "bench"]))
+    n_radii = str(draw(st.integers(-1, 6)))
+    delta = str(draw(st.sampled_from([-5, 0, 1000, 20000])))
+    time_limit = draw(st.sampled_from(["0", "1e-9", "0.5", "-1", "nan", "inf"]))
+    argv = [command, "--n-radii", n_radii, "--delta", delta, "--time-limit", time_limit]
+    if command in ("spacing", "pipeline", "bench"):
+        argv += ["--mode", draw(st.sampled_from(["base", "refined"]))]
+    if command == "spacing":
+        argv += ["--parallelism", str(draw(st.integers(-1, 8)))]
+    if command == "bench":
+        argv += ["--phases", "1,2"]
+    else:
+        # The enumerations only finish fast under a finite positive limit.
+        methods = ["bnb", "exhaustive"] if time_limit in ("1e-9", "0.5") else ["bnb"]
+        argv += ["--method", draw(st.sampled_from(methods))]
+    return argv
+
+
+class TestExitCodeContract:
+    @given(argv=solve_requests())
+    @settings(max_examples=150, deadline=None)
+    def test_documented_exit_codes(self, table1_path, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--instance", table1_path])
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if argv[0] == "bench":
+            assert code != 1
+            assert all(len(row) == 7 for row in csv.reader(io.StringIO(out.getvalue())))
+        elif out.getvalue():
+            doc = json.loads(out.getvalue())
+            assert (code == 1) == (doc["status"] == "infeasible")
+            assert payload_problems(doc, table1_path) == []
+        else:
+            assert code == 2

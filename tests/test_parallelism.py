@@ -82,7 +82,7 @@ class TestSolve:
         cs = conflicts_of(inst)
         sol = solve_max_parallelism(inst, cs, 2)
         assert sol.status == "infeasible"
-        assert oracle_max_parallelism(inst, cs, 2).status == "infeasible"
+        assert oracle_max_parallelism(inst, 2).status == "infeasible"
 
     def test_trim_to_p(self, table1, table1_conflicts):
         sol = solve_max_parallelism(
@@ -129,7 +129,7 @@ class TestOracleAgreement:
             cs = conflicts_of(inst)
             for n in (1, 2, 3, 4):
                 assert solve_max_parallelism(inst, cs, n) == oracle_max_parallelism(
-                    inst, cs, n
+                    inst, n
                 )
 
     @pytest.mark.parametrize("seed", range(30))
@@ -141,7 +141,7 @@ class TestOracleAgreement:
             cs = conflicts_of(inst)
             for n in range(1, n_radii + 1):
                 sol = solve_max_parallelism(inst, cs, n)
-                oracle = oracle_max_parallelism(inst, cs, n)
+                oracle = oracle_max_parallelism(inst, n)
                 assert sol == oracle, (seed, hw, n)
                 if sol.status == "optimal":
                     assert check_parallelism_solution(inst, sol, n) == []
@@ -154,7 +154,7 @@ class TestOracleAgreement:
         cs = conflicts_of(inst)
         for n in range(1, 5):
             sol = solve_max_parallelism(inst, cs, n)
-            assert sol == oracle_max_parallelism(inst, cs, n), (seed, n)
+            assert sol == oracle_max_parallelism(inst, n), (seed, n)
             if sol.status == "optimal":
                 assert check_parallelism_solution(inst, sol, n) == []
 

@@ -84,6 +84,15 @@ class TestFeasible:
     def test_too_many_carriers_is_none(self, table1):
         assert row_search(table1, {1}, 6, 0) is None
 
+    def test_matrix_deeper_than_the_recursion_limit(self):
+        # 3 rows of 600 carriers: one frame per carrier, 1800 in all.
+        inst = build_instance(
+            {rid: [1_500_000 + 1000 * rid + 3000 * j for j in range(600)] for rid in (1, 2, 3)}
+        )
+        rows = row_search(inst, {1, 2, 3}, 600, 1000)
+        assert rows == [(rid, tuple(range(600))) for rid in (1, 2, 3)]
+        assert row_search(inst, {1, 2, 3}, 600, 1001) is None
+
     def test_negative_distance_rejected(self, table1):
         assert check_rows(table1, "base", -1, [(1, (0,))]) == [
             "missing or negative dist_pm"
