@@ -302,16 +302,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_generate(args) -> int:
     try:
-        spec = generator.GenSpec(
-            r_min_pm=args.r_min_pm,
-            r_max_pm=args.r_max_pm,
-            r_step_pm=args.r_step_pm,
-            band_lo_pm=args.band_lo_pm,
-            band_hi_pm=args.band_hi_pm,
-            n_eff_milli=args.n_eff_milli,
-            jitter_pm=args.jitter_pm,
-            seed=args.seed,
-        )
+        fields = dataclasses.fields(generator.GenSpec)
+        spec = generator.GenSpec(**{f.name: getattr(args, f.name) for f in fields})
         instance = generator.generate(spec)
     except generator.GeneratorError as exc:
         raise CliError(str(exc)) from None
@@ -459,14 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic instance file")
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--r-min-pm", type=int, default=5_000_000)
-    p.add_argument("--r-max-pm", type=int, default=30_000_000)
-    p.add_argument("--r-step-pm", type=int, default=250_000)
-    p.add_argument("--band-lo-pm", type=int, default=1_490_000)
-    p.add_argument("--band-hi-pm", type=int, default=1_620_000)
-    p.add_argument("--n-eff-milli", type=int, default=2950)
-    p.add_argument("--jitter-pm", type=int, default=0)
+    for f in dataclasses.fields(generator.GenSpec):
+        p.add_argument("--" + f.name.replace("_", "-"), type=int, default=f.default)
 
     p = sub.add_parser("bench", help="run a parameter grid and write a CSV")
     p.add_argument("--instance", action="append", required=True,

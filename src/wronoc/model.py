@@ -42,9 +42,11 @@ class ParseError(ModelError):
 class DeltaPolicy:
     """How per-resonance uncertainty intervals are obtained at load time.
 
-    In ``symmetric-half-width`` mode any intervals present in the file are
-    ignored and recomputed as nominal -/+ ``half_width``.  Note that under
-    this policy two resonances conflict when their nominals are at most
+    In ``explicit-intervals`` mode the file's intervals are kept and
+    ``half_width`` must be 0.  In ``symmetric-half-width`` mode any
+    intervals present in the file are ignored and recomputed as
+    nominal -/+ ``half_width``.  Note that under this policy two
+    resonances conflict when their nominals are at most
     ``2 * half_width`` apart (both intervals widen).
     """
 
@@ -56,6 +58,8 @@ class DeltaPolicy:
             raise ModelError(f"unknown delta policy mode {self.mode!r}")
         if self.half_width < 0:
             raise ModelError("half_width must be >= 0")
+        if self.mode == EXPLICIT_INTERVALS and self.half_width != 0:
+            raise ModelError("explicit-intervals takes no half_width")
 
     @classmethod
     def explicit(cls) -> "DeltaPolicy":

@@ -37,6 +37,15 @@ OPTIMAL = "optimal"
 INCUMBENT_TIMEOUT = "incumbent-timeout"
 INFEASIBLE = "infeasible"
 
+
+def _status(found: bool, timed_out: bool) -> str:
+    """The status of a solve, either phase: a timeout wins, else whether a
+    solution was found."""
+    if timed_out:
+        return INCUMBENT_TIMEOUT
+    return OPTIMAL if found else INFEASIBLE
+
+
 METHOD_BNB = "bnb"
 METHOD_EXHAUSTIVE = "exhaustive"
 
@@ -221,10 +230,7 @@ class _Workspace:
 
 def _solution(rows: dict[int, tuple[int, ...]] | None, timed_out: bool):
     """The solution selecting `rows` (radius id -> indices), or the empty one."""
-    if timed_out:
-        status = INCUMBENT_TIMEOUT
-    else:
-        status = INFEASIBLE if rows is None else OPTIMAL
+    status = _status(rows is not None, timed_out)
     if rows is None:
         return ParallelismSolution((), {}, {}, None, status)
     counts = {rid: len(picks) for rid, picks in rows.items()}

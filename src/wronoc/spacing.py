@@ -33,19 +33,20 @@ not require and which would cut off optimal solutions.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import combinations, product
 
 from .model import Instance
 from .parallelism import (
-    INCUMBENT_TIMEOUT,
     INFEASIBLE,
     METHOD_EXHAUSTIVE,
     OPTIMAL,
     SolveConfig,
     _Clock,
     _Timeout,
+    _status,
 )
 
 BASE = "base"
@@ -82,10 +83,7 @@ class SpacingSolution:
 def _solution(rows, dist: int | None, timed_out: bool) -> SpacingSolution:
     """The solution with witness `rows` ((radius id, indices) in row order),
     or the empty one."""
-    if timed_out:
-        status = INCUMBENT_TIMEOUT
-    else:
-        status = INFEASIBLE if rows is None else OPTIMAL
+    status = _status(rows is not None, timed_out)
     if rows is None:
         return SpacingSolution((), (), None, status)
     radii = tuple(r for r, _ in rows)
@@ -98,32 +96,42 @@ class _RowSearch:
     Rows are opened in ascending first-carrier order and filled left to
     right; at every slot candidates are tried in ascending (wavelength,
     radius id) order, so the first complete assignment is the
-    lexicographically smallest feasible matrix.
+    lexicographically smallest feasible matrix.  The tables are built once
+    per radius subset; each `run` searches at one distance.
     """
 
-    def __init__(self, instance, selected, n_lambda, dist, mode, clock: _Clock):
+    def __init__(self, instance, selected, n_lambda, mode, clock: _Clock):
         self.n_lambda = n_lambda
-        self.dist = dist
         self.mode = mode
         self._tick = clock.tick
         self.sel = sorted(set(selected))
         self.vals = {r: list(instance.entry(r).nominals()) for r in self.sel}
+        self.noms = sorted(v for r in self.sel for v in self.vals[r])
         self.other_set = {}
         self.other_sorted = {}
         for r in self.sel:
             others = [v for o in self.sel if o != r for v in self.vals[o]]
             self.other_set[r] = set(others)
             self.other_sorted[r] = sorted(others)
-        # Every carrier that can open a row, leaving room for n_lambda - 1
-        # more dist apart, as (value, radius id, index) in ascending order.
+        # Every carrier with n_lambda - 1 later resonances in its own comb,
+        # as (value, radius id, index) in ascending order.
         tail = n_lambda - 1
-        self.openers = sorted(
+        self.starts = sorted(
             (v, r, j) for r in self.sel for j, v in enumerate(self.vals[r])
-            if j < len(self.vals[r]) - tail and v <= self.vals[r][-1] - tail * dist
+            if j < len(self.vals[r]) - tail
         )
-        self.placed: list[int] = []  # sorted nominal values of placed carriers
-        self.rows: list[tuple[int, list[int]]] = []
-        self.used: set[int] = set()
+
+    def ladder(self, floor: int, top: int) -> list[int]:
+        """The candidate distances in (floor, top], ascending: every gap
+        between two nominals of the subset, and 0.  Only the band is built;
+        the full quadratic ladder per subset would dominate the search."""
+        noms = self.noms
+        out = {0} if floor < 0 <= top else set()
+        for i, v in enumerate(noms):
+            start = bisect_right(noms, v + floor, i + 1)
+            stop = bisect_right(noms, v + top, start)
+            out.update(w - v for w in noms[start:stop])
+        return sorted(out)
 
     def _ok(self, rid: int, value: int) -> bool:
         if self.dist > 0 and self.placed:
@@ -143,8 +151,8 @@ class _RowSearch:
                 return False
         return True
 
-    def run(self) -> list[tuple[int, tuple[int, ...]]] | None:
-        """The first feasible matrix in candidate order, or None.
+    def run(self, dist: int) -> list[tuple[int, tuple[int, ...]]] | None:
+        """The first feasible matrix at `dist` in candidate order, or None.
 
         One loop over an explicit stack of frames, one per carrier placed,
         so a matrix of any size needs no recursion.  A frame places each
@@ -154,6 +162,15 @@ class _RowSearch:
         """
         if any(len(self.vals[r]) < self.n_lambda for r in self.sel):
             return None
+        self.dist = dist
+        self.placed: list[int] = []  # sorted nominal values of placed carriers
+        self.rows: list[tuple[int, list[int]]] = []
+        self.used: set[int] = set()
+        # The openers that leave room for n_lambda - 1 more carriers dist apart.
+        room = (self.n_lambda - 1) * dist
+        self.openers = [
+            (v, r, j) for v, r, j in self.starts if v <= self.vals[r][-1] - room
+        ]
         rows, n_rows, n_lambda = self.rows, len(self.sel), self.n_lambda
         open_row, fill_row = self._open_row, self._fill_row
         stack = [open_row(None)]
@@ -167,7 +184,7 @@ class _RowSearch:
             if len(idxs) < n_lambda:
                 stack.append(fill_row(rid, idxs[-1], len(idxs)))
             elif len(rows) < n_rows:
-                stack.append(open_row(self.vals[rid][idxs[0]] + self.dist))
+                stack.append(open_row(self.vals[rid][idxs[0]] + dist))
             else:
                 return [(r, tuple(idxs)) for r, idxs in rows]
         return None
@@ -212,8 +229,20 @@ class _RowSearch:
             self.placed.pop(bisect_left(self.placed, v))
 
 
-def _subset_span_bound(min_nom: int, max_nom: int, total: int) -> int:
-    return (max_nom - min_nom) // (total - 1)
+def _deepest_hole(values, others) -> int:
+    """The largest distance from one of `values` to its nearest neighbour
+    in `others`, both sorted ascending."""
+    best = 0
+    k = 0
+    for v in values:
+        while k + 1 < len(others) and others[k + 1] <= v:
+            k += 1
+        nearest = abs(others[k] - v)
+        if k + 1 < len(others):
+            nearest = min(nearest, others[k + 1] - v)
+        if nearest > best:
+            best = nearest
+    return best
 
 
 def _sentinel_solution(instance: Instance) -> SpacingSolution:
@@ -231,10 +260,18 @@ def solve_spacing(
     """Exact max-min spacing over all radius subsets and carrier matrices.
 
     Search plan: depth-first over radius subsets in ascending id order,
-    pruning any branch whose even-spacing bound cannot beat the
-    incumbent, then for each surviving subset a binary search for the
-    largest feasible ladder distance.  First strict improvement wins, so
-    the reported optimum is the lexicographically smallest one.
+    pruning any branch whose admissible bound cannot beat the incumbent,
+    then for each surviving subset a binary search for the largest
+    feasible ladder distance.  First strict improvement wins, so the
+    reported optimum is the lexicographically smallest one.
+
+    The bound of a branch is the smallest of three caps.  Span: the total
+    carriers spread evenly over the nominals the branch can still reach.
+    Row comb: a radius hosting n_lambda carriers needs n_lambda - 1 gaps
+    inside its own comb.  Pair hole (refined mode): a carrier of one radius
+    must clear the whole spectrum of every co-selected radius, so the
+    distance cannot exceed the deepest spectral hole of either radius of a
+    pair in the other.
     """
     if config is None:
         config = SolveConfig()
@@ -247,147 +284,85 @@ def solve_spacing(
         return SpacingSolution((), (), None, INFEASIBLE)
     if problem.n_radii * problem.n_lambda == 1:
         return _sentinel_solution(instance)
-    total = problem.n_radii * problem.n_lambda
+    n_radii, n_lambda, mode = problem.n_radii, problem.n_lambda, problem.mode
+    gaps = n_radii * n_lambda - 1
     eligible = [
         e.id
         for e in sorted(instance.radii, key=lambda e: e.id)
-        if len(e.resonances) >= problem.n_lambda
+        if len(e.resonances) >= n_lambda
     ]
-    if len(eligible) < problem.n_radii:
+    if len(eligible) < n_radii:
         return SpacingSolution((), (), None, INFEASIBLE)
 
-    bounds = {
-        e.id: (min(e.nominals()), max(e.nominals())) for e in instance.radii
-    }
-    # Two extra admissible caps: a radius hosting n_lambda carriers needs
-    # (n_lambda - 1) gaps inside its own comb, and in refined mode one of
-    # its carriers must clear the entire spectrum of every co-selected
-    # radius, so dist can never exceed its deepest spectral hole there.
-    row_cap: dict[int, int] | None = None
-    if problem.n_lambda >= 2:
-        row_cap = {
-            rid: (hi - lo) // (problem.n_lambda - 1)
-            for rid, (lo, hi) in bounds.items()
-        }
-    pair_cap: dict[tuple[int, int], int] = {}
-    if problem.mode == REFINED:
-        spectra = {rid: instance.entry(rid).nominals() for rid in eligible}
+    spectra = [instance.entry(rid).nominals() for rid in eligible]
+    lows = [min(s) for s in spectra]
+    highs = [max(s) for s in spectra]
+    # The spectral extent of each pool suffix eligible[i:].
+    suffix_lo = [math.inf] * (len(eligible) + 1)
+    suffix_hi = [-math.inf] * (len(eligible) + 1)
+    for i in reversed(range(len(eligible))):
+        suffix_lo[i] = min(lows[i], suffix_lo[i + 1])
+        suffix_hi[i] = max(highs[i], suffix_hi[i + 1])
+    row_cap = [
+        (hi - lo) // (n_lambda - 1) if n_lambda > 1 else math.inf
+        for lo, hi in zip(lows, highs)
+    ]
+    pair_cap = {}  # refined mode only
+    if mode == REFINED:
+        for a, b in combinations(range(len(eligible)), 2):
+            pair_cap[a, b] = min(
+                _deepest_hole(spectra[a], spectra[b]),
+                _deepest_hole(spectra[b], spectra[a]),
+            )
 
-        def deepest_hole(values, others) -> int:
-            best = 0
-            k = 0
-            for v in values:
-                while k + 1 < len(others) and others[k + 1] <= v:
-                    k += 1
-                nearest = abs(others[k] - v)
-                if k + 1 < len(others):
-                    nearest = min(nearest, others[k + 1] - v)
-                if nearest > best:
-                    best = nearest
-            return best
+    best = -1
+    best_rows = None
 
-        for a in eligible:
-            for b in eligible:
-                if a != b:
-                    pair_cap[a, b] = deepest_hole(spectra[a], spectra[b])
-
-    def subset_cap(subset) -> int | None:
-        cap: int | None = None
-        if row_cap is not None:
-            cap = min(row_cap[rid] for rid in subset)
-        if pair_cap:
-            for a in subset:
-                for b in subset:
-                    if a != b and (cap is None or pair_cap[a, b] < cap):
-                        cap = pair_cap[a, b]
-        return cap
-
-    best_d: int | None = None
-    best_rows: list[tuple[int, tuple[int, ...]]] | None = None
-
-    def banded_ladder(subset: list[int], floor: int, hi: int) -> list[int]:
-        # Candidate distances in (floor, hi] only; building the full
-        # quadratic ladder per subset would dominate the whole search.
-        noms = sorted(
-            n for rid in subset for n in instance.entry(rid).nominals()
+    def leaf(chosen: list[int], top: int) -> None:
+        nonlocal best, best_rows
+        search = _RowSearch(
+            instance, [eligible[c] for c in chosen], n_lambda, mode, clock
         )
-        out = {0} if floor < 0 <= hi else set()
-        for i, v in enumerate(noms):
-            start = bisect_right(noms, v + floor, i + 1)
-            stop = bisect_right(noms, v + hi, start)
-            for j in range(start, stop):
-                out.add(noms[j] - v)
-        return sorted(out)
-
-    def leaf(subset: list[int], min_nom: int, max_nom: int) -> None:
-        nonlocal best_d, best_rows
-        ub = _subset_span_bound(min_nom, max_nom, total)
-        cap = subset_cap(subset)
-        if cap is not None:
-            ub = min(ub, cap)
-        if best_d is not None and ub <= best_d:
-            return
-        floor = -1 if best_d is None else best_d
-        ladder = banded_ladder(subset, floor, ub)
-        if not ladder:
-            return
-        probe = _RowSearch(
-            instance, subset, problem.n_lambda, ladder[0], problem.mode, clock
-        ).run()
-        if probe is None:
+        ladder = search.ladder(best, top)
+        witness = search.run(ladder[0]) if ladder else None
+        if witness is None:
             return
         lo, hi = 0, len(ladder) - 1
-        witness = probe
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            w = _RowSearch(
-                instance, subset, problem.n_lambda, ladder[mid], problem.mode, clock
-            ).run()
+            w = search.run(ladder[mid])
             if w is None:
                 hi = mid - 1
             else:
                 lo = mid
                 witness = w
-        best_d = ladder[lo]
+        best = ladder[lo]
         best_rows = witness
 
-    def dfs(pool: list[int], chosen: list[int], lo: int, hi: int) -> None:
-        need = problem.n_radii - len(chosen)
-        if need == 0:
-            leaf(chosen, lo, hi)
-            return
-        for i, rid in enumerate(pool):
+    def dfs(start: int, chosen: list[int], lo, hi, cap) -> None:
+        need = n_radii - len(chosen)
+        for i in range(start, len(eligible) - need + 1):
             clock.tick()
-            rest = pool[i + 1:]
-            if len(rest) + 1 < need:
-                return
-            if best_d is not None:
-                if row_cap is not None and row_cap[rid] <= best_d:
-                    continue
-                if pair_cap and any(
-                    pair_cap[rid, c] <= best_d or pair_cap[c, rid] <= best_d
-                    for c in chosen
-                ):
-                    continue
-            r_lo, r_hi = bounds[rid]
-            new_lo = r_lo if lo == -1 else min(lo, r_lo)
-            new_hi = r_hi if hi == -1 else max(hi, r_hi)
-            if best_d is not None:
-                # Completions draw only from `rest`; bound their reachable span.
-                pool_lo, pool_hi = new_lo, new_hi
-                for r2 in rest:
-                    b = bounds[r2]
-                    pool_lo = min(pool_lo, b[0])
-                    pool_hi = max(pool_hi, b[1])
-                if _subset_span_bound(pool_lo, pool_hi, total) <= best_d:
-                    continue
-            dfs(rest, chosen + [rid], new_lo, new_hi)
+            new_cap = min(
+                cap, row_cap[i], *(pair_cap.get((c, i), cap) for c in chosen)
+            )
+            new_lo, new_hi = min(lo, lows[i]), max(hi, highs[i])
+            # Completions draw only from the suffix after i.
+            reach = i + 1 if need > 1 else len(eligible)
+            span = max(new_hi, suffix_hi[reach]) - min(new_lo, suffix_lo[reach])
+            top = min(new_cap, span // gaps)
+            if top <= best:
+                continue
+            if need > 1:
+                dfs(i + 1, chosen + [i], new_lo, new_hi, new_cap)
+            else:
+                leaf(chosen + [i], top)
 
     try:
-        dfs(eligible, [], -1, -1)
+        dfs(0, [], math.inf, -math.inf, math.inf)
     except _Timeout:
-        return _solution(best_rows, best_d, True)
-    return _solution(best_rows, best_d, False)
+        return _solution(best_rows, best, True)
+    return _solution(best_rows, best, False)
 
 
 def _matrix_key(rows_ordered, vals):

@@ -301,6 +301,13 @@ class TestGenerateCommand:
         code, doc, _ = run_json(capsys, ["validate", "--instance", str(out)])
         assert code == 0 and doc["violations"] == []
 
+    def test_defaults_are_genspec_defaults(self, capsys, tmp_path):
+        out = tmp_path / "gen.txt"
+        code, _, _ = run_cli(capsys, ["generate", "--out", str(out)])
+        assert code == 0
+        expected = model.format_instance(wronoc.generate(wronoc.GenSpec()))
+        assert out.read_text(encoding="utf-8") == expected
+
     def test_degenerate_band_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

@@ -172,6 +172,12 @@ class TestPolicy:
         with pytest.raises(ModelError):
             DeltaPolicy.symmetric(-1)
 
+    def test_explicit_policy_rejects_half_width(self):
+        # The file's intervals are kept, so a half width would be ignored.
+        with pytest.raises(ModelError):
+            DeltaPolicy("explicit-intervals", 500)
+        assert DeltaPolicy("explicit-intervals", 0) == DeltaPolicy.explicit()
+
     def test_negative_half_width_rejected_in_apply(self, table1):
         with pytest.raises(ModelError):
             apply_delta(table1, -5)
