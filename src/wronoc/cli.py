@@ -5,7 +5,7 @@ to stderr) with a fixed key order, so repeated runs are diffable; the
 only field that varies between identical runs is ``wall_time_ms``.  Exit
 codes: 0 success, 1 infeasible, 2 usage or data error, 3 time limit hit
 (best incumbent reported), 4 internal error (a solution failed the
-independent checker and was refused).
+independent checker and was refused, or the run ran out of memory).
 """
 
 from __future__ import annotations
@@ -496,6 +496,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except _InternalError as exc:
         print(f"internal error: solution rejected by checker: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INTERNAL
 
 

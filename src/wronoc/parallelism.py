@@ -15,6 +15,20 @@ every completion of the branch.  A branch dies when that bound cannot
 beat the incumbent, when a chosen radius drops to zero capacity, or when
 too few viable candidates remain.
 
+Two exact rules keep the tree small.  While the floor to beat is 0, as
+it is throughout an infeasibility proof, "capacity > floor" is just "mask
+nonempty", so those tests are bit operations and the min capacity is
+read from the MIS cache only at a leaf.  And at every node that still
+needs three or more radii, a greedy colouring of the candidate pool
+bounds how many of them can still be chosen together (the MCQ/BBMC
+colouring bound of Tomita & Seki 2003 and San Segundo et al. 2011):
+two candidates are compatible when each keeps more than `floor`
+resonances against the other (a count that bounds its capacity), a
+completion needs that many pairwise compatible candidates, and a pool
+suffix coloured with fewer colours holds none.  Both rules cut
+only subtrees without a leaf above the floor, so the incumbents, and the
+answer, are those of the plain search.
+
 Among equally good optima the solver returns the lexicographically
 smallest solution (by sorted radius ids, then per-radius selections).
 Branch and bound in capacity order cannot promise that on its own, so a
@@ -167,7 +181,8 @@ class _Workspace:
                clock: _Clock) -> tuple[int, list[int] | None, bool]:
         """Depth-first search over size-`n_radii` subsets of `order`, in its order.
 
-        A branch dies as soon as a capacity on it is <= `floor`, or when too
+        A branch dies as soon as a capacity on it is <= `floor`, or when the
+        colouring bound (or, near the leaves, the pool size) shows that too
         few candidates remain.  Each leaf becomes the incumbent and raises
         the floor to its min capacity; with `first` the search stops there.
         Pool entries carry their mask against the chosen radii, so choosing
@@ -177,37 +192,70 @@ class _Workspace:
         keep, mis, tick = self.keep, self.mis, clock.tick
         incumbent: list[int] | None = None
 
+        # A nonempty mask has capacity >= 1, so at floor 0 every "capacity >
+        # floor" test below is just "mask nonempty" and skips the MIS cache.
+
+        def colour_limit(pool, need: int) -> int:
+            """Greedy sequential colouring of the pool's compatibility graph,
+            from its tail forward.  A leaf above the floor picks `need`
+            pairwise compatible entries, one per colour, so no candidate
+            whose pool suffix takes fewer than `need` colours can reach one.
+            Returns the index after the last candidate that can.
+
+            Two entries are compatible when each keeps more than `floor`
+            resonances against the other.  A resonance count bounds the
+            capacity from above, so this graph has every edge of the
+            capacity graph and the bound stays exact; at floor 0 the two
+            tests agree.  Counting bits is far cheaper than an MIS lookup,
+            which the colouring of every node would otherwise pay for."""
+            classes: list[list[tuple[int, int]]] = []
+            for i in range(len(pool) - 1, -1, -1):
+                r, m = pool[i]
+                kept = keep[r]
+                for cls in classes:
+                    for r2, m2 in cls:
+                        if ((m & keep[r2][r]).bit_count() > floor
+                                and (m2 & kept[r2]).bit_count() > floor):
+                            break
+                    else:
+                        cls.append((r, m))
+                        break
+                else:
+                    classes.append([(r, m)])
+                    if len(classes) == need:
+                        return i + 1
+            return 0
+
         def dfs(pool, chosen: list[int], masks: list[int]) -> bool:
             nonlocal floor, incumbent
             need = n_radii - len(chosen)
+            limit = colour_limit(pool, need) if need >= 3 else len(pool) - need + 1
             for i, (rid, mask_r) in enumerate(pool):
                 tick()
-                if len(pool) - i < need:
+                if i >= limit:
                     return False
-                bound = mis[rid][mask_r]
-                if bound <= floor:
+                if not mask_r or floor and mis[rid][mask_r] <= floor:
                     continue
                 kept = keep[rid]
                 new_masks = []
                 for c, m in zip(chosen, masks):
                     m2 = m & kept[c]
-                    q = mis[c][m2]
-                    if q <= floor:
+                    if not m2 or floor and mis[c][m2] <= floor:
                         break
                     new_masks.append(m2)
-                    if q < bound:
-                        bound = q
                 else:
+                    new_masks.append(mask_r)
+                    branch = chosen + [rid]
                     if need == 1:
-                        floor, incumbent = bound, sorted(chosen + [rid])
+                        floor = min(mis[c][m] for c, m in zip(branch, new_masks))
+                        incumbent = sorted(branch)
                         if first:
                             return True
                         continue
                     child = [(r2, m2) for r2, m in pool[i + 1:]
-                             if mis[r2][m2 := m & kept[r2]] > floor]
-                    if len(child) >= need - 1 and dfs(
-                        child, chosen + [rid], new_masks + [mask_r]
-                    ):
+                             if (m2 := m & kept[r2])
+                             and (not floor or mis[r2][m2] > floor)]
+                    if len(child) >= need - 1 and dfs(child, branch, new_masks):
                         return True
             return False
 

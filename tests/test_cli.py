@@ -507,6 +507,18 @@ class TestErrors:
         assert out == ""
         assert "time_limit must be >= 0" in err
 
+    def test_out_of_memory_exits_4(self, capsys, table1_file, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_solve", no_memory)
+        code, out, err = run_cli(
+            capsys, ["max-parallelism", "--instance", table1_file, "--n-radii", "2"]
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "error: out of memory\n"
+
     def test_exhaustive_spacing_honours_time_limit(self, tmp_path):
         gen = tmp_path / "gen.txt"
         assert cli.main(["generate", "--seed", "1", "--out", str(gen)]) == 0

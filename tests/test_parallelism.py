@@ -12,6 +12,7 @@ from wronoc import (
     oracle_max_parallelism,
     solve_max_parallelism,
 )
+from wronoc import parallelism
 from wronoc.verify import check_parallelism_solution
 
 
@@ -212,6 +213,22 @@ PINNED = {
         26: (3, 5), 38: (5, 7),
     }),
     (0, 1000, 16, False): (None, (), {}),
+    # Cases where the colouring bound prunes most of the tree.
+    (1000, 1000, 12, False): (None, (), {}),
+    (1000, 1000, 8, False): (2, (1, 3, 6, 9, 11, 13, 16, 34), {
+        1: (1, 3), 3: (1, 3), 6: (0, 4, 5), 9: (0, 1, 5, 6), 11: (1, 5),
+        13: (1, 5, 7), 16: (0, 6), 34: (1, 4, 6, 9),
+    }),
+    (0, 300, 8, False): (9, (18, 23, 28, 32, 35, 38, 41, 47), {
+        18: _without(10, 4),
+        23: _without(10, 4),
+        28: _without(12, 0, 5, 10),
+        32: _without(13, 4, 5, 11),
+        35: _without(13, 4, 5, 6),
+        38: _without(14, 0, 5, 6, 7, 12),
+        41: _without(15, 5, 6, 7, 13),
+        47: _without(17, 0, 7, 14),
+    }),
 }
 
 
@@ -231,3 +248,37 @@ class TestPinnedDeskScale:
         assert sol.counts == {rid: len(picks) for rid, picks in selections.items()}
         if p:
             assert check_parallelism_solution(inst, sol, n_radii) == []
+
+
+class TestSearchEffort:
+    """Exact search effort, counted in `_Clock` steps (one per candidate the
+    branch and bound examines, both passes together).
+
+    These counts guard against a change that slows the search while every
+    answer stays right.  A change that alters search effort on purpose
+    updates the pins here and says so, with the old and new counts, in
+    CHANGES.md.
+    """
+
+    @pytest.fixture
+    def clocks(self, monkeypatch):
+        made = []
+
+        class RecordingClock(parallelism._Clock):
+            def __init__(self, time_limit):
+                super().__init__(time_limit)
+                made.append(self)
+
+        monkeypatch.setattr(parallelism, "_Clock", RecordingClock)
+        return made
+
+    @pytest.mark.parametrize("n_radii,steps", [(3, 11), (4, 11)])
+    def test_table1(self, clocks, table1, n_radii, steps):
+        solve_max_parallelism(table1, conflicts_of(table1), n_radii)
+        assert [c.steps for c in clocks] == [steps]
+
+    def test_desk_scale_infeasibility_proof(self, clocks):
+        inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 1000)
+        sol = solve_max_parallelism(inst, conflicts_of(inst), 16)
+        assert sol.status == "infeasible"
+        assert [c.steps for c in clocks] == [1606]
