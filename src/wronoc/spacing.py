@@ -16,8 +16,17 @@ wavelengths.  Two rule sets are supported:
 
 Exactness comes from a ladder argument: the optimum distance is always a
 realised pairwise distance among resonance nominals of the chosen radii
-(or the single-carrier sentinel), so a feasibility search binary-searched
+(or the single-carrier sentinel), so a feasibility test binary-searched
 over that ladder finds the exact optimum without a continuous search.
+
+At a fixed distance d > 0 both rule sets' cross rules are static, so a
+probe is a quota packing: can each radius take ``n_lambda`` of its
+admissible carriers, all pairwise at least d apart?  An exact DP over
+per-radius count vectors (`_packs`) decides it without backtracking.
+The depth-first row search (`_RowSearch`) then builds only the witness
+of a subset that improves the incumbent, and decides the probes the DP
+does not: d = 0, where refined carriers of different radii may
+coincide, and shapes beyond the DP's state budget.
 
 Solutions are canonical: rows are built left to right, rows open in
 ascending first-carrier order, and ties break toward smaller wavelength
@@ -91,7 +100,8 @@ def _solution(rows, dist: int | None, timed_out: bool) -> SpacingSolution:
 
 
 class _RowSearch:
-    """Depth-first construction of a canonical witness matrix.
+    """Depth-first construction of a canonical witness matrix; also the
+    feasibility test where the quota-packing DP does not apply.
 
     Rows are opened in ascending first-carrier order and filled left to
     right; at every slot candidates are tried in ascending (wavelength,
@@ -229,6 +239,70 @@ class _RowSearch:
             self.placed.pop(bisect_left(self.placed, v))
 
 
+# The largest quota-packing DP, in states, that decides a ladder probe;
+# beyond it `_RowSearch.run` decides, as it did before the DP.  `_packs`
+# ticks the clock once per state, as every search loop ticks once per step
+# (`_Clock` reads the time every 256 steps), so a time limit bounds the DP
+# too.  A state costs ~3 us at 6 radii on a 2-vCPU VM, so a probe at the
+# budget takes ~3 s.  Chosen by measurement: at 20 s on small-ring and
+# desk instances the DP decider held a better incumbent than `run` at
+# 262,144 (6x7), 823,543 (7x6) and 1,000,000 (6x9) states, the same one at
+# 537,824 (5x13) and 1,679,616 (8x5), and a worse one at 2,097,152 (7x7).
+_PACK_STATES = 1 << 20
+
+
+def _packs(spectra, n_lambda: int, mode: str, dist: int, clock: _Clock) -> bool:
+    """Whether every radius of a subset can host `n_lambda` carriers, all
+    pairwise at least `dist` > 0 apart, under `mode`'s cross rules.
+
+    `spectra` holds each chosen radius's sorted nominals.  At a fixed
+    distance the cross rules are static: in base mode a carrier must equal
+    no resonance of another chosen radius, in refined mode it must be at
+    least `dist` from each.  So each radius is first cut to its admissible
+    carriers, and the rest is a quota packing: g(c), the smallest possible
+    last carrier of a valid pick with per-radius counts c, is the minimum
+    over radii r of the first admissible carrier of r at or above
+    g(c - e_r) + dist.  The probe is feasible iff g(n_lambda, ...) exists.
+    The DP has (n_lambda + 1) ** len(spectra) states.
+    """
+    reach = dist if mode == REFINED else 1  # base: differ by at least 1 pm
+    allowed = []
+    for r, values in enumerate(spectra):
+        others = [s for o, s in enumerate(spectra) if o != r]
+        keep = []
+        for v in values:
+            for s in others:
+                i = bisect_right(s, v - reach)
+                if i < len(s) and s[i] < v + reach:
+                    break
+            else:
+                keep.append(v)
+        if len(keep) < n_lambda:
+            return False
+        allowed.append(keep)
+    width = n_lambda + 1
+    n = len(allowed)
+    strides = [width ** (n - 1 - r) for r in range(n)]
+    g = [math.inf] * width ** n
+    g[0] = -math.inf
+    tick = clock.tick
+    counts = product(range(width), repeat=n)
+    next(counts)
+    for state, c in enumerate(counts, 1):
+        tick()
+        last = math.inf
+        for r, stride in enumerate(strides):
+            if c[r]:
+                prev = g[state - stride]
+                if prev != math.inf:
+                    lst = allowed[r]
+                    j = bisect_left(lst, prev + dist)
+                    if j < len(lst) and lst[j] < last:
+                        last = lst[j]
+        g[state] = last
+    return g[-1] != math.inf
+
+
 def _deepest_hole(values, others) -> int:
     """The largest distance from one of `values` to its nearest neighbour
     in `others`, both sorted ascending."""
@@ -264,6 +338,14 @@ def solve_spacing(
     then for each surviving subset a binary search for the largest
     feasible ladder distance.  First strict improvement wins, so the
     reported optimum is the lexicographically smallest one.
+
+    Each probe at d > 0 is decided by the quota-packing DP, `_packs`, and
+    a subset is first tested at the incumbent + 1 before anything is
+    built for it, so most subsets cost one small DP.  `_RowSearch` is
+    built only for a subset that beats the incumbent: it decides the
+    probe at d = 0 and returns the one canonical witness at the subset's
+    optimum.  When the DP would exceed `_PACK_STATES` states,
+    `_RowSearch.run` decides every probe instead.
 
     The bound of a branch is the smallest of three caps.  Span: the total
     carriers spread evenly over the nominals the branch can still reach.
@@ -318,26 +400,40 @@ def solve_spacing(
     best = -1
     best_rows = None
 
+    # The DP's state count depends only on the shape, so one test picks the
+    # decider for the whole solve.
+    dp_decides = (n_lambda + 1) ** n_radii <= _PACK_STATES
+
     def leaf(chosen: list[int], top: int) -> None:
         nonlocal best, best_rows
+        subset = [spectra[c] for c in chosen]
+        # The subset optimum is a ladder value, so it beats `best` iff the
+        # subset packs at best + 1; most leaves stop here.
+        if dp_decides and best >= 0 and not _packs(subset, n_lambda, mode, best + 1, clock):
+            return
         search = _RowSearch(
             instance, [eligible[c] for c in chosen], n_lambda, mode, clock
         )
         ladder = search.ladder(best, top)
-        witness = search.run(ladder[0]) if ladder else None
-        if witness is None:
+        witnesses = {}
+
+        def fits(dist: int) -> bool:
+            if dp_decides and dist > 0:
+                return _packs(subset, n_lambda, mode, dist, clock)
+            witnesses[dist] = search.run(dist)
+            return witnesses[dist] is not None
+
+        if not ladder or not fits(ladder[0]):
             return
         lo, hi = 0, len(ladder) - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            w = search.run(ladder[mid])
-            if w is None:
-                hi = mid - 1
-            else:
+            if fits(ladder[mid]):
                 lo = mid
-                witness = w
-        best = ladder[lo]
-        best_rows = witness
+            else:
+                hi = mid - 1
+        rows = witnesses.get(ladder[lo]) or search.run(ladder[lo])
+        best, best_rows = ladder[lo], rows
 
     def dfs(start: int, chosen: list[int], lo, hi, cap) -> None:
         need = n_radii - len(chosen)

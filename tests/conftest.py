@@ -1,6 +1,6 @@
 import pytest
 
-from wronoc import Instance, RadiusEntry, Resonance, apply_delta
+from wronoc import Instance, RadiusEntry, Resonance, apply_delta, parallelism, spacing
 
 # The four-radius example table: ring radii 5..8 um, nominals in pm.
 TABLE1_PM = {
@@ -70,6 +70,21 @@ def dist_upper_bound(instance, selected, n_lambda):
         raise ValueError("bound undefined for a single carrier")
     noms = [n for rid in set(selected) for n in instance.entry(rid).nominals()]
     return (max(noms) - min(noms)) // (total - 1)
+
+
+@pytest.fixture
+def clocks(monkeypatch):
+    """Every `_Clock` the solvers make, in order, each with its step count."""
+    made = []
+
+    class RecordingClock(parallelism._Clock):
+        def __init__(self, time_limit):
+            super().__init__(time_limit)
+            made.append(self)
+
+    monkeypatch.setattr(parallelism, "_Clock", RecordingClock)
+    monkeypatch.setattr(spacing, "_Clock", RecordingClock)
+    return made
 
 
 @pytest.fixture

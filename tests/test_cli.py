@@ -519,22 +519,44 @@ class TestErrors:
         assert out == ""
         assert err == "error: out of memory\n"
 
-    def test_exhaustive_spacing_honours_time_limit(self, tmp_path):
-        gen = tmp_path / "gen.txt"
-        assert cli.main(["generate", "--seed", "1", "--out", str(gen)]) == 0
+    @staticmethod
+    def run_timed(args):
+        """Run the CLI in a fresh interpreter, capped at 15 s; the process
+        and its wall time in seconds."""
         src = str(Path(wronoc.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         started = time.monotonic()
         proc = subprocess.run(
-            [sys.executable, "-m", "wronoc.cli", "spacing", "--instance", str(gen),
-             "--n-radii", "2", "--parallelism", "2", "--method", "exhaustive",
-             "--time-limit", "1"],
+            [sys.executable, "-m", "wronoc.cli", *args],
             capture_output=True, text=True, env=env, timeout=15,
         )
+        return proc, time.monotonic() - started
+
+    def test_exhaustive_spacing_honours_time_limit(self, tmp_path):
+        gen = tmp_path / "gen.txt"
+        assert cli.main(["generate", "--seed", "1", "--out", str(gen)]) == 0
+        proc, elapsed = self.run_timed(
+            ["spacing", "--instance", str(gen), "--n-radii", "2", "--parallelism", "2",
+             "--method", "exhaustive", "--time-limit", "1"])
         assert proc.returncode == 3, proc.stderr
-        assert time.monotonic() - started < 8
+        assert elapsed < 8
         assert json.loads(proc.stdout)["status"] == "incumbent-timeout"
+
+    def test_packing_dp_honours_time_limit(self, tmp_path):
+        # 3 radii x 13 carriers: 2,744 DP states a probe, over ~55k subsets.
+        gen = tmp_path / "gen.txt"
+        assert cli.main(["generate", "--seed", "1000", "--jitter-pm", "100",
+                         "--out", str(gen)]) == 0
+        proc, elapsed = self.run_timed(
+            ["spacing", "--instance", str(gen), "--n-radii", "3", "--parallelism", "13",
+             "--mode", "base", "--time-limit", "2"])
+        assert proc.returncode == 3, proc.stderr
+        assert elapsed < 2 + 1
+        doc = json.loads(proc.stdout)
+        assert doc["status"] == "incumbent-timeout"
+        assert doc["result"]["dist_pm"] is not None
+        assert payload_problems(doc, gen) == []
 
     def test_timeout_exits_3(self, capsys, tmp_path):
         gen = tmp_path / "gen.txt"

@@ -12,7 +12,6 @@ from wronoc import (
     oracle_max_parallelism,
     solve_max_parallelism,
 )
-from wronoc import parallelism
 from wronoc.verify import check_parallelism_solution
 
 
@@ -259,18 +258,6 @@ class TestSearchEffort:
     updates the pins here and says so, with the old and new counts, in
     CHANGES.md.
     """
-
-    @pytest.fixture
-    def clocks(self, monkeypatch):
-        made = []
-
-        class RecordingClock(parallelism._Clock):
-            def __init__(self, time_limit):
-                super().__init__(time_limit)
-                made.append(self)
-
-        monkeypatch.setattr(parallelism, "_Clock", RecordingClock)
-        return made
 
     @pytest.mark.parametrize("n_radii,steps", [(3, 11), (4, 11)])
     def test_table1(self, clocks, table1, n_radii, steps):

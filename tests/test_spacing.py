@@ -1,3 +1,6 @@
+import math
+from itertools import combinations
+
 import pytest
 
 from conftest import build_instance, dist_upper_bound, distance_ladder, radius1_instance
@@ -12,7 +15,7 @@ from wronoc import (
     solve_spacing,
 )
 from wronoc.parallelism import _Clock
-from wronoc.spacing import _RowSearch
+from wronoc.spacing import _packs, _RowSearch
 from wronoc.verify import check_spacing_solution
 
 
@@ -99,6 +102,34 @@ class TestFeasible:
         assert check_rows(table1, "base", -1, [(1, (0,))]) == [
             "missing or negative dist_pm"
         ]
+
+
+class TestPacks:
+    """The quota-packing DP decides each probe at d > 0 as the row search."""
+
+    @pytest.mark.parametrize("mode", ["base", "refined"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_agrees_with_row_search(self, seed, mode):
+        inst = generate_random_small(seed)
+        verdicts = set()
+        for k in (1, 2, 3):
+            for subset in combinations(inst.ids(), k):
+                spectra = [inst.entry(r).nominals() for r in subset]
+                for n_lambda in (1, 2, 3):
+                    search = _RowSearch(inst, subset, n_lambda, mode, _Clock(0))
+                    for dist in search.ladder(0, math.inf):
+                        packs = _packs(spectra, n_lambda, mode, dist, _Clock(0))
+                        assert packs == (search.run(dist) is not None), (
+                            subset, n_lambda, dist,
+                        )
+                        verdicts.add(packs)
+        assert verdicts == {True, False}
+
+    def test_ticks_once_per_state(self, table1):
+        clock = _Clock(0)
+        spectra = [table1.entry(r).nominals() for r in (1, 2, 3)]
+        assert _packs(spectra, 2, "base", 1, clock)
+        assert clock.steps == 3**3 - 1
 
 
 class TestLadderAndBound:
@@ -284,24 +315,30 @@ class TestProperties:
 
 
 # Desk-scale Phase-2 optima: (seed, n_radii, n_lambda, mode) ->
-# (dist_pm, selected_radii, matrix) on generate(GenSpec(seed, jitter_pm=100)).
-# The oracle tests use small instances, where the row, pair and span caps
-# rarely prune; these pin the search where they do.
+# (dist_pm, selected_radii, matrix, steps) on generate(GenSpec(seed,
+# jitter_pm=100)).  The oracle tests use small instances, where the row, pair
+# and span caps rarely prune; these pin the search where they do.  `steps`
+# is the search effort in `_Clock` ticks (subset nodes, row-search
+# candidates and packing-DP states), pinned as in `TestSearchEffort`: a
+# change that alters it on purpose updates it here and says so in
+# CHANGES.md with the old and new counts.
 PINNED = {
-    (1000, 2, 2, "base"): (43154, (72, 96), ((0, 8), (19, 28))),
-    (1001, 2, 2, "base"): (43122, (72, 96), ((0, 8), (19, 28))),
-    (1000, 3, 3, "refined"): (4932, (6, 14, 1), ((0, 3, 4), (1, 4, 5), (1, 3, 4))),
-    (1001, 3, 3, "refined"): (4970, (8, 14, 1), ((0, 4, 5), (1, 5, 6), (1, 3, 4))),
+    (1000, 2, 2, "base"): (43154, (72, 96), ((0, 8), (19, 28)), 19826),
+    (1001, 2, 2, "base"): (43122, (72, 96), ((0, 8), (19, 28)), 19187),
+    (1000, 3, 3, "refined"): (4932, (6, 14, 1), ((0, 3, 4), (1, 4, 5), (1, 3, 4)), 38689),
+    (1001, 3, 3, "refined"): (4970, (8, 14, 1), ((0, 4, 5), (1, 5, 6), (1, 3, 4)), 38502),
 }
 
 
 class TestPinnedDeskScale:
     @pytest.mark.parametrize("case", sorted(PINNED), ids=str)
-    def test_matches_pinned(self, case):
+    def test_matches_pinned(self, case, clocks):
         seed, n_radii, n_lambda, mode = case
         inst = generate(GenSpec(seed=seed, jitter_pm=100))
         problem = SpacingProblem(n_radii, n_lambda, mode)
         sol = solve_spacing(inst, problem)
         assert sol.status == "optimal"
-        assert (sol.dist_pm, sol.selected_radii, sol.matrix) == PINNED[case]
+        dist, radii, matrix, steps = PINNED[case]
+        assert (sol.dist_pm, sol.selected_radii, sol.matrix) == (dist, radii, matrix)
+        assert [c.steps for c in clocks] == [steps]
         assert check_spacing_solution(inst, problem, sol) == []
