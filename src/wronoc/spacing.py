@@ -19,14 +19,16 @@ realised pairwise distance among resonance nominals of the chosen radii
 (or the single-carrier sentinel), so a feasibility test binary-searched
 over that ladder finds the exact optimum without a continuous search.
 
-At a fixed distance d > 0 both rule sets' cross rules are static, so a
-probe is a quota packing: can each radius take ``n_lambda`` of its
-admissible carriers, all pairwise at least d apart?  An exact DP over
-per-radius count vectors (`_packs`) decides it without backtracking.
-The depth-first row search (`_RowSearch`) then builds only the witness
-of a subset that improves the incumbent, and decides the probes the DP
-does not: d = 0, where refined carriers of different radii may
-coincide, and shapes beyond the DP's state budget.
+At a fixed distance d both rule sets' cross rules are static, so one
+filter (`_admissible`) cuts each radius to the carriers they admit, and
+every probe works on what is left.  At d = 0 nothing else constrains the
+matrix, so the probe is a count: does every radius keep ``n_lambda``
+carriers?  At d > 0 it is a quota packing: can each radius take
+``n_lambda`` of its admissible carriers, all pairwise at least d apart?
+An exact DP over per-radius count vectors (`_packs`) decides it without
+backtracking.  The depth-first row search (`_witness`) builds the one
+witness of a subset that improves the incumbent, and decides the probes
+of shapes beyond the DP's state budget.
 
 Solutions are canonical: rows are built left to right, rows open in
 ascending first-carrier order, and ties break toward smaller wavelength
@@ -99,171 +101,26 @@ def _solution(rows, dist: int | None, timed_out: bool) -> SpacingSolution:
     return SpacingSolution(radii, tuple(tuple(idxs) for _, idxs in rows), dist, status)
 
 
-class _RowSearch:
-    """Depth-first construction of a canonical witness matrix; also the
-    feasibility test where the quota-packing DP does not apply.
-
-    Rows are opened in ascending first-carrier order and filled left to
-    right; at every slot candidates are tried in ascending (wavelength,
-    radius id) order, so the first complete assignment is the
-    lexicographically smallest feasible matrix.  The tables are built once
-    per radius subset; each `run` searches at one distance.
-    """
-
-    def __init__(self, instance, selected, n_lambda, mode, clock: _Clock):
-        self.n_lambda = n_lambda
-        self.mode = mode
-        self._tick = clock.tick
-        self.sel = sorted(set(selected))
-        self.vals = {r: list(instance.entry(r).nominals()) for r in self.sel}
-        self.noms = sorted(v for r in self.sel for v in self.vals[r])
-        self.other_set = {}
-        self.other_sorted = {}
-        for r in self.sel:
-            others = [v for o in self.sel if o != r for v in self.vals[o]]
-            self.other_set[r] = set(others)
-            self.other_sorted[r] = sorted(others)
-        # Every carrier with n_lambda - 1 later resonances in its own comb,
-        # as (value, radius id, index) in ascending order.
-        tail = n_lambda - 1
-        self.starts = sorted(
-            (v, r, j) for r in self.sel for j, v in enumerate(self.vals[r])
-            if j < len(self.vals[r]) - tail
-        )
-
-    def ladder(self, floor: int, top: int) -> list[int]:
-        """The candidate distances in (floor, top], ascending: every gap
-        between two nominals of the subset, and 0.  Only the band is built;
-        the full quadratic ladder per subset would dominate the search."""
-        noms = self.noms
-        out = {0} if floor < 0 <= top else set()
-        for i, v in enumerate(noms):
-            start = bisect_right(noms, v + floor, i + 1)
-            stop = bisect_right(noms, v + top, start)
-            out.update(w - v for w in noms[start:stop])
-        return sorted(out)
-
-    def _ok(self, rid: int, value: int) -> bool:
-        if self.dist > 0 and self.placed:
-            i = bisect_left(self.placed, value)
-            if i < len(self.placed) and self.placed[i] - value < self.dist:
-                return False
-            if i > 0 and value - self.placed[i - 1] < self.dist:
-                return False
-        if self.mode == BASE:
-            return value not in self.other_set[rid]
-        if self.dist > 0:
-            others = self.other_sorted[rid]
-            i = bisect_left(others, value)
-            if i < len(others) and others[i] - value < self.dist:
-                return False
-            if i > 0 and value - others[i - 1] < self.dist:
-                return False
-        return True
-
-    def run(self, dist: int) -> list[tuple[int, tuple[int, ...]]] | None:
-        """The first feasible matrix at `dist` in candidate order, or None.
-
-        One loop over an explicit stack of frames, one per carrier placed,
-        so a matrix of any size needs no recursion.  A frame places each
-        of its candidates in turn and yields; the loop then pushes the
-        frame for the next carrier, or pops a spent one, whose parent then
-        takes its own carrier back and tries the next.
-        """
-        if any(len(self.vals[r]) < self.n_lambda for r in self.sel):
-            return None
-        self.dist = dist
-        self.placed: list[int] = []  # sorted nominal values of placed carriers
-        self.rows: list[tuple[int, list[int]]] = []
-        self.used: set[int] = set()
-        # The openers that leave room for n_lambda - 1 more carriers dist apart.
-        room = (self.n_lambda - 1) * dist
-        self.openers = [
-            (v, r, j) for v, r, j in self.starts if v <= self.vals[r][-1] - room
-        ]
-        rows, n_rows, n_lambda = self.rows, len(self.sel), self.n_lambda
-        open_row, fill_row = self._open_row, self._fill_row
-        stack = [open_row(None)]
-        while stack:
-            for _ in stack[-1]:
-                break
-            else:
-                stack.pop()
-                continue
-            rid, idxs = rows[-1]
-            if len(idxs) < n_lambda:
-                stack.append(fill_row(rid, idxs[-1], len(idxs)))
-            elif len(rows) < n_rows:
-                stack.append(open_row(self.vals[rid][idxs[0]] + dist))
-            else:
-                return [(r, tuple(idxs)) for r, idxs in rows]
-        return None
-
-    def _open_row(self, min_first: int | None):
-        """Frame that opens the next row with each candidate in turn: the
-        openers from `min_first` up whose radius has no row yet."""
-        start = 0 if min_first is None else bisect_left(self.openers, (min_first,))
-        for v, r, j in self.openers[start:]:
-            if r in self.used:
-                continue
-            self._tick()
-            if not self._ok(r, v):
-                continue
-            insort(self.placed, v)
-            self.rows.append((r, [j]))
-            self.used.add(r)
-            yield
-            self.used.remove(r)
-            self.rows.pop()
-            self.placed.pop(bisect_left(self.placed, v))
-
-    def _fill_row(self, rid: int, last_j: int, count: int):
-        """Frame that places carrier `count` of the open row, `rid`'s, with
-        each candidate in turn."""
-        lst = self.vals[rid]
-        tail = self.n_lambda - count - 1
-        start = bisect_left(lst, lst[last_j] + self.dist, last_j + 1)
-        for j in range(start, len(lst)):
-            if len(lst) - j - 1 < tail:
-                break
-            v = lst[j]
-            if self.dist and lst[-1] - v < tail * self.dist:
-                break
-            self._tick()
-            if not self._ok(rid, v):
-                continue
-            insort(self.placed, v)
-            self.rows[-1][1].append(j)
-            yield
-            self.rows[-1][1].pop()
-            self.placed.pop(bisect_left(self.placed, v))
+def _ladder(noms, floor: int, top: int) -> list[int]:
+    """The candidate distances in (floor, top], ascending: every gap between
+    two of the sorted nominals `noms`, and 0.  Only the band is built; the
+    full quadratic ladder per subset would dominate the search."""
+    out = {0} if floor < 0 <= top else set()
+    for i, v in enumerate(noms):
+        start = bisect_right(noms, v + floor, i + 1)
+        stop = bisect_right(noms, v + top, start)
+        out.update(w - v for w in noms[start:stop])
+    return sorted(out)
 
 
-# The largest quota-packing DP, in states, that decides a ladder probe;
-# beyond it `_RowSearch.run` decides, as it did before the DP.  `_packs`
-# ticks the clock once per state, as every search loop ticks once per step
-# (`_Clock` reads the time every 256 steps), so a time limit bounds the DP
-# too.  A state costs ~3 us at 6 radii on a 2-vCPU VM, so a probe at the
-# budget takes ~3 s.  Chosen by measurement: at 20 s on small-ring and
-# desk instances the DP decider held a better incumbent than `run` at
-# 262,144 (6x7), 823,543 (7x6) and 1,000,000 (6x9) states, the same one at
-# 537,824 (5x13) and 1,679,616 (8x5), and a worse one at 2,097,152 (7x7).
-_PACK_STATES = 1 << 20
-
-
-def _packs(spectra, n_lambda: int, mode: str, dist: int, clock: _Clock) -> bool:
-    """Whether every radius of a subset can host `n_lambda` carriers, all
-    pairwise at least `dist` > 0 apart, under `mode`'s cross rules.
+def _admissible(spectra, n_lambda: int, mode: str, dist: int):
+    """Each radius's carriers that clear `mode`'s cross rules at `dist`, or
+    None when some radius keeps fewer than `n_lambda`.
 
     `spectra` holds each chosen radius's sorted nominals.  At a fixed
     distance the cross rules are static: in base mode a carrier must equal
     no resonance of another chosen radius, in refined mode it must be at
-    least `dist` from each.  So each radius is first cut to its admissible
-    carriers, and the rest is a quota packing: g(c), the smallest possible
-    last carrier of a valid pick with per-radius counts c, is the minimum
-    over radii r of the first admissible carrier of r at or above
-    g(c - e_r) + dist.  The probe is feasible iff g(n_lambda, ...) exists.
-    The DP has (n_lambda + 1) ** len(spectra) states.
+    least `dist` from each.  This is the only place the solver applies them.
     """
     reach = dist if mode == REFINED else 1  # base: differ by at least 1 pm
     allowed = []
@@ -278,8 +135,127 @@ def _packs(spectra, n_lambda: int, mode: str, dist: int, clock: _Clock) -> bool:
             else:
                 keep.append(v)
         if len(keep) < n_lambda:
-            return False
+            return None
         allowed.append(keep)
+    return allowed
+
+
+def _witness(allowed, n_lambda: int, dist: int, clock: _Clock):
+    """The canonical carrier matrix at `dist` over the admissible carriers
+    `allowed` (one sorted list per radius), or None when there is none.
+
+    Rows are opened in ascending first-carrier order and filled left to
+    right; at every slot candidates are tried in ascending (wavelength,
+    radius) order, so the first complete assignment is the
+    lexicographically smallest feasible matrix.  Every candidate already
+    clears the cross rules, so a slot only tests the carriers placed so
+    far.  Returns (radius position, carrier values) rows in row order.
+
+    One loop over an explicit stack of frames, one per carrier placed, so
+    a matrix of any size needs no recursion.  A frame places each of its
+    candidates in turn and yields; the loop then pushes the frame for the
+    next carrier, or pops a spent one, whose parent then takes its own
+    carrier back and tries the next.
+    """
+    tick = clock.tick
+    tail = n_lambda - 1
+    # The openers that leave room for n_lambda - 1 more carriers dist apart.
+    openers = sorted(
+        (v, r, j)
+        for r, lst in enumerate(allowed)
+        for j, v in enumerate(lst)
+        if j < len(lst) - tail and v <= lst[-1] - tail * dist
+    )
+    placed: list[int] = []  # sorted values of the placed carriers
+    rows: list[tuple[int, list[int]]] = []
+    used: set[int] = set()
+
+    def clear(v: int) -> bool:
+        if dist > 0 and placed:
+            i = bisect_left(placed, v)
+            if i < len(placed) and placed[i] - v < dist:
+                return False
+            if i > 0 and v - placed[i - 1] < dist:
+                return False
+        return True
+
+    def open_row(min_first: int | None):
+        """Frame that opens the next row with each candidate in turn: the
+        openers from `min_first` up whose radius has no row yet."""
+        start = 0 if min_first is None else bisect_left(openers, (min_first,))
+        for v, r, j in openers[start:]:
+            if r in used:
+                continue
+            tick()
+            if not clear(v):
+                continue
+            insort(placed, v)
+            rows.append((r, [j]))
+            used.add(r)
+            yield
+            used.remove(r)
+            rows.pop()
+            placed.pop(bisect_left(placed, v))
+
+    def fill_row(r: int, last_j: int, count: int):
+        """Frame that places carrier `count` of the open row, `r`'s, with
+        each candidate in turn."""
+        lst = allowed[r]
+        left = n_lambda - count - 1
+        start = bisect_left(lst, lst[last_j] + dist, last_j + 1)
+        for j in range(start, len(lst) - left):
+            v = lst[j]
+            if lst[-1] - v < left * dist:
+                break
+            tick()
+            if not clear(v):
+                continue
+            insort(placed, v)
+            rows[-1][1].append(j)
+            yield
+            rows[-1][1].pop()
+            placed.pop(bisect_left(placed, v))
+
+    stack = [open_row(None)]
+    while stack:
+        for _ in stack[-1]:
+            break
+        else:
+            stack.pop()
+            continue
+        r, idxs = rows[-1]
+        if len(idxs) < n_lambda:
+            stack.append(fill_row(r, idxs[-1], len(idxs)))
+        elif len(rows) < len(allowed):
+            stack.append(open_row(allowed[r][idxs[0]] + dist))
+        else:
+            return [(r, [allowed[r][j] for j in idxs]) for r, idxs in rows]
+    return None
+
+
+# The largest quota-packing DP, in states, that decides a ladder probe;
+# beyond it `_witness` decides, as the row search did before the DP.
+# `_packs` ticks the clock once per state, as every search loop ticks once
+# per step (`_Clock` reads the time every 256 steps), so a time limit bounds
+# the DP too.  A state costs ~3 us at 6 radii on a 2-vCPU VM, so a probe at
+# the budget takes ~3 s.  Chosen by measurement: at 20 s on small-ring and
+# desk instances the DP decider held a better incumbent than the row search
+# at 262,144 (6x7), 823,543 (7x6) and 1,000,000 (6x9) states, the same one
+# at 537,824 (5x13) and 1,679,616 (8x5), and a worse one at 2,097,152 (7x7).
+_PACK_STATES = 1 << 20
+
+
+def _packs(allowed, n_lambda: int, dist: int, clock: _Clock) -> bool:
+    """Whether every radius can host `n_lambda` of its admissible carriers
+    `allowed` (one sorted list per radius), all pairwise at least `dist` > 0
+    apart.
+
+    A quota packing: g(c), the smallest possible last carrier of a valid
+    pick with per-radius counts c, is the minimum over radii r of the first
+    admissible carrier of r at or above g(c - e_r) + dist.  The probe is
+    feasible iff g(n_lambda, ...) exists.  The DP has
+    (n_lambda + 1) ** len(allowed) states.
+    """
     width = n_lambda + 1
     n = len(allowed)
     strides = [width ** (n - 1 - r) for r in range(n)]
@@ -339,13 +315,14 @@ def solve_spacing(
     feasible ladder distance.  First strict improvement wins, so the
     reported optimum is the lexicographically smallest one.
 
-    Each probe at d > 0 is decided by the quota-packing DP, `_packs`, and
-    a subset is first tested at the incumbent + 1 before anything is
-    built for it, so most subsets cost one small DP.  `_RowSearch` is
-    built only for a subset that beats the incumbent: it decides the
-    probe at d = 0 and returns the one canonical witness at the subset's
-    optimum.  When the DP would exceed `_PACK_STATES` states,
-    `_RowSearch.run` decides every probe instead.
+    Every probe first cuts the subset to its admissible carriers
+    (`_admissible`); a radius left with fewer than n_lambda fails it, and
+    at d = 0 that count decides.  At d > 0 the quota-packing DP, `_packs`,
+    decides, or `_witness` when the DP would exceed `_PACK_STATES` states.
+    A subset is first tested at the incumbent + 1, so most subsets cost
+    one filter and at most one small DP.  `_witness` builds the one
+    canonical witness of a subset that beats the incumbent, at its
+    optimum.
 
     The bound of a branch is the smallest of three caps.  Span: the total
     carriers spread evenly over the nominals the branch can still reach.
@@ -404,36 +381,37 @@ def solve_spacing(
     # decider for the whole solve.
     dp_decides = (n_lambda + 1) ** n_radii <= _PACK_STATES
 
+    def fits(subset, dist: int) -> bool:
+        allowed = _admissible(subset, n_lambda, mode, dist)
+        if allowed is None or dist == 0:
+            # At d = 0 nothing limits the spacing, so the counts decide.
+            return allowed is not None
+        if dp_decides:
+            return _packs(allowed, n_lambda, dist, clock)
+        return _witness(allowed, n_lambda, dist, clock) is not None
+
     def leaf(chosen: list[int], top: int) -> None:
         nonlocal best, best_rows
         subset = [spectra[c] for c in chosen]
-        # The subset optimum is a ladder value, so it beats `best` iff the
-        # subset packs at best + 1; most leaves stop here.
-        if dp_decides and best >= 0 and not _packs(subset, n_lambda, mode, best + 1, clock):
+        # The subset optimum is a ladder value in (best, top], so it beats
+        # `best` iff the subset fits at best + 1 (at best = -1, the d = 0
+        # count); most leaves stop here.
+        if not fits(subset, best + 1):
             return
-        search = _RowSearch(
-            instance, [eligible[c] for c in chosen], n_lambda, mode, clock
-        )
-        ladder = search.ladder(best, top)
-        witnesses = {}
-
-        def fits(dist: int) -> bool:
-            if dp_decides and dist > 0:
-                return _packs(subset, n_lambda, mode, dist, clock)
-            witnesses[dist] = search.run(dist)
-            return witnesses[dist] is not None
-
-        if not ladder or not fits(ladder[0]):
-            return
-        lo, hi = 0, len(ladder) - 1
+        ladder = _ladder(sorted(v for s in subset for v in s), best, top)
+        lo, hi = 0, len(ladder) - 1  # ladder[0] fits: it is at most the optimum
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if fits(ladder[mid]):
+            if fits(subset, ladder[mid]):
                 lo = mid
             else:
                 hi = mid - 1
-        rows = witnesses.get(ladder[lo]) or search.run(ladder[lo])
-        best, best_rows = ladder[lo], rows
+        dist = ladder[lo]
+        rows = _witness(_admissible(subset, n_lambda, mode, dist), n_lambda, dist, clock)
+        best, best_rows = dist, [
+            (eligible[chosen[r]], [bisect_left(subset[r], v) for v in values])
+            for r, values in rows
+        ]
 
     def dfs(start: int, chosen: list[int], lo, hi, cap) -> None:
         need = n_radii - len(chosen)

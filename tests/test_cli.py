@@ -154,6 +154,10 @@ class TestSpacing:
         "shape", [("70", "13", "base"), ("70", "13", "refined"), ("63", "15", "base")]
     )
     def test_matrix_deeper_than_the_recursion_limit(self, capsys, tmp_path, shape):
+        # Exactly n_radii radii have enough resonances, so one subset decides.
+        # In base mode one of its radii keeps too few carriers that equal no
+        # resonance of another radius: infeasible.  Refined mode admits every
+        # carrier at 0 pm and implies the base rule at 1 pm: optimal at 0.
         gen = str(tmp_path / "gen.txt")
         assert cli.main(["generate", "--seed", "0", "--jitter-pm", "100",
                          "--out", gen]) == 0
@@ -162,10 +166,31 @@ class TestSpacing:
         code, doc, err = run_json(
             capsys,
             ["spacing", "--instance", gen, "--n-radii", n_radii,
-             "--parallelism", parallelism, "--mode", mode, "--time-limit", "1"],
+             "--parallelism", parallelism, "--mode", mode, "--time-limit", "10"],
         )
-        assert code in (0, 3), err
         assert payload_problems(doc, gen) == []
+        if mode == "refined":
+            assert code == 0, err
+            assert doc["result"]["dist_pm"] == 0
+            return
+        assert code == 1, err
+        instance = model.parse_instance(Path(gen).read_text(encoding="utf-8"))
+        eligible = [e for e in instance.radii if len(e.resonances) >= int(parallelism)]
+        assert len(eligible) == int(n_radii)
+        short = []
+        for entry in eligible:
+            kept = 0
+            for value in entry.nominals():
+                clash = False
+                for other in eligible:
+                    if other is not entry and value in other.nominals():
+                        clash = True
+                        break
+                if not clash:
+                    kept += 1
+            if kept < int(parallelism):
+                short.append(entry.id)
+        assert short
 
 
 class TestPipeline:

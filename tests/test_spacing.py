@@ -1,9 +1,14 @@
-import math
 from itertools import combinations
 
 import pytest
 
-from conftest import build_instance, dist_upper_bound, distance_ladder, radius1_instance
+from conftest import (
+    build_instance,
+    dist_upper_bound,
+    distance_ladder,
+    radius1_instance,
+    restrict,
+)
 from wronoc import (
     GenSpec,
     SolveConfig,
@@ -13,9 +18,10 @@ from wronoc import (
     generate_random_small,
     oracle_spacing,
     solve_spacing,
+    spacing,
 )
-from wronoc.parallelism import _Clock
-from wronoc.spacing import _packs, _RowSearch
+from wronoc.parallelism import _Clock, _Timeout
+from wronoc.spacing import _admissible, _packs, _witness
 from wronoc.verify import check_spacing_solution
 
 
@@ -63,15 +69,23 @@ class TestCrossConstraint:
         ]
 
 
-def row_search(instance, selected, n_lambda, dist, mode="base"):
-    return _RowSearch(instance, selected, n_lambda, mode, _Clock(0)).run(dist)
+def witness(instance, selected, n_lambda, dist, mode="base"):
+    """`_witness` over the admissible carriers of `selected` at `dist`, as
+    (radius id, indices) rows, or None."""
+    ids = sorted(selected)
+    spectra = [instance.entry(r).nominals() for r in ids]
+    allowed = _admissible(spectra, n_lambda, mode, dist)
+    rows = None if allowed is None else _witness(allowed, n_lambda, dist, _Clock(0))
+    if rows is None:
+        return None
+    return [(ids[r], tuple(spectra[r].index(v) for v in values)) for r, values in rows]
 
 
 class TestFeasible:
     """The per-distance witness search of `solve_spacing`."""
 
     def test_radius1_triple_at_50700(self, table1):
-        rows = row_search(table1, {1}, 3, 50700)
+        rows = witness(table1, {1}, 3, 50700)
         assert rows is not None
         (rid, idxs), = rows
         noms = table1.entry(1).nominals()
@@ -79,24 +93,24 @@ class TestFeasible:
         assert [noms[j] for j in idxs] == [1496400, 1547100, 1601400]
 
     def test_radius1_triple_at_50800_is_none(self, table1):
-        assert row_search(table1, {1}, 3, 50800) is None
+        assert witness(table1, {1}, 3, 50800) is None
 
     def test_zero_distance_single_carriers(self, table1):
-        rows = row_search(table1, {1, 2, 3, 4}, 1, 0)
+        rows = witness(table1, {1, 2, 3, 4}, 1, 0)
         assert rows is not None
         assert len(rows) == 4
 
     def test_too_many_carriers_is_none(self, table1):
-        assert row_search(table1, {1}, 6, 0) is None
+        assert witness(table1, {1}, 6, 0) is None
 
     def test_matrix_deeper_than_the_recursion_limit(self):
         # 3 rows of 600 carriers: one frame per carrier, 1800 in all.
         inst = build_instance(
             {rid: [1_500_000 + 1000 * rid + 3000 * j for j in range(600)] for rid in (1, 2, 3)}
         )
-        rows = row_search(inst, {1, 2, 3}, 600, 1000)
+        rows = witness(inst, {1, 2, 3}, 600, 1000)
         assert rows == [(rid, tuple(range(600))) for rid in (1, 2, 3)]
-        assert row_search(inst, {1, 2, 3}, 600, 1001) is None
+        assert witness(inst, {1, 2, 3}, 600, 1001) is None
 
     def test_negative_distance_rejected(self, table1):
         assert check_rows(table1, "base", -1, [(1, (0,))]) == [
@@ -104,31 +118,51 @@ class TestFeasible:
         ]
 
 
+def fits(spectra, n_lambda, mode, dist):
+    """A ladder probe as `solve_spacing` decides it within the DP budget."""
+    allowed = _admissible(spectra, n_lambda, mode, dist)
+    if allowed is None or dist == 0:
+        return allowed is not None
+    return _packs(allowed, n_lambda, dist, _Clock(0))
+
+
 class TestPacks:
-    """The quota-packing DP decides each probe at d > 0 as the row search."""
+    """Every ladder probe, decided by the DP and by the row search, the
+    row-search witness at the optimum and the solve itself, against the
+    brute-force oracle on the subset alone."""
 
     @pytest.mark.parametrize("mode", ["base", "refined"])
     @pytest.mark.parametrize("seed", range(20))
     def test_agrees_with_row_search(self, seed, mode):
         inst = generate_random_small(seed)
         verdicts = set()
-        for k in (1, 2, 3):
+        # 3 radii x 3 carriers is left out: the oracle alone takes ~8 s there.
+        for k, n_lambda in [(1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
             for subset in combinations(inst.ids(), k):
                 spectra = [inst.entry(r).nominals() for r in subset]
-                for n_lambda in (1, 2, 3):
-                    search = _RowSearch(inst, subset, n_lambda, mode, _Clock(0))
-                    for dist in search.ladder(0, math.inf):
-                        packs = _packs(spectra, n_lambda, mode, dist, _Clock(0))
-                        assert packs == (search.run(dist) is not None), (
-                            subset, n_lambda, dist,
-                        )
-                        verdicts.add(packs)
+                sub, problem = restrict(inst, subset), SpacingProblem(k, n_lambda, mode)
+                sol = oracle_spacing(sub, problem)
+                assert solve_spacing(sub, problem) == sol, (subset, n_lambda)
+                for dist in distance_ladder(inst, subset):
+                    verdict = fits(spectra, n_lambda, mode, dist)
+                    assert verdict == (
+                        sol.status == "optimal" and dist <= sol.dist_pm
+                    ), (subset, n_lambda, dist)
+                    # The decider beyond the DP budget.
+                    rows = witness(inst, subset, n_lambda, dist, mode)
+                    assert (rows is not None) == verdict, (subset, n_lambda, dist)
+                    verdicts.add(verdict)
+                if sol.status == "optimal":
+                    assert witness(inst, subset, n_lambda, sol.dist_pm, mode) == list(
+                        zip(sol.selected_radii, sol.matrix)
+                    ), (subset, n_lambda)
         assert verdicts == {True, False}
 
     def test_ticks_once_per_state(self, table1):
         clock = _Clock(0)
         spectra = [table1.entry(r).nominals() for r in (1, 2, 3)]
-        assert _packs(spectra, 2, "base", 1, clock)
+        allowed = _admissible(spectra, 2, "base", 1)
+        assert _packs(allowed, 2, 1, clock)
         assert clock.steps == 3**3 - 1
 
 
@@ -223,6 +257,24 @@ class TestSolve:
         inst = generate_random_small(11, 6, 10)
         sol = solve_spacing(inst, SpacingProblem(3, 2, "base"), SolveConfig(time_limit=1e-9))
         assert sol.status == "incumbent-timeout"
+
+    @pytest.mark.parametrize("mode", ["base", "refined"])
+    def test_timeout_in_witness_keeps_the_incumbent(self, table1, monkeypatch, mode):
+        # The second improving subset is cut while its witness is built: the
+        # report is the first subset's matrix at the first subset's distance.
+        calls = []
+
+        def cut(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise _Timeout
+            return _witness(*args)
+
+        monkeypatch.setattr(spacing, "_witness", cut)
+        problem = SpacingProblem(2, 2, mode)
+        sol = solve_spacing(table1, problem)
+        assert sol.status == "incumbent-timeout"
+        assert check_spacing_solution(table1, problem, sol) == []
 
     def test_determinism(self, table1):
         p = SpacingProblem(2, 2, "refined")
@@ -323,10 +375,10 @@ class TestProperties:
 # change that alters it on purpose updates it here and says so in
 # CHANGES.md with the old and new counts.
 PINNED = {
-    (1000, 2, 2, "base"): (43154, (72, 96), ((0, 8), (19, 28)), 19826),
-    (1001, 2, 2, "base"): (43122, (72, 96), ((0, 8), (19, 28)), 19187),
-    (1000, 3, 3, "refined"): (4932, (6, 14, 1), ((0, 3, 4), (1, 4, 5), (1, 3, 4)), 38689),
-    (1001, 3, 3, "refined"): (4970, (8, 14, 1), ((0, 4, 5), (1, 5, 6), (1, 3, 4)), 38502),
+    (1000, 2, 2, "base"): (43154, (72, 96), ((0, 8), (19, 28)), 19510),
+    (1001, 2, 2, "base"): (43122, (72, 96), ((0, 8), (19, 28)), 18910),
+    (1000, 3, 3, "refined"): (4932, (6, 14, 1), ((0, 3, 4), (1, 4, 5), (1, 3, 4)), 38183),
+    (1001, 3, 3, "refined"): (4970, (8, 14, 1), ((0, 4, 5), (1, 5, 6), (1, 3, 4)), 37926),
 }
 
 
