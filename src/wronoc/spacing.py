@@ -295,6 +295,33 @@ def _deepest_hole(values, others) -> int:
     return best
 
 
+def _pair_bounds(spectra, row_cap):
+    """An O(1) upper bound on every refined pair cap: `bound[a][b]` is at
+    least min(row_cap[a], row_cap[b], the deepest hole of a's spectrum in
+    b's and that of b's in a's), for `spectra` sorted ascending.
+
+    An integer value inside b's extent lies at most half b's widest gap,
+    rounded down, from b's spectrum, and one outside it at most its
+    overhang, so the hole of a in b is at most
+    max(half[b], lows[b] - lows[a], highs[a] - highs[b]).
+    """
+    lows = [s[0] for s in spectra]
+    highs = [s[-1] for s in spectra]
+    half = [max((y - x for x, y in zip(s, s[1:])), default=0) // 2 for s in spectra]
+    return [
+        [
+            min(
+                row_cap[a],
+                row_cap[b],
+                max(half[b], lows[b] - lows[a], highs[a] - highs[b]),
+                max(half[a], lows[a] - lows[b], highs[b] - highs[a]),
+            )
+            for b in range(len(spectra))
+        ]
+        for a in range(len(spectra))
+    ]
+
+
 def _sentinel_solution(instance: Instance) -> SpacingSolution:
     # A single carrier has no pairwise distance; report the instance span
     # and the canonical witness (lowest radius id, its lowest resonance).
@@ -331,6 +358,15 @@ def solve_spacing(
     must clear the whole spectrum of every co-selected radius, so the
     distance cannot exceed the deepest spectral hole of either radius of a
     pair in the other.
+
+    A pair hole costs two scans, so the DFS tests a cheaper bound first.
+    It carries a row: `row[i]`, for each later candidate i, is at least
+    the cap that adding i gives, from the row caps and `_pair_bounds`'
+    O(1) bound on each pair hole.  A candidate whose row entry does not
+    beat the incumbent is dropped before anything else.  The exact holes
+    of a survivor are scanned once, memoised, and the full test above
+    decides; since the row never undercuts it, every node gets the verdict
+    and the bound it would get with every hole scanned up front.
     """
     if config is None:
         config = SolveConfig()
@@ -366,13 +402,10 @@ def solve_spacing(
         (hi - lo) // (n_lambda - 1) if n_lambda > 1 else math.inf
         for lo, hi in zip(lows, highs)
     ]
-    pair_cap = {}  # refined mode only
-    if mode == REFINED:
-        for a, b in combinations(range(len(eligible)), 2):
-            pair_cap[a, b] = min(
-                _deepest_hole(spectra[a], spectra[b]),
-                _deepest_hole(spectra[b], spectra[a]),
-            )
+    # Refined mode only: the cheap pair bounds, and the exact pair caps of
+    # the candidates that pass them, filled on demand.
+    bound = _pair_bounds(spectra, row_cap) if mode == REFINED else None
+    pair_cap = [[None] * len(eligible) for _ in eligible] if bound else None
 
     best = -1
     best_rows = None
@@ -413,13 +446,25 @@ def solve_spacing(
             for r, values in rows
         ]
 
-    def dfs(start: int, chosen: list[int], lo, hi, cap) -> None:
+    def dfs(start: int, chosen: list[int], lo, hi, cap, row) -> None:
         need = n_radii - len(chosen)
         for i in range(start, len(eligible) - need + 1):
             clock.tick()
-            new_cap = min(
-                cap, row_cap[i], *(pair_cap.get((c, i), cap) for c in chosen)
-            )
+            # row[i] bounds new_cap from above, so this prunes only what the
+            # exact test below would.
+            if row[i] <= best:
+                continue
+            new_cap = min(cap, row_cap[i])
+            if bound:
+                for c in chosen:
+                    hole = pair_cap[c][i]
+                    if hole is None:
+                        hole = pair_cap[c][i] = min(
+                            _deepest_hole(spectra[c], spectra[i]),
+                            _deepest_hole(spectra[i], spectra[c]),
+                        )
+                    if hole < new_cap:
+                        new_cap = hole
             new_lo, new_hi = min(lo, lows[i]), max(hi, highs[i])
             # Completions draw only from the suffix after i.
             reach = i + 1 if need > 1 else len(eligible)
@@ -428,12 +473,13 @@ def solve_spacing(
             if top <= best:
                 continue
             if need > 1:
-                dfs(i + 1, chosen + [i], new_lo, new_hi, new_cap)
+                new_row = [r if r < b else b for r, b in zip(row, bound[i])] if bound else row
+                dfs(i + 1, chosen + [i], new_lo, new_hi, new_cap, new_row)
             else:
                 leaf(chosen + [i], top)
 
     try:
-        dfs(0, [], math.inf, -math.inf, math.inf)
+        dfs(0, [], math.inf, -math.inf, math.inf, row_cap)
     except _Timeout:
         return _solution(best_rows, best, True)
     return _solution(best_rows, best, False)
@@ -518,8 +564,12 @@ def oracle_spacing(instance: Instance, problem: SpacingProblem) -> SpacingSoluti
     carrier matrix, score each directly from the definitions.
 
     Intended for small inputs (a handful of radii, n_radii * n_lambda up
-    to about 8).  Shares nothing with the search path of `solve_spacing`;
-    ties break identically (first subset in ascending-id order, then the
-    canonical matrix key).
+    to about 8).  It shares no search code with the branch and bound of
+    `solve_spacing` (method ``bnb``), which is what it checks.  It is the
+    same `_enumerate` that ``--method exhaustive`` runs, so comparing the
+    two proves nothing, and it shares `_solution` (status and payload),
+    `_sentinel_solution` (the single-carrier answer) and `_Clock` with the
+    solver.  Ties break identically (first subset in ascending-id order,
+    then the canonical matrix key).
     """
     return _enumerate(instance, problem, _Clock(0))

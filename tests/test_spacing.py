@@ -1,6 +1,9 @@
-from itertools import combinations
+import math
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     build_instance,
@@ -21,7 +24,7 @@ from wronoc import (
     spacing,
 )
 from wronoc.parallelism import _Clock, _Timeout
-from wronoc.spacing import _admissible, _packs, _witness
+from wronoc.spacing import _admissible, _deepest_hole, _packs, _pair_bounds, _witness
 from wronoc.verify import check_spacing_solution
 
 
@@ -166,6 +169,40 @@ class TestPacks:
         assert clock.steps == 3**3 - 1
 
 
+class TestPairBounds:
+    """`_pair_bounds` never undercuts the exact cap of a pair, so pruning on
+    it drops only what the exact caps would."""
+
+    @given(
+        spectra=st.lists(
+            st.lists(st.integers(0, 60), min_size=1, max_size=6, unique=True).map(sorted),
+            min_size=2,
+            max_size=5,
+        ),
+        n_lambda=st.integers(1, 3),
+    )
+    @example(spectra=[[0, 2], [50, 52]], n_lambda=1)  # disjoint extents
+    @example(spectra=[[0, 60], [29, 31]], n_lambda=1)  # one inside the other's gap
+    @example(spectra=[[0, 30, 60], [10, 40]], n_lambda=2)  # nested, interleaved
+    @example(spectra=[[30], [0, 10, 50], [55]], n_lambda=1)  # one-resonance radii
+    @example(spectra=[[0, 20, 40], [20, 40, 41]], n_lambda=2)  # shared values
+    @settings(max_examples=200, deadline=None)
+    def test_never_below_the_exact_cap(self, spectra, n_lambda):
+        # The row caps as `solve_spacing` derives them.
+        row_cap = [
+            (s[-1] - s[0]) // (n_lambda - 1) if n_lambda > 1 else math.inf for s in spectra
+        ]
+        bound = _pair_bounds(spectra, row_cap)
+        for a, b in permutations(range(len(spectra)), 2):
+            exact = min(
+                row_cap[a],
+                row_cap[b],
+                _deepest_hole(spectra[a], spectra[b]),
+                _deepest_hole(spectra[b], spectra[a]),
+            )
+            assert bound[a][b] >= exact, (a, b)
+
+
 class TestLadderAndBound:
     """The test-side reference the ladder and bound properties rely on."""
 
@@ -287,7 +324,32 @@ class TestSolve:
         assert exhaustive == oracle_spacing(table1, p)
 
 
+# Hand-built instances where a pair cap is set by how the spectra sit
+# against each other, not by their own gaps.
+ABOVE = {  # radius 3 lies wholly above radii 1 and 2, radius 4 wholly below
+    1: (1_500_000, 1_500_300, 1_500_600),
+    2: (1_500_150, 1_500_450, 1_500_750),
+    3: (1_520_000, 1_520_100, 1_520_200),
+    4: (1_480_000, 1_480_100, 1_480_200),
+}
+IN_A_GAP = {  # radii 2 and 4 lie inside the 40 nm gap of radius 1
+    1: (1_490_000, 1_530_000),
+    2: (1_500_000, 1_500_300, 1_500_600),
+    3: (1_500_150, 1_500_450, 1_500_750),
+    4: (1_509_900, 1_510_000, 1_510_100),
+}
+
+
 class TestOracleAgreement:
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 1)], ids=str)
+    @pytest.mark.parametrize("values", [ABOVE, IN_A_GAP], ids=["above", "in-a-gap"])
+    def test_spectra_apart(self, values, shape):
+        inst = build_instance(values)
+        problem = SpacingProblem(*shape, "refined")
+        sol = solve_spacing(inst, problem, SolveConfig(method="bnb"))
+        assert sol == oracle_spacing(inst, problem)
+        assert sol.status == "optimal"
+
     @pytest.mark.parametrize("mode", ["base", "refined"])
     def test_table1_small_grid(self, table1, mode):
         for n_radii in (1, 2):
@@ -394,3 +456,30 @@ class TestPinnedDeskScale:
         assert (sol.dist_pm, sol.selected_radii, sol.matrix) == (dist, radii, matrix)
         assert [c.steps for c in clocks] == [steps]
         assert check_spacing_solution(inst, problem, sol) == []
+
+
+# `_deepest_hole` calls per refined `PINNED` solve: the exact pair holes the
+# subset search scans once the O(1) pair bounds let a candidate through.
+# Scanning every pair takes 10,100 (two scans for each of the 5,050 pairs
+# of 101 radii); a change that moves these counts says so in CHANGES.md.
+HOLE_SCANS = {
+    (1000, 3, 3, "refined"): 1912,
+    (1001, 3, 3, "refined"): 1924,
+}
+
+
+class TestPairHoleEffort:
+    @pytest.mark.parametrize("case", sorted(HOLE_SCANS), ids=str)
+    def test_exact_holes_on_demand(self, case, monkeypatch):
+        scans = []
+
+        def counted(values, others):
+            scans.append(1)
+            return _deepest_hole(values, others)
+
+        monkeypatch.setattr(spacing, "_deepest_hole", counted)
+        seed, n_radii, n_lambda, mode = case
+        inst = generate(GenSpec(seed=seed, jitter_pm=100))
+        sol = solve_spacing(inst, SpacingProblem(n_radii, n_lambda, mode))
+        assert (sol.dist_pm, sol.selected_radii, sol.matrix) == PINNED[case][:3]
+        assert len(scans) == HOLE_SCANS[case]
