@@ -60,10 +60,6 @@ class ConflictSet:
                 a, b = sorted(((ids[p], j), (ids[p2], j2)))
                 yield ConflictPair(WITHIN if p == p2 else CROSS, a, b)
 
-    @property
-    def pairs(self) -> frozenset[ConflictPair]:
-        return frozenset(self._iter_pairs())
-
     def cross_pairs(self) -> list[ConflictPair]:
         return sorted(p for p in self._iter_pairs() if p.kind == CROSS)
 

@@ -97,7 +97,8 @@ class _Clock:
 
     Each loop calls `tick` once per step.  The clock is read on the first
     step, so a spent limit stops a search at once, and then on every
-    256th, so a search overruns its limit by at most 256 steps.  A time
+    256th, so a search overruns its limit by at most 256 steps.  `check`
+    reads it every time, before work far longer than a step.  A time
     limit of 0 never expires.
     """
 
@@ -107,9 +108,13 @@ class _Clock:
         self.deadline = time.monotonic() + time_limit if time_limit else math.inf
         self.steps = 0
 
-    def tick(self) -> None:
-        if not self.steps & 255 and time.monotonic() > self.deadline:
+    def check(self) -> None:
+        if time.monotonic() > self.deadline:
             raise _Timeout
+
+    def tick(self) -> None:
+        if not self.steps & 255:
+            self.check()
         self.steps += 1
 
 
@@ -189,7 +194,7 @@ class _Workspace:
         a radius updates each in O(1).  Returns the floor, the incumbent's
         sorted positions and whether the time limit cut the search short.
         """
-        keep, mis, tick = self.keep, self.mis, clock.tick
+        keep, mis, tick, check = self.keep, self.mis, clock.tick, clock.check
         incumbent: list[int] | None = None
 
         # A nonempty mask has capacity >= 1, so at floor 0 every "capacity >
@@ -208,6 +213,7 @@ class _Workspace:
             capacity graph and the bound stays exact; at floor 0 the two
             tests agree.  Counting bits is far cheaper than an MIS lookup,
             which the colouring of every node would otherwise pay for."""
+            check()  # a pass costs O(pool^2) bit counts, far more than a tick
             classes: list[list[tuple[int, int]]] = []
             for i in range(len(pool) - 1, -1, -1):
                 r, m = pool[i]
@@ -234,7 +240,7 @@ class _Workspace:
                 tick()
                 if i >= limit:
                     return False
-                if not mask_r or floor and mis[rid][mask_r] <= floor:
+                if floor and mis[rid][mask_r] <= floor:
                     continue
                 kept = keep[rid]
                 new_masks = []

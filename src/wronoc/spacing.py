@@ -295,31 +295,31 @@ def _deepest_hole(values, others) -> int:
     return best
 
 
-def _pair_bounds(spectra, row_cap):
+def _pair_bounds(spectra, clock: _Clock):
     """An O(1) upper bound on every refined pair cap: `bound[a][b]` is at
-    least min(row_cap[a], row_cap[b], the deepest hole of a's spectrum in
-    b's and that of b's in a's), for `spectra` sorted ascending.
+    least the smaller of the deepest hole of a's spectrum in b's and that
+    of b's in a's, for `spectra` sorted ascending.
 
     An integer value inside b's extent lies at most half b's widest gap,
     rounded down, from b's spectrum, and one outside it at most its
     overhang, so the hole of a in b is at most
-    max(half[b], lows[b] - lows[a], highs[a] - highs[b]).
+    max(half[b], lows[b] - lows[a], highs[a] - highs[b]).  The table is
+    quadratic, so each row checks the time limit.
     """
     lows = [s[0] for s in spectra]
     highs = [s[-1] for s in spectra]
     half = [max((y - x for x, y in zip(s, s[1:])), default=0) // 2 for s in spectra]
-    return [
-        [
+    bound = []
+    for a in range(len(spectra)):
+        clock.check()
+        bound.append([
             min(
-                row_cap[a],
-                row_cap[b],
                 max(half[b], lows[b] - lows[a], highs[a] - highs[b]),
                 max(half[a], lows[a] - lows[b], highs[b] - highs[a]),
             )
             for b in range(len(spectra))
-        ]
-        for a in range(len(spectra))
-    ]
+        ])
+    return bound
 
 
 def _sentinel_solution(instance: Instance) -> SpacingSolution:
@@ -351,22 +351,22 @@ def solve_spacing(
     canonical witness of a subset that beats the incumbent, at its
     optimum.
 
-    The bound of a branch is the smallest of three caps.  Span: the total
-    carriers spread evenly over the nominals the branch can still reach.
-    Row comb: a radius hosting n_lambda carriers needs n_lambda - 1 gaps
-    inside its own comb.  Pair hole (refined mode): a carrier of one radius
-    must clear the whole spectrum of every co-selected radius, so the
-    distance cannot exceed the deepest spectral hole of either radius of a
-    pair in the other.
+    The DFS carries one bound, the refined pair hole: a carrier of one
+    radius must clear the whole spectrum of every co-selected radius, so
+    the distance cannot exceed the deepest spectral hole of either radius
+    of a pair in the other.  A leaf also caps it by its span over its
+    carrier gaps, a pre-filter and the top of its ladder.  The exact leaf
+    test packs every carrier pairwise apart, so span or comb caps above
+    the leaves would only move effort.
 
     A pair hole costs two scans, so the DFS tests a cheaper bound first.
     It carries a row: `row[i]`, for each later candidate i, is at least
-    the cap that adding i gives, from the row caps and `_pair_bounds`'
-    O(1) bound on each pair hole.  A candidate whose row entry does not
-    beat the incumbent is dropped before anything else.  The exact holes
-    of a survivor are scanned once, memoised, and the full test above
-    decides; since the row never undercuts it, every node gets the verdict
-    and the bound it would get with every hole scanned up front.
+    the cap that adding i gives, from `_pair_bounds`' O(1) bound on each
+    pair hole.  A candidate whose row entry does not beat the incumbent is
+    dropped before anything else.  The exact holes of a survivor are
+    scanned once, memoised, and decide; since the row never undercuts
+    them, every node gets the verdict and the bound it would get with
+    every hole scanned up front.
     """
     if config is None:
         config = SolveConfig()
@@ -375,8 +375,6 @@ def solve_spacing(
         # The oracle's enumeration: exact and identically tie-broken, but
         # only suits small inputs.
         return _enumerate(instance, problem, clock)
-    if problem.n_radii > len(instance.radii):
-        return SpacingSolution((), (), None, INFEASIBLE)
     if problem.n_radii * problem.n_lambda == 1:
         return _sentinel_solution(instance)
     n_radii, n_lambda, mode = problem.n_radii, problem.n_lambda, problem.mode
@@ -392,20 +390,7 @@ def solve_spacing(
     spectra = [instance.entry(rid).nominals() for rid in eligible]
     lows = [min(s) for s in spectra]
     highs = [max(s) for s in spectra]
-    # The spectral extent of each pool suffix eligible[i:].
-    suffix_lo = [math.inf] * (len(eligible) + 1)
-    suffix_hi = [-math.inf] * (len(eligible) + 1)
-    for i in reversed(range(len(eligible))):
-        suffix_lo[i] = min(lows[i], suffix_lo[i + 1])
-        suffix_hi[i] = max(highs[i], suffix_hi[i + 1])
-    row_cap = [
-        (hi - lo) // (n_lambda - 1) if n_lambda > 1 else math.inf
-        for lo, hi in zip(lows, highs)
-    ]
-    # Refined mode only: the cheap pair bounds, and the exact pair caps of
-    # the candidates that pass them, filled on demand.
-    bound = _pair_bounds(spectra, row_cap) if mode == REFINED else None
-    pair_cap = [[None] * len(eligible) for _ in eligible] if bound else None
+    refined = mode == REFINED
 
     best = -1
     best_rows = None
@@ -454,8 +439,8 @@ def solve_spacing(
             # exact test below would.
             if row[i] <= best:
                 continue
-            new_cap = min(cap, row_cap[i])
-            if bound:
+            new_cap = cap
+            if refined:
                 for c in chosen:
                     hole = pair_cap[c][i]
                     if hole is None:
@@ -465,21 +450,24 @@ def solve_spacing(
                         )
                     if hole < new_cap:
                         new_cap = hole
+                if new_cap <= best:
+                    continue
             new_lo, new_hi = min(lo, lows[i]), max(hi, highs[i])
-            # Completions draw only from the suffix after i.
-            reach = i + 1 if need > 1 else len(eligible)
-            span = max(new_hi, suffix_hi[reach]) - min(new_lo, suffix_lo[reach])
-            top = min(new_cap, span // gaps)
-            if top <= best:
-                continue
             if need > 1:
-                new_row = [r if r < b else b for r, b in zip(row, bound[i])] if bound else row
+                new_row = [r if r < b else b for r, b in zip(row, bound[i])] if refined else row
                 dfs(i + 1, chosen + [i], new_lo, new_hi, new_cap, new_row)
             else:
-                leaf(chosen + [i], top)
+                top = min(new_cap, (new_hi - new_lo) // gaps)
+                if top > best:
+                    leaf(chosen + [i], top)
 
     try:
-        dfs(0, [], math.inf, -math.inf, math.inf, row_cap)
+        if refined:
+            # The cheap pair bounds, and the exact pair caps of the
+            # candidates that pass them, filled on demand.
+            bound = _pair_bounds(spectra, clock)
+            pair_cap = [[None] * len(eligible) for _ in eligible]
+        dfs(0, [], math.inf, -math.inf, math.inf, [math.inf] * len(eligible))
     except _Timeout:
         return _solution(best_rows, best, True)
     return _solution(best_rows, best, False)

@@ -558,6 +558,21 @@ class TestErrors:
         )
         return proc, time.monotonic() - started
 
+    def test_too_deep_a_search_exits_4(self, tmp_path):
+        # The subset search recurses once per radius chosen, so choosing
+        # 1,050 radii passes Python's default recursion limit of 1,000.
+        path = tmp_path / "one-each.txt"
+        lines = []
+        for rid in range(1, 1101):
+            lines += [f"radius {rid} {5_000_000 + 1000 * rid}",
+                      f"resonance {rid} {1_500_000 + 100 * rid}"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        proc, _ = self.run_timed(
+            ["spacing", "--instance", str(path), "--n-radii", "1050", "--parallelism", "1"])
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == "error: search too deep (recursion limit exceeded)\n"
+
     def test_exhaustive_spacing_honours_time_limit(self, tmp_path):
         gen = tmp_path / "gen.txt"
         assert cli.main(["generate", "--seed", "1", "--out", str(gen)]) == 0

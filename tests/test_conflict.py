@@ -88,7 +88,8 @@ class TestConflictsOf:
     def test_symmetric_irreflexive(self):
         for seed in range(10):
             inst = with_delta(generate_random_small(seed, 4, 8), 700)
-            for p in conflicts_of(inst).pairs:
+            cs = conflicts_of(inst)
+            for p in cs.cross_pairs() + cs.within_pairs():
                 assert p.first < p.second
 
     def test_monotone_in_half_width(self):
@@ -96,10 +97,8 @@ class TestConflictsOf:
             base = generate_random_small(seed, 4, 8)
             prev: set = set()
             for hw in (0, 500, 1200):
-                pairs = {
-                    (p.first, p.second)
-                    for p in conflicts_of(with_delta(base, hw)).pairs
-                }
+                cs = conflicts_of(with_delta(base, hw))
+                pairs = {(p.first, p.second) for p in cs.cross_pairs() + cs.within_pairs()}
                 assert prev <= pairs
                 prev = pairs
 
@@ -150,7 +149,7 @@ class TestMaskTable:
         for a, r in enumerate(cs.ids):
             for b, o in enumerate(cs.ids):
                 assert cs.block[a][b] == block[r, o], (r, o)
-        assert cs.pairs == pairs
+        assert set(cs.cross_pairs() + cs.within_pairs()) == pairs
         assert len(cs) == len(pairs)
         assert cs.cross_pairs() == sorted(p for p in pairs if p.kind == "cross")
         assert cs.within_pairs() == sorted(p for p in pairs if p.kind == "within")

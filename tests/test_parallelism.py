@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from conftest import build_instance, restrict, table1_instance, with_delta
@@ -115,6 +117,16 @@ class TestSolve:
         cs = conflicts_of(inst)
         sol = solve_max_parallelism(inst, cs, 4, SolveConfig(time_limit=1e-9))
         assert sol.status == "incumbent-timeout"
+
+    def test_time_limit_bounds_the_colouring(self):
+        # 600 conflict-free radii, 550 to choose: each node colours a pool
+        # of ~600 candidates, O(pool^2) work between two ticks.
+        inst = build_instance({r: (1_500_000 + 100 * r,) for r in range(1, 601)})
+        cs = conflicts_of(inst)
+        started = time.monotonic()
+        sol = solve_max_parallelism(inst, cs, 550, SolveConfig(time_limit=0.5))
+        assert sol.status == "incumbent-timeout"
+        assert time.monotonic() - started < 2
 
     def test_solution_passes_checker(self, table1, table1_conflicts):
         for n in (1, 2, 3, 4):

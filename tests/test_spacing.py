@@ -1,4 +1,4 @@
-import math
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -179,24 +179,17 @@ class TestPairBounds:
             min_size=2,
             max_size=5,
         ),
-        n_lambda=st.integers(1, 3),
     )
-    @example(spectra=[[0, 2], [50, 52]], n_lambda=1)  # disjoint extents
-    @example(spectra=[[0, 60], [29, 31]], n_lambda=1)  # one inside the other's gap
-    @example(spectra=[[0, 30, 60], [10, 40]], n_lambda=2)  # nested, interleaved
-    @example(spectra=[[30], [0, 10, 50], [55]], n_lambda=1)  # one-resonance radii
-    @example(spectra=[[0, 20, 40], [20, 40, 41]], n_lambda=2)  # shared values
+    @example(spectra=[[0, 2], [50, 52]])  # disjoint extents
+    @example(spectra=[[0, 60], [29, 31]])  # one inside the other's gap
+    @example(spectra=[[0, 30, 60], [10, 40]])  # nested, interleaved
+    @example(spectra=[[30], [0, 10, 50], [55]])  # one-resonance radii
+    @example(spectra=[[0, 20, 40], [20, 40, 41]])  # shared values
     @settings(max_examples=200, deadline=None)
-    def test_never_below_the_exact_cap(self, spectra, n_lambda):
-        # The row caps as `solve_spacing` derives them.
-        row_cap = [
-            (s[-1] - s[0]) // (n_lambda - 1) if n_lambda > 1 else math.inf for s in spectra
-        ]
-        bound = _pair_bounds(spectra, row_cap)
+    def test_never_below_the_exact_cap(self, spectra):
+        bound = _pair_bounds(spectra, _Clock(0))
         for a, b in permutations(range(len(spectra)), 2):
             exact = min(
-                row_cap[a],
-                row_cap[b],
                 _deepest_hole(spectra[a], spectra[b]),
                 _deepest_hole(spectra[b], spectra[a]),
             )
@@ -295,6 +288,14 @@ class TestSolve:
         sol = solve_spacing(inst, SpacingProblem(3, 2, "base"), SolveConfig(time_limit=1e-9))
         assert sol.status == "incumbent-timeout"
 
+    def test_time_limit_bounds_the_pair_bounds(self):
+        # 1,251 radii: the refined pair-bound table alone takes seconds.
+        inst = generate(GenSpec(r_step_pm=20_000))
+        started = time.monotonic()
+        sol = solve_spacing(inst, SpacingProblem(2, 2, "refined"), SolveConfig(time_limit=0.1))
+        assert sol.status == "incumbent-timeout"
+        assert time.monotonic() - started < 1
+
     @pytest.mark.parametrize("mode", ["base", "refined"])
     def test_timeout_in_witness_keeps_the_incumbent(self, table1, monkeypatch, mode):
         # The second improving subset is cut while its witness is built: the
@@ -339,6 +340,23 @@ IN_A_GAP = {  # radii 2 and 4 lie inside the 40 nm gap of radius 1
     4: (1_509_900, 1_510_000, 1_510_100),
 }
 
+# Inner-node caps the subset search does not carry would prune here; the
+# exact leaf test must reject every leaf they would cut.
+NARROW_COMB = {  # radius 3 cannot host two carriers the incumbent apart
+    1: (1_500_000, 1_501_000),
+    2: (1_500_500, 1_501_500),
+    3: (1_510_000, 1_510_001, 1_510_002),
+}
+NARROW_SUFFIX = {  # radii 4-7 together span less than the incumbent
+    1: (1_500_000,),
+    2: (1_501_000,),
+    3: (1_502_000,),
+    4: (1_505_000,),
+    5: (1_505_010,),
+    6: (1_505_020,),
+    7: (1_505_030,),
+}
+
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 1)], ids=str)
@@ -347,6 +365,18 @@ class TestOracleAgreement:
         inst = build_instance(values)
         problem = SpacingProblem(*shape, "refined")
         sol = solve_spacing(inst, problem, SolveConfig(method="bnb"))
+        assert sol == oracle_spacing(inst, problem)
+        assert sol.status == "optimal"
+
+    @pytest.mark.parametrize("mode", ["base", "refined"])
+    @pytest.mark.parametrize(
+        "values,shape", [(NARROW_COMB, (2, 2)), (NARROW_SUFFIX, (3, 1))],
+        ids=["narrow-comb", "narrow-suffix"],
+    )
+    def test_caps_the_leaf_test_implies(self, values, shape, mode):
+        inst = build_instance(values)
+        problem = SpacingProblem(*shape, mode)
+        sol = solve_spacing(inst, problem)
         assert sol == oracle_spacing(inst, problem)
         assert sol.status == "optimal"
 
@@ -430,15 +460,15 @@ class TestProperties:
 
 # Desk-scale Phase-2 optima: (seed, n_radii, n_lambda, mode) ->
 # (dist_pm, selected_radii, matrix, steps) on generate(GenSpec(seed,
-# jitter_pm=100)).  The oracle tests use small instances, where the row, pair
-# and span caps rarely prune; these pin the search where they do.  `steps`
-# is the search effort in `_Clock` ticks (subset nodes, row-search
+# jitter_pm=100)).  The oracle tests use small instances, where the pair
+# and leaf span caps rarely prune; these pin the search where they do.
+# `steps` is the search effort in `_Clock` ticks (subset nodes, row-search
 # candidates and packing-DP states), pinned as in `TestSearchEffort`: a
 # change that alters it on purpose updates it here and says so in
 # CHANGES.md with the old and new counts.
 PINNED = {
-    (1000, 2, 2, "base"): (43154, (72, 96), ((0, 8), (19, 28)), 19510),
-    (1001, 2, 2, "base"): (43122, (72, 96), ((0, 8), (19, 28)), 18910),
+    (1000, 2, 2, "base"): (43154, (72, 96), ((0, 8), (19, 28)), 19916),
+    (1001, 2, 2, "base"): (43122, (72, 96), ((0, 8), (19, 28)), 18920),
     (1000, 3, 3, "refined"): (4932, (6, 14, 1), ((0, 3, 4), (1, 4, 5), (1, 3, 4)), 38183),
     (1001, 3, 3, "refined"): (4970, (8, 14, 1), ((0, 4, 5), (1, 5, 6), (1, 3, 4)), 37926),
 }
