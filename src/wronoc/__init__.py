@@ -8,7 +8,7 @@ phases are exact, deterministic, and come with brute-force oracles.
 """
 
 from .conflict import ConflictPair, ConflictSet, conflicts_of
-from .generator import GenSpec, GeneratorError, SplitMix64, generate, generate_random_small
+from .generator import GenSpec, GeneratorError, SplitMix64, generate
 from .model import (
     DeltaPolicy,
     Instance,
@@ -57,7 +57,6 @@ __all__ = [
     "export_asp_facts",
     "format_instance",
     "generate",
-    "generate_random_small",
     "instance_digest",
     "oracle_max_parallelism",
     "oracle_spacing",

@@ -135,51 +135,3 @@ def generate(spec: GenSpec) -> Instance:
         f"jitter={spec.jitter_pm} seed={spec.seed}"
     )
     return Instance(tuple(radii), label)
-
-
-# Random-small parameters are pinned: the 1500 pm value grid makes exact
-# cross-radius collisions common (and guarantees rich conflict structure
-# once intervals widen past 750 pm), and the coin-flip injection copies a
-# wavelength across radii in about half of all instances.
-_SMALL_BASE_PM = 1_500_000
-_SMALL_GRID_PM = 1_500
-_SMALL_SLOTS = 64
-
-
-def generate_random_small(
-    seed: int, n_radii: int = 4, max_resonances: int = 8
-) -> Instance:
-    """Small random instance for oracle testing; deterministic per seed."""
-    if not 1 <= n_radii <= 6:
-        raise ValueError("n_radii must be in 1..6")
-    if not 2 <= max_resonances <= 12:
-        raise ValueError("max_resonances must be in 2..12")
-    rng = SplitMix64(seed)
-    values: list[list[int]] = []
-    for _ in range(n_radii):
-        count = rng.randint(2, max_resonances)
-        vals: set[int] = set()
-        while len(vals) < count:
-            vals.add(_SMALL_BASE_PM + _SMALL_GRID_PM * rng.randint(0, _SMALL_SLOTS - 1))
-        values.append(sorted(vals))
-    if n_radii >= 2 and rng.randint(0, 1) == 1:
-        a = rng.randint(0, n_radii - 1)
-        b = rng.randint(0, n_radii - 2)
-        if b >= a:
-            b += 1
-        shared = values[a][rng.randint(0, len(values[a]) - 1)]
-        if shared not in values[b]:
-            drop = values[b][rng.randint(0, len(values[b]) - 1)]
-            merged = set(values[b])
-            merged.discard(drop)
-            merged.add(shared)
-            values[b] = sorted(merged)
-    radii = tuple(
-        RadiusEntry(
-            rid,
-            0,
-            tuple(Resonance.exact(v) for v in vals),
-        )
-        for rid, vals in enumerate(values, 1)
-    )
-    return Instance(radii, f"small seed={seed} n_radii={n_radii}")

@@ -295,40 +295,21 @@ def _deepest_hole(values, others) -> int:
     return best
 
 
-def _pair_bounds(spectra, clock: _Clock):
-    """An O(1) upper bound on every refined pair cap: `bound[a][b]` is at
-    least the smaller of the deepest hole of a's spectrum in b's and that
-    of b's in a's, for `spectra` sorted ascending.
+def _hole_bounds(spectra) -> list[int]:
+    """An O(1) bound per radius on every refined pair cap it takes part in:
+    entry i is at least the deepest hole of any other of `spectra` (each
+    sorted ascending) in spectrum i.
 
-    An integer value inside b's extent lies at most half b's widest gap,
-    rounded down, from b's spectrum, and one outside it at most its
-    overhang, so the hole of a in b is at most
-    max(half[b], lows[b] - lows[a], highs[a] - highs[b]).  The table is
-    quadratic, so each row checks the time limit.
+    Every value lies in [low, high], the extremes over all `spectra`.  An
+    integer value inside i's extent lies at most half i's widest gap,
+    rounded down, from i's spectrum, and one outside it at most i's
+    overhang, so the bound is max(half the widest gap, lows[i] - low,
+    high - highs[i]).
     """
-    lows = [s[0] for s in spectra]
-    highs = [s[-1] for s in spectra]
-    half = [max((y - x for x, y in zip(s, s[1:])), default=0) // 2 for s in spectra]
-    bound = []
-    for a in range(len(spectra)):
-        clock.check()
-        bound.append([
-            min(
-                max(half[b], lows[b] - lows[a], highs[a] - highs[b]),
-                max(half[a], lows[a] - lows[b], highs[b] - highs[a]),
-            )
-            for b in range(len(spectra))
-        ])
-    return bound
-
-
-def _sentinel_solution(instance: Instance) -> SpacingSolution:
-    # A single carrier has no pairwise distance; report the instance span
-    # and the canonical witness (lowest radius id, its lowest resonance).
-    noms = instance.all_nominals()
-    span = max(noms) - min(noms)
-    rid = min(instance.ids())
-    return SpacingSolution((rid,), ((0,),), span, OPTIMAL)
+    low = min(s[0] for s in spectra)
+    high = max(s[-1] for s in spectra)
+    widest = [max((y - x for x, y in zip(s, s[1:])), default=0) for s in spectra]
+    return [max(w // 2, s[0] - low, high - s[-1]) for w, s in zip(widest, spectra)]
 
 
 def solve_spacing(
@@ -359,14 +340,15 @@ def solve_spacing(
     test packs every carrier pairwise apart, so span or comb caps above
     the leaves would only move effort.
 
-    A pair hole costs two scans, so the DFS tests a cheaper bound first.
-    It carries a row: `row[i]`, for each later candidate i, is at least
-    the cap that adding i gives, from `_pair_bounds`' O(1) bound on each
-    pair hole.  A candidate whose row entry does not beat the incumbent is
-    dropped before anything else.  The exact holes of a survivor are
-    scanned once, memoised, and decide; since the row never undercuts
-    them, every node gets the verdict and the bound it would get with
-    every hole scanned up front.
+    A pair hole costs two scans, so the DFS tests a cheaper bound first:
+    `_hole_bounds` gives one number per radius, `far[i]`, that no pair
+    hole involving i exceeds.  With two or more radii to choose, every
+    subset holding i has an optimum of at most `far[i]`, so a candidate
+    with `far[i] <= best` is dropped at any depth, the root included.  (One
+    radius meets no cross rule, so the bound does not apply to it.)  The
+    exact holes of a survivor are scanned once, memoised, and decide;
+    since `far` never undercuts them, every node gets the verdict and the
+    bound it would get with every hole scanned up front.
     """
     if config is None:
         config = SolveConfig()
@@ -376,18 +358,20 @@ def solve_spacing(
         # only suits small inputs.
         return _enumerate(instance, problem, clock)
     if problem.n_radii * problem.n_lambda == 1:
-        return _sentinel_solution(instance)
+        # A single carrier has no pairwise distance; report the instance span
+        # and the canonical witness (lowest radius id, its lowest resonance).
+        noms = instance.all_nominals()
+        return SpacingSolution((min(instance.ids()),), ((0,),), max(noms) - min(noms))
     n_radii, n_lambda, mode = problem.n_radii, problem.n_lambda, problem.mode
     gaps = n_radii * n_lambda - 1
-    eligible = [
-        e.id
-        for e in sorted(instance.radii, key=lambda e: e.id)
-        if len(e.resonances) >= n_lambda
+    entries = [
+        e for e in sorted(instance.radii, key=lambda e: e.id) if len(e.resonances) >= n_lambda
     ]
-    if len(eligible) < n_radii:
+    if len(entries) < n_radii:
         return SpacingSolution((), (), None, INFEASIBLE)
 
-    spectra = [instance.entry(rid).nominals() for rid in eligible]
+    eligible = [e.id for e in entries]
+    spectra = [e.nominals() for e in entries]
     lows = [min(s) for s in spectra]
     highs = [max(s) for s in spectra]
     refined = mode == REFINED
@@ -431,13 +415,13 @@ def solve_spacing(
             for r, values in rows
         ]
 
-    def dfs(start: int, chosen: list[int], lo, hi, cap, row) -> None:
+    def dfs(start: int, chosen: list[int], lo, hi, cap) -> None:
         need = n_radii - len(chosen)
         for i in range(start, len(eligible) - need + 1):
             clock.tick()
-            # row[i] bounds new_cap from above, so this prunes only what the
-            # exact test below would.
-            if row[i] <= best:
+            # far[i] bounds every cap that i takes part in, so this prunes
+            # only what the exact test below, or a later one, would.
+            if far[i] <= best:
                 continue
             new_cap = cap
             if refined:
@@ -454,20 +438,20 @@ def solve_spacing(
                     continue
             new_lo, new_hi = min(lo, lows[i]), max(hi, highs[i])
             if need > 1:
-                new_row = [r if r < b else b for r, b in zip(row, bound[i])] if refined else row
-                dfs(i + 1, chosen + [i], new_lo, new_hi, new_cap, new_row)
+                dfs(i + 1, chosen + [i], new_lo, new_hi, new_cap)
             else:
                 top = min(new_cap, (new_hi - new_lo) // gaps)
                 if top > best:
                     leaf(chosen + [i], top)
 
+    far = [math.inf] * len(eligible)
+    if refined and n_radii > 1:
+        # The cheap per-radius bounds, and the exact pair caps of the
+        # candidates that pass them, filled on demand.
+        far = _hole_bounds(spectra)
+        pair_cap = [[None] * len(eligible) for _ in eligible]
     try:
-        if refined:
-            # The cheap pair bounds, and the exact pair caps of the
-            # candidates that pass them, filled on demand.
-            bound = _pair_bounds(spectra, clock)
-            pair_cap = [[None] * len(eligible) for _ in eligible]
-        dfs(0, [], math.inf, -math.inf, math.inf, [math.inf] * len(eligible))
+        dfs(0, [], math.inf, -math.inf, math.inf)
     except _Timeout:
         return _solution(best_rows, best, True)
     return _solution(best_rows, best, False)
@@ -490,9 +474,11 @@ def _enumerate(instance: Instance, problem: SpacingProblem, clock: _Clock):
     of the subsets finished so far."""
     if problem.n_radii > len(instance.radii):
         return SpacingSolution((), (), None, INFEASIBLE)
-    if problem.n_radii * problem.n_lambda == 1:
-        return _sentinel_solution(instance)
     vals = {e.id: list(e.nominals()) for e in instance.radii}
+    # A single carrier has no pairwise distance; by definition it scores the
+    # span of the whole instance.
+    noms = [v for values in vals.values() for v in values]
+    span = max(noms, default=0) - min(noms, default=0)
     eligible = sorted(r for r in instance.ids() if len(vals[r]) >= problem.n_lambda)
     best_d: int | None = None
     best_rows = None
@@ -522,7 +508,7 @@ def _enumerate(instance: Instance, problem: SpacingProblem, clock: _Clock):
                 # running minimum falls below the subset incumbent, since the
                 # final gap can then no longer win or tie.
                 values = sorted(v for v, _ in carriers)
-                gap = min(b - a for a, b in zip(values, values[1:]))
+                gap = min((b - a for a, b in zip(values, values[1:])), default=span)
                 if sub_best is not None and gap < sub_best:
                     continue
                 if problem.mode == REFINED:
@@ -553,11 +539,11 @@ def oracle_spacing(instance: Instance, problem: SpacingProblem) -> SpacingSoluti
 
     Intended for small inputs (a handful of radii, n_radii * n_lambda up
     to about 8).  It shares no search code with the branch and bound of
-    `solve_spacing` (method ``bnb``), which is what it checks.  It is the
-    same `_enumerate` that ``--method exhaustive`` runs, so comparing the
-    two proves nothing, and it shares `_solution` (status and payload),
-    `_sentinel_solution` (the single-carrier answer) and `_Clock` with the
-    solver.  Ties break identically (first subset in ascending-id order,
-    then the canonical matrix key).
+    `solve_spacing` (method ``bnb``), which is what it checks, and scores
+    the single-carrier shape from the definitions too.  It is the same
+    `_enumerate` that ``--method exhaustive`` runs, so comparing the two
+    proves nothing, and it shares `_solution` (status and payload) and
+    `_Clock` with the solver.  Ties break identically (first subset in
+    ascending-id order, then the canonical matrix key).
     """
     return _enumerate(instance, problem, _Clock(0))

@@ -10,6 +10,7 @@ import time
 from conftest import (
     dist_upper_bound,
     distance_ladder,
+    generate_random_small,
     radius1_instance,
     table1_instance,
     with_delta,
@@ -21,7 +22,6 @@ from wronoc import (
     conflicts_of,
     export_asp_facts,
     generate,
-    generate_random_small,
     apply_delta,
     oracle_max_parallelism,
     oracle_spacing,

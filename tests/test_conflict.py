@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_instance, restrict, table1_instance, with_delta
+from conftest import build_instance, generate_random_small, restrict, table1_instance, with_delta
 from wronoc import (
     ConflictPair,
     GenSpec,
@@ -16,7 +16,6 @@ from wronoc import (
     apply_delta,
     conflicts_of,
     generate,
-    generate_random_small,
     solve_max_parallelism,
 )
 from wronoc.verify import check_parallelism_solution

@@ -1,12 +1,12 @@
 import pytest
 
+from conftest import generate_random_small
 from wronoc import (
     GenSpec,
     GeneratorError,
     SplitMix64,
     conflicts_of,
     generate,
-    generate_random_small,
     validate,
 )
 

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import build_instance, table1_instance
+from conftest import build_instance, generate_random_small, table1_instance
 from wronoc import (
     DeltaPolicy,
     Instance,
@@ -11,7 +11,6 @@ from wronoc import (
     apply_delta,
     export_asp_facts,
     format_instance,
-    generate_random_small,
     instance_digest,
     parse_instance,
     validate,

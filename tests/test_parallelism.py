@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from conftest import build_instance, restrict, table1_instance, with_delta
+from conftest import build_instance, generate_random_small, restrict, table1_instance, with_delta
 from wronoc import (
     GenSpec,
     ParallelismSolution,
@@ -10,8 +10,8 @@ from wronoc import (
     apply_delta,
     conflicts_of,
     generate,
-    generate_random_small,
     oracle_max_parallelism,
+    parallelism,
     solve_max_parallelism,
 )
 from wronoc.verify import check_parallelism_solution
@@ -281,3 +281,22 @@ class TestSearchEffort:
         sol = solve_max_parallelism(inst, conflicts_of(inst), 16)
         assert sol.status == "infeasible"
         assert [c.steps for c in clocks] == [1606]
+
+
+class TestBoundedMisCache(TestPinnedDeskScale, TestSearchEffort):
+    """Every pinned answer and effort count again, with MIS caches that are
+    cleared at four entries: a size depends on its mask alone, so clearing
+    a full cache changes neither."""
+
+    @pytest.fixture(autouse=True)
+    def tiny_cache(self, monkeypatch):
+        monkeypatch.setattr(parallelism, "_MIS_CACHE_SIZE", 4)
+
+    def test_a_full_cache_is_cleared(self):
+        # Widened so that neighbouring resonances overlap.
+        resonances = table1_instance(half_width=10_000).entry(4).resonances
+        cache = parallelism._MisCache(resonances)
+        for mask in range(1 << len(resonances)):
+            usable = tuple(j for j in range(len(resonances)) if mask >> j & 1)
+            assert cache[mask] == len(parallelism._longest_chain(resonances, usable))
+            assert len(cache) <= 4

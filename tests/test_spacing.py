@@ -9,6 +9,7 @@ from conftest import (
     build_instance,
     dist_upper_bound,
     distance_ladder,
+    generate_random_small,
     radius1_instance,
     restrict,
 )
@@ -18,13 +19,12 @@ from wronoc import (
     SpacingProblem,
     SpacingSolution,
     generate,
-    generate_random_small,
     oracle_spacing,
     solve_spacing,
     spacing,
 )
 from wronoc.parallelism import _Clock, _Timeout
-from wronoc.spacing import _admissible, _deepest_hole, _packs, _pair_bounds, _witness
+from wronoc.spacing import _admissible, _deepest_hole, _hole_bounds, _packs, _witness
 from wronoc.verify import check_spacing_solution
 
 
@@ -169,9 +169,9 @@ class TestPacks:
         assert clock.steps == 3**3 - 1
 
 
-class TestPairBounds:
-    """`_pair_bounds` never undercuts the exact cap of a pair, so pruning on
-    it drops only what the exact caps would."""
+class TestHoleBounds:
+    """`_hole_bounds` never undercuts the exact hole of another spectrum in
+    a radius's, so pruning on it drops only what the exact caps would."""
 
     @given(
         spectra=st.lists(
@@ -186,14 +186,10 @@ class TestPairBounds:
     @example(spectra=[[30], [0, 10, 50], [55]])  # one-resonance radii
     @example(spectra=[[0, 20, 40], [20, 40, 41]])  # shared values
     @settings(max_examples=200, deadline=None)
-    def test_never_below_the_exact_cap(self, spectra):
-        bound = _pair_bounds(spectra, _Clock(0))
+    def test_never_below_an_exact_hole(self, spectra):
+        far = _hole_bounds(spectra)
         for a, b in permutations(range(len(spectra)), 2):
-            exact = min(
-                _deepest_hole(spectra[a], spectra[b]),
-                _deepest_hole(spectra[b], spectra[a]),
-            )
-            assert bound[a][b] >= exact, (a, b)
+            assert far[b] >= _deepest_hole(spectra[a], spectra[b]), (a, b)
 
 
 class TestLadderAndBound:
@@ -255,6 +251,16 @@ class TestSolve:
             assert sol.matrix == ((0,),)
             assert oracle_spacing(table1, SpacingProblem(1, 1, mode)) == sol
 
+    def test_sentinel_inside_the_band(self):
+        # Radius 2 holds both ends of the band; the witness is still the
+        # lowest resonance of the lowest id, scored with the whole span.
+        inst = build_instance({1: (1_505_000, 1_507_000), 2: (1_500_000, 1_510_000)})
+        for mode in ("base", "refined"):
+            problem = SpacingProblem(1, 1, mode)
+            sol = solve_spacing(inst, problem)
+            assert (sol.dist_pm, sol.selected_radii, sol.matrix) == (10_000, (1,), ((0,),))
+            assert oracle_spacing(inst, problem) == sol
+
     def test_infeasible_when_rows_cannot_fill(self, table1):
         sol = solve_spacing(table1, SpacingProblem(1, 8, "base"))
         assert sol.status == "infeasible"
@@ -288,11 +294,12 @@ class TestSolve:
         sol = solve_spacing(inst, SpacingProblem(3, 2, "base"), SolveConfig(time_limit=1e-9))
         assert sol.status == "incumbent-timeout"
 
-    def test_time_limit_bounds_the_pair_bounds(self):
-        # 1,251 radii: the refined pair-bound table alone takes seconds.
+    def test_time_limit_stops_a_large_pool(self):
+        # 1,251 radii: the whole solve takes ~0.1 s on a 2-vCPU VM, ten times
+        # the limit, and a memo row per radius is set up before the search.
         inst = generate(GenSpec(r_step_pm=20_000))
         started = time.monotonic()
-        sol = solve_spacing(inst, SpacingProblem(2, 2, "refined"), SolveConfig(time_limit=0.1))
+        sol = solve_spacing(inst, SpacingProblem(2, 2, "refined"), SolveConfig(time_limit=0.01))
         assert sol.status == "incumbent-timeout"
         assert time.monotonic() - started < 1
 
@@ -340,6 +347,20 @@ IN_A_GAP = {  # radii 2 and 4 lie inside the 40 nm gap of radius 1
     4: (1_509_900, 1_510_000, 1_510_100),
 }
 
+# Refined instances for the per-radius hole bound `far` (`_hole_bounds`).
+DENSE_COMB = {  # radius 3 combs the whole band: far = 50, below the optimum
+    1: (1_500_000, 1_510_000),
+    2: (1_505_000,),
+    3: tuple(range(1_500_000, 1_510_001, 100)),
+    4: (1_502_000,),
+}
+LOW_OUTLIER = {  # radius 1 sets the band's low end 100 nm below the rest
+    1: (1_400_000, 1_400_010),
+    2: (1_500_000, 1_500_400, 1_500_800),
+    3: (1_500_200, 1_500_600, 1_501_000),
+    4: (1_500_050, 1_500_950),
+}
+
 # Inner-node caps the subset search does not carry would prune here; the
 # exact leaf test must reject every leaf they would cut.
 NARROW_COMB = {  # radius 3 cannot host two carriers the incumbent apart
@@ -367,6 +388,36 @@ class TestOracleAgreement:
         sol = solve_spacing(inst, problem, SolveConfig(method="bnb"))
         assert sol == oracle_spacing(inst, problem)
         assert sol.status == "optimal"
+
+    def test_hole_bound_prunes_at_the_root(self, monkeypatch):
+        scanned = []
+
+        def recorded(values, others):
+            scanned.append({values, others})
+            return _deepest_hole(values, others)
+
+        monkeypatch.setattr(spacing, "_deepest_hole", recorded)
+        inst = build_instance(DENSE_COMB)
+        problem = SpacingProblem(2, 1, "refined")
+        sol = solve_spacing(inst, problem)
+        assert sol == oracle_spacing(inst, problem)
+        assert sol.dist_pm == 5000
+        comb = inst.entry(3).nominals()
+        # Radius 3 never reaches an exact scan, not even against radius 4,
+        # which only a branch opened at radius 3 would pair it with.
+        assert _hole_bounds([inst.entry(r).nominals() for r in inst.ids()])[2] == 50
+        assert scanned and not any(comb in pair for pair in scanned)
+
+    def test_hole_bound_looser_than_any_pair(self):
+        # Radius 4's pair hole with radius 2 is 150 (the old pairwise bound
+        # gave 200), but radius 1 sets the low end, so far is 100,050; the
+        # exact hole, not far, must drop the pair.
+        inst = build_instance(LOW_OUTLIER)
+        assert _hole_bounds([inst.entry(r).nominals() for r in inst.ids()])[3] == 100_050
+        problem = SpacingProblem(2, 2, "refined")
+        sol = solve_spacing(inst, problem)
+        assert sol == oracle_spacing(inst, problem)
+        assert (sol.dist_pm, sol.selected_radii) == (200, (2, 3))
 
     @pytest.mark.parametrize("mode", ["base", "refined"])
     @pytest.mark.parametrize(
@@ -460,17 +511,17 @@ class TestProperties:
 
 # Desk-scale Phase-2 optima: (seed, n_radii, n_lambda, mode) ->
 # (dist_pm, selected_radii, matrix, steps) on generate(GenSpec(seed,
-# jitter_pm=100)).  The oracle tests use small instances, where the pair
-# and leaf span caps rarely prune; these pin the search where they do.
-# `steps` is the search effort in `_Clock` ticks (subset nodes, row-search
-# candidates and packing-DP states), pinned as in `TestSearchEffort`: a
-# change that alters it on purpose updates it here and says so in
-# CHANGES.md with the old and new counts.
+# jitter_pm=100)).  The oracle tests use small instances, where the hole
+# bounds and leaf span caps rarely prune; these pin the search where they
+# do.  `steps` is the search effort in `_Clock` ticks (subset nodes,
+# row-search candidates and packing-DP states), pinned as in
+# `TestSearchEffort`: a change that alters it on purpose updates it here
+# and says so in CHANGES.md with the old and new counts.
 PINNED = {
     (1000, 2, 2, "base"): (43154, (72, 96), ((0, 8), (19, 28)), 19916),
     (1001, 2, 2, "base"): (43122, (72, 96), ((0, 8), (19, 28)), 18920),
-    (1000, 3, 3, "refined"): (4932, (6, 14, 1), ((0, 3, 4), (1, 4, 5), (1, 3, 4)), 38183),
-    (1001, 3, 3, "refined"): (4970, (8, 14, 1), ((0, 4, 5), (1, 5, 6), (1, 3, 4)), 37926),
+    (1000, 3, 3, "refined"): (4932, (6, 14, 1), ((0, 3, 4), (1, 4, 5), (1, 3, 4)), 36951),
+    (1001, 3, 3, "refined"): (4970, (8, 14, 1), ((0, 4, 5), (1, 5, 6), (1, 3, 4)), 36682),
 }
 
 
@@ -489,12 +540,13 @@ class TestPinnedDeskScale:
 
 
 # `_deepest_hole` calls per refined `PINNED` solve: the exact pair holes the
-# subset search scans once the O(1) pair bounds let a candidate through.
-# Scanning every pair takes 10,100 (two scans for each of the 5,050 pairs
-# of 101 radii); a change that moves these counts says so in CHANGES.md.
+# subset search scans once the per-radius `_hole_bounds` let a candidate
+# through.  Scanning every pair takes 10,100 (two scans for each of the
+# 5,050 pairs of 101 radii); a change that moves these counts says so in
+# CHANGES.md.
 HOLE_SCANS = {
-    (1000, 3, 3, "refined"): 1912,
-    (1001, 3, 3, "refined"): 1924,
+    (1000, 3, 3, "refined"): 3220,
+    (1001, 3, 3, "refined"): 3136,
 }
 
 
