@@ -25,10 +25,19 @@ every probe works on what is left.  At d = 0 nothing else constrains the
 matrix, so the probe is a count: does every radius keep ``n_lambda``
 carriers?  At d > 0 it is a quota packing: can each radius take
 ``n_lambda`` of its admissible carriers, all pairwise at least d apart?
-An exact DP over per-radius count vectors (`_packs`) decides it without
+Two one-pass greedies (`_greedy`) settle most packings: one builds a
+packing, the other counts too few carriers d apart for any.  An exact DP
+over per-radius count vectors (`_packs`) decides the rest without
 backtracking.  The depth-first row search (`_witness`) builds the one
 witness of a subset that improves the incumbent, and decides the probes
 of shapes beyond the DP's state budget.
+
+Above the probes, refined mode propagates each radius's cardinality:
+every chosen radius needs ``n_lambda`` carriers clear of the others'
+spectra, so the subset search bounds a pair by the ``n_lambda``-th
+deepest hole of either radius in the other (`_deepest_hole`), and a
+radius by the largest distance at which its own holes still hold
+``n_lambda`` carriers of another radius (`_hole_bounds`).
 
 Solutions are canonical: rows are built left to right, rows open in
 ascending first-carrier order, and ties break toward smaller wavelength
@@ -242,6 +251,14 @@ def _witness(allowed, n_lambda: int, dist: int, clock: _Clock):
 # desk instances the DP decider held a better incumbent than the row search
 # at 262,144 (6x7), 823,543 (7x6) and 1,000,000 (6x9) states, the same one
 # at 537,824 (5x13) and 1,679,616 (8x5), and a worse one at 2,097,152 (7x7).
+# Only probes that neither `_greedy` check settles still reach the decider.
+# In refined mode none did on desk 4x5 (seeds 1000, 1001) or small-ring 6x7
+# (seeds 3-5): the quota greedy settled the 20-35 probes per solve that pass
+# the admissible count, whose DPs had taken ~95% of a 6x7 solve.
+# Base mode still needs it: in 10 s of small-ring 6x7 (seed 3), 20 of 45
+# probes reach the DP and take nearly all the time, and a budget of 2^10,
+# which hands them to the row search, reached the same incumbents on 6x7
+# and 7x6.  Nothing argues for moving it, so it stays.
 _PACK_STATES = 1 << 20
 
 
@@ -279,37 +296,85 @@ def _packs(allowed, n_lambda: int, dist: int, clock: _Clock) -> bool:
     return g[-1] != math.inf
 
 
-def _deepest_hole(values, others) -> int:
-    """The largest distance from one of `values` to its nearest neighbour
-    in `others`, both sorted ascending."""
-    best = 0
-    k = 0
+def _greedy(allowed, n_lambda: int, dist: int) -> bool | None:
+    """Two one-pass checks of the quota packing `_packs` decides: True when
+    it is feasible, False when it is not, None when neither check settles it.
+
+    Both walk the admissible carriers `allowed` (one sorted list per radius)
+    merged in ascending order.  The quota greedy takes each carrier whose
+    radius still needs one and that clears the last pick by `dist`; filling
+    every quota builds a packing.  The quota-free greedy takes each carrier
+    that clears the last pick, which finds the most carriers pairwise `dist`
+    apart; fewer than n_lambda per radius rules every packing out.
+    """
+    merged = sorted((v, r) for r, lst in enumerate(allowed) for v in lst)
+    need = [n_lambda] * len(allowed)
+    left = total = n_lambda * len(allowed)
+    last = -math.inf
+    for v, r in merged:
+        if need[r] and v >= last + dist:
+            need[r] -= 1
+            left -= 1
+            last = v
+            if not left:
+                return True
+    count = 0
+    last = -math.inf
+    for v, _ in merged:
+        if v >= last + dist:
+            count += 1
+            last = v
+            if count == total:
+                return None
+    return False
+
+
+def _deepest_hole(values, others, k: int) -> int:
+    """The k-th largest distance from one of `values` to its nearest
+    neighbour in `others`, both sorted ascending: the most that a row of k
+    of `values` can keep from every one of `others` (0 when `values` has
+    fewer than k)."""
+    nearest = []
+    last = len(others) - 1
     for v in values:
-        while k + 1 < len(others) and others[k + 1] <= v:
-            k += 1
-        nearest = abs(others[k] - v)
-        if k + 1 < len(others):
-            nearest = min(nearest, others[k + 1] - v)
-        if nearest > best:
-            best = nearest
-    return best
+        j = bisect_left(others, v)
+        if j > last:
+            nearest.append(v - others[last])
+        elif j and v - others[j - 1] < others[j] - v:
+            nearest.append(v - others[j - 1])
+        else:
+            nearest.append(others[j] - v)
+    if len(nearest) < k:
+        return 0
+    nearest.sort()
+    return nearest[-k]
 
 
-def _hole_bounds(spectra) -> list[int]:
-    """An O(1) bound per radius on every refined pair cap it takes part in:
-    entry i is at least the deepest hole of any other of `spectra` (each
-    sorted ascending) in spectrum i.
+def _hole_bounds(spectra, k: int) -> list[int]:
+    """An O(1) bound per radius on the refined optimum of every subset it
+    takes part in: entry i is the largest d at which the holes of spectrum
+    i still hold k values pairwise at least d apart and at least d from
+    every value of spectrum i (`spectra` are sorted ascending).
 
-    Every value lies in [low, high], the extremes over all `spectra`.  An
-    integer value inside i's extent lies at most half i's widest gap,
-    rounded down, from i's spectrum, and one outside it at most i's
-    overhang, so the bound is max(half the widest gap, lows[i] - low,
-    high - highs[i]).
+    Another chosen radius must place its k carriers so, and every value
+    lies in [low, high], the extremes over all `spectra`.  A gap of width w
+    holds w // d - 1 such values when w >= 2d, an overhang e (lows[i] - low
+    or high - highs[i]) holds e // d, so a gap contributes one value at
+    each of the thresholds w // 2, w // 3, ..., an overhang one at each of
+    e, e // 2, ..., and the bound is the k-th largest threshold.  Only the
+    k widest gaps can supply it.  At k = 1 it is max(half the widest gap,
+    rounded down, lows[i] - low, high - highs[i]).
     """
     low = min(s[0] for s in spectra)
     high = max(s[-1] for s in spectra)
-    widest = [max((y - x for x, y in zip(s, s[1:])), default=0) for s in spectra]
-    return [max(w // 2, s[0] - low, high - s[-1]) for w, s in zip(widest, spectra)]
+    steps = range(1, k + 1)
+    far = []
+    for s in spectra:
+        widest = sorted([y - x for x, y in zip(s, s[1:])])[-k:]
+        room = [w // (j + 1) for w in widest for j in steps]
+        room += [e // j for e in (s[0] - low, high - s[-1]) for j in steps]
+        far.append(sorted(room)[-k])
+    return far
 
 
 def solve_spacing(
@@ -325,30 +390,37 @@ def solve_spacing(
 
     Every probe first cuts the subset to its admissible carriers
     (`_admissible`); a radius left with fewer than n_lambda fails it, and
-    at d = 0 that count decides.  At d > 0 the quota-packing DP, `_packs`,
-    decides, or `_witness` when the DP would exceed `_PACK_STATES` states.
-    A subset is first tested at the incumbent + 1, so most subsets cost
-    one filter and at most one small DP.  `_witness` builds the one
-    canonical witness of a subset that beats the incumbent, at its
-    optimum.
+    at d = 0 that count decides.  At d > 0 two greedies (`_greedy`) try
+    first where one pass over the carriers is cheaper than the DP's
+    (n_lambda + 1) ** n_radii states: the quota greedy proves the probe
+    feasible, the quota-free one infeasible.  What they leave, the
+    quota-packing DP, `_packs`, decides, or `_witness` when the DP would
+    exceed `_PACK_STATES` states.  A subset is first tested at the
+    incumbent + 1, so most subsets cost one filter and at most one greedy
+    pass or small DP.  `_witness` builds the one canonical witness of a
+    subset that beats the incumbent, at its optimum.
 
-    The DFS carries one bound, the refined pair hole: a carrier of one
-    radius must clear the whole spectrum of every co-selected radius, so
-    the distance cannot exceed the deepest spectral hole of either radius
-    of a pair in the other.  A leaf also caps it by its span over its
-    carrier gaps, a pre-filter and the top of its ladder.  The exact leaf
-    test packs every carrier pairwise apart, so span or comb caps above
-    the leaves would only move effort.
+    The DFS carries one bound, the refined pair hole: each of the
+    n_lambda carriers of one radius must clear the whole spectrum of
+    every co-selected radius, so the distance cannot exceed the
+    n_lambda-th deepest spectral hole of either radius of a pair in the
+    other.  A leaf also caps it by its span over its carrier gaps, a
+    pre-filter and the top of its ladder.  The exact leaf test packs
+    every carrier pairwise apart, so span or comb caps above the leaves
+    would only move effort.
 
-    A pair hole costs two scans, so the DFS tests a cheaper bound first:
-    `_hole_bounds` gives one number per radius, `far[i]`, that no pair
-    hole involving i exceeds.  With two or more radii to choose, every
-    subset holding i has an optimum of at most `far[i]`, so a candidate
-    with `far[i] <= best` is dropped at any depth, the root included.  (One
-    radius meets no cross rule, so the bound does not apply to it.)  The
-    exact holes of a survivor are scanned once, memoised, and decide;
-    since `far` never undercuts them, every node gets the verdict and the
-    bound it would get with every hole scanned up front.
+    A pair hole costs a scan per direction, so the DFS tests a cheaper
+    bound first: `_hole_bounds` gives one number per radius, `far[i]`, the
+    largest distance at which i's holes hold n_lambda carriers of another
+    radius, pairwise that far apart.  With two or more radii to choose,
+    every subset holding i has an optimum of at most `far[i]`, so a
+    candidate with `far[i] <= best` is dropped at any depth, the root
+    included.  (One radius meets no cross rule, so the bound does not
+    apply to it.)  The holes of a survivor are scanned once and memoised
+    by pair, the second direction only when the first leaves the pair
+    above the incumbent: a cap at or below it prunes the pair for good,
+    since the incumbent only rises.  Both bounds are sound on their own,
+    and neither dominates the other, so each only moves effort.
     """
     if config is None:
         config = SolveConfig()
@@ -379,16 +451,21 @@ def solve_spacing(
     best = -1
     best_rows = None
 
-    # The DP's state count depends only on the shape, so one test picks the
-    # decider for the whole solve.
-    dp_decides = (n_lambda + 1) ** n_radii <= _PACK_STATES
+    # The DP's state count, which depends only on the shape.
+    states = (n_lambda + 1) ** n_radii
 
     def fits(subset, dist: int) -> bool:
         allowed = _admissible(subset, n_lambda, mode, dist)
         if allowed is None or dist == 0:
             # At d = 0 nothing limits the spacing, so the counts decide.
             return allowed is not None
-        if dp_decides:
+        # The greedies cost a pass over the carriers and the DP a step per
+        # state, so the greedies go first only where they are the cheaper.
+        if states > sum(map(len, allowed)):
+            verdict = _greedy(allowed, n_lambda, dist)
+            if verdict is not None:
+                return verdict
+        if states <= _PACK_STATES:
             return _packs(allowed, n_lambda, dist, clock)
         return _witness(allowed, n_lambda, dist, clock) is not None
 
@@ -419,19 +496,19 @@ def solve_spacing(
         need = n_radii - len(chosen)
         for i in range(start, len(eligible) - need + 1):
             clock.tick()
-            # far[i] bounds every cap that i takes part in, so this prunes
-            # only what the exact test below, or a later one, would.
+            # far[i] bounds the optimum of every subset holding i and
+            # another radius, so this prunes no subset that could win.
             if far[i] <= best:
                 continue
             new_cap = cap
             if refined:
                 for c in chosen:
-                    hole = pair_cap[c][i]
+                    hole = pair_cap.get((c, i))
                     if hole is None:
-                        hole = pair_cap[c][i] = min(
-                            _deepest_hole(spectra[c], spectra[i]),
-                            _deepest_hole(spectra[i], spectra[c]),
-                        )
+                        hole = _deepest_hole(spectra[c], spectra[i], n_lambda)
+                        if hole > best:
+                            hole = min(hole, _deepest_hole(spectra[i], spectra[c], n_lambda))
+                        pair_cap[c, i] = hole
                     if hole < new_cap:
                         new_cap = hole
                 if new_cap <= best:
@@ -446,10 +523,9 @@ def solve_spacing(
 
     far = [math.inf] * len(eligible)
     if refined and n_radii > 1:
-        # The cheap per-radius bounds, and the exact pair caps of the
-        # candidates that pass them, filled on demand.
-        far = _hole_bounds(spectra)
-        pair_cap = [[None] * len(eligible) for _ in eligible]
+        far = _hole_bounds(spectra, n_lambda)
+    # The pair caps of the candidates that pass `far`, by (c, i), on demand.
+    pair_cap: dict[tuple[int, int], int] = {}
     try:
         dfs(0, [], math.inf, -math.inf, math.inf)
     except _Timeout:

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -24,7 +25,14 @@ from wronoc import (
     spacing,
 )
 from wronoc.parallelism import _Clock, _Timeout
-from wronoc.spacing import _admissible, _deepest_hole, _hole_bounds, _packs, _witness
+from wronoc.spacing import (
+    _admissible,
+    _deepest_hole,
+    _greedy,
+    _hole_bounds,
+    _packs,
+    _witness,
+)
 from wronoc.verify import check_spacing_solution
 
 
@@ -122,17 +130,21 @@ class TestFeasible:
 
 
 def fits(spectra, n_lambda, mode, dist):
-    """A ladder probe as `solve_spacing` decides it within the DP budget."""
+    """A ladder probe as `solve_spacing` decides it within the DP budget,
+    checking that the greedies, where they settle it, agree with the DP."""
     allowed = _admissible(spectra, n_lambda, mode, dist)
     if allowed is None or dist == 0:
         return allowed is not None
-    return _packs(allowed, n_lambda, dist, _Clock(0))
+    verdict = _packs(allowed, n_lambda, dist, _Clock(0))
+    assert _greedy(allowed, n_lambda, dist) in (None, verdict)
+    return verdict
 
 
 class TestPacks:
-    """Every ladder probe, decided by the DP and by the row search, the
-    row-search witness at the optimum and the solve itself, against the
-    brute-force oracle on the subset alone."""
+    """Every ladder probe, decided by the DP, by the greedies where they
+    settle it and by the row search, the row-search witness at the optimum
+    and the solve itself, against the brute-force oracle on the subset
+    alone."""
 
     @pytest.mark.parametrize("mode", ["base", "refined"])
     @pytest.mark.parametrize("seed", range(20))
@@ -169,27 +181,107 @@ class TestPacks:
         assert clock.steps == 3**3 - 1
 
 
+def spaced_row_hole(values, others, k):
+    """The largest d at which some k of `values`, pairwise at least d apart,
+    all keep at least d from `others`: every row tried."""
+    best = 0
+    for row in combinations(values, k):
+        d = min(abs(v - w) for v in row for w in others)
+        d = min([d] + [y - x for x, y in zip(row, row[1:])])
+        best = max(best, d)
+    return best
+
+
+def holds(spectrum, low, high, d):
+    """The most integers in [low, high] pairwise at least d > 0 apart and
+    at least d from every value of `spectrum`: leftmost first, point by
+    point."""
+    count, last = 0, None
+    for p in range(low, high + 1):
+        if (last is None or p - last >= d) and all(abs(p - v) >= d for v in spectrum):
+            count, last = count + 1, p
+    return count
+
+
+spectra_lists = st.lists(
+    st.lists(st.integers(0, 60), min_size=1, max_size=6, unique=True).map(sorted),
+    min_size=2,
+    max_size=5,
+)
+
+
 class TestHoleBounds:
-    """`_hole_bounds` never undercuts the exact hole of another spectrum in
-    a radius's, so pruning on it drops only what the exact caps would."""
+    """`_deepest_hole` is the refined pair cap: the k-th hole is the most a
+    row of k carriers keeps from another spectrum.  `_hole_bounds` is the
+    largest distance at which a spectrum's holes hold k carriers, so it
+    never undercuts a row another radius can place there."""
 
     @given(
-        spectra=st.lists(
-            st.lists(st.integers(0, 60), min_size=1, max_size=6, unique=True).map(sorted),
-            min_size=2,
-            max_size=5,
-        ),
+        values=st.lists(st.integers(0, 60), min_size=1, max_size=7, unique=True).map(sorted),
+        others=st.lists(st.integers(0, 60), min_size=1, max_size=6, unique=True).map(sorted),
+        k=st.integers(1, 4),
     )
-    @example(spectra=[[0, 2], [50, 52]])  # disjoint extents
-    @example(spectra=[[0, 60], [29, 31]])  # one inside the other's gap
-    @example(spectra=[[0, 30, 60], [10, 40]])  # nested, interleaved
-    @example(spectra=[[30], [0, 10, 50], [55]])  # one-resonance radii
-    @example(spectra=[[0, 20, 40], [20, 40, 41]])  # shared values
+    @example(values=[10, 20, 30], others=[0, 40], k=2)  # the middle value lies deepest
+    @example(values=[0, 1], others=[50], k=2)  # wholly below
+    @example(values=[5, 55], others=[30], k=3)  # fewer values than k
     @settings(max_examples=200, deadline=None)
-    def test_never_below_an_exact_hole(self, spectra):
-        far = _hole_bounds(spectra)
+    def test_kth_hole_is_the_best_row(self, values, others, k):
+        rows = [min(abs(v - w) for v in row for w in others) for row in combinations(values, k)]
+        assert _deepest_hole(values, others, k) == max(rows, default=0)
+
+    @given(spectra=spectra_lists, k=st.integers(1, 3))
+    @example(spectra=[[0, 2], [50, 52]], k=1)  # disjoint extents
+    @example(spectra=[[0, 60], [29, 31]], k=1)  # one inside the other's gap
+    @example(spectra=[[0, 30, 60], [10, 40]], k=2)  # nested, interleaved
+    @example(spectra=[[30], [0, 10, 50], [55]], k=1)  # one-resonance radii
+    @example(spectra=[[0, 20, 40], [20, 40, 41]], k=2)  # shared values
+    @example(spectra=[[0, 60], [30, 31]], k=2)  # far[0] = 20, below the k-th hole of 29
+    @example(spectra=[[0, 60], [5, 6, 7]], k=3)  # one gap, or one overhang, holds all
+    @settings(max_examples=200, deadline=None)
+    def test_never_below_a_spaced_row(self, spectra, k):
+        far = _hole_bounds(spectra, k)
         for a, b in permutations(range(len(spectra)), 2):
-            assert far[b] >= _deepest_hole(spectra[a], spectra[b]), (a, b)
+            assert far[b] >= spaced_row_hole(spectra[a], spectra[b], k), (a, b)
+            if k == 1:
+                assert far[b] >= _deepest_hole(spectra[a], spectra[b], 1), (a, b)
+
+    @given(spectra=spectra_lists, k=st.integers(1, 3))
+    @example(spectra=[[0, 60], [30]], k=2)  # the gap holds both, the overhangs none
+    @example(spectra=[[20, 21], [0, 60]], k=3)  # overhangs on both sides
+    @settings(max_examples=100, deadline=None)
+    def test_largest_distance_that_holds_k(self, spectra, k):
+        low = min(s[0] for s in spectra)
+        high = max(s[-1] for s in spectra)
+        far = _hole_bounds(spectra, k)
+        for s, bound in zip(spectra, far):
+            assert bound == max(
+                [0] + [d for d in range(1, high - low + 1) if holds(s, low, high, d) >= k]
+            )
+            if k == 1:
+                widest = max((y - x for x, y in zip(s, s[1:])), default=0)
+                assert bound == max(widest // 2, s[0] - low, high - s[-1])
+
+
+class TestGreedy:
+    """Where a greedy settles a packing probe, it agrees with `_packs`."""
+
+    @given(
+        allowed=st.lists(
+            st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True).map(sorted),
+            min_size=1,
+            max_size=4,
+        ),
+        n_lambda=st.integers(1, 3),
+        dist=st.integers(1, 12),
+    )
+    @example(allowed=[[0, 3], [1]], n_lambda=1, dist=2)  # neither settles: feasible
+    @example(allowed=[[0, 1, 2], [1]], n_lambda=1, dist=2)  # neither settles: infeasible
+    @example(allowed=[[0, 1], [2]], n_lambda=1, dist=5)  # too few points apart
+    @example(allowed=[[0, 10], [5, 15]], n_lambda=2, dist=5)  # the quota greedy fills both
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_packs(self, allowed, n_lambda, dist):
+        verdict = _greedy(allowed, n_lambda, dist)
+        assert verdict in (None, _packs(allowed, n_lambda, dist, _Clock(0)))
 
 
 class TestLadderAndBound:
@@ -289,6 +381,19 @@ class TestSolve:
         assert oracle_spacing(inst, SpacingProblem(2, 1, "base")).status == "infeasible"
         assert oracle_spacing(inst, SpacingProblem(2, 1, "refined")).dist_pm == 0
 
+    def test_large_pool_memory(self):
+        # 2,501 radii: the exact pair caps are memoised per pair scanned, so
+        # memory follows the search, not an N x N table (~50 MB here).
+        inst = generate(GenSpec(r_step_pm=10_000))
+        tracemalloc.start()
+        try:
+            sol = solve_spacing(inst, SpacingProblem(2, 2, "refined"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (sol.status, sol.dist_pm) == ("optimal", 13_209)
+        assert peak < 10 * 2**20
+
     def test_timeout_status(self):
         inst = generate_random_small(11, 6, 10)
         sol = solve_spacing(inst, SpacingProblem(3, 2, "base"), SolveConfig(time_limit=1e-9))
@@ -296,7 +401,7 @@ class TestSolve:
 
     def test_time_limit_stops_a_large_pool(self):
         # 1,251 radii: the whole solve takes ~0.1 s on a 2-vCPU VM, ten times
-        # the limit, and a memo row per radius is set up before the search.
+        # the limit.
         inst = generate(GenSpec(r_step_pm=20_000))
         started = time.monotonic()
         sol = solve_spacing(inst, SpacingProblem(2, 2, "refined"), SolveConfig(time_limit=0.01))
@@ -392,9 +497,9 @@ class TestOracleAgreement:
     def test_hole_bound_prunes_at_the_root(self, monkeypatch):
         scanned = []
 
-        def recorded(values, others):
+        def recorded(values, others, k):
             scanned.append({values, others})
-            return _deepest_hole(values, others)
+            return _deepest_hole(values, others, k)
 
         monkeypatch.setattr(spacing, "_deepest_hole", recorded)
         inst = build_instance(DENSE_COMB)
@@ -405,15 +510,16 @@ class TestOracleAgreement:
         comb = inst.entry(3).nominals()
         # Radius 3 never reaches an exact scan, not even against radius 4,
         # which only a branch opened at radius 3 would pair it with.
-        assert _hole_bounds([inst.entry(r).nominals() for r in inst.ids()])[2] == 50
+        assert _hole_bounds([inst.entry(r).nominals() for r in inst.ids()], 1)[2] == 50
         assert scanned and not any(comb in pair for pair in scanned)
 
     def test_hole_bound_looser_than_any_pair(self):
         # Radius 4's pair hole with radius 2 is 150 (the old pairwise bound
-        # gave 200), but radius 1 sets the low end, so far is 100,050; the
-        # exact hole, not far, must drop the pair.
+        # gave 200), but radius 1 sets the low end 100,050 below it, so far
+        # is 50,025 for two carriers; the exact hole, not far, must drop the
+        # pair.
         inst = build_instance(LOW_OUTLIER)
-        assert _hole_bounds([inst.entry(r).nominals() for r in inst.ids()])[3] == 100_050
+        assert _hole_bounds([inst.entry(r).nominals() for r in inst.ids()], 2)[3] == 50_025
         problem = SpacingProblem(2, 2, "refined")
         sol = solve_spacing(inst, problem)
         assert sol == oracle_spacing(inst, problem)
@@ -520,8 +626,8 @@ class TestProperties:
 PINNED = {
     (1000, 2, 2, "base"): (43154, (72, 96), ((0, 8), (19, 28)), 19916),
     (1001, 2, 2, "base"): (43122, (72, 96), ((0, 8), (19, 28)), 18920),
-    (1000, 3, 3, "refined"): (4932, (6, 14, 1), ((0, 3, 4), (1, 4, 5), (1, 3, 4)), 36951),
-    (1001, 3, 3, "refined"): (4970, (8, 14, 1), ((0, 4, 5), (1, 5, 6), (1, 3, 4)), 36682),
+    (1000, 3, 3, "refined"): (4932, (6, 14, 1), ((0, 3, 4), (1, 4, 5), (1, 3, 4)), 11099),
+    (1001, 3, 3, "refined"): (4970, (8, 14, 1), ((0, 4, 5), (1, 5, 6), (1, 3, 4)), 10817),
 }
 
 
@@ -541,12 +647,13 @@ class TestPinnedDeskScale:
 
 # `_deepest_hole` calls per refined `PINNED` solve: the exact pair holes the
 # subset search scans once the per-radius `_hole_bounds` let a candidate
-# through.  Scanning every pair takes 10,100 (two scans for each of the
-# 5,050 pairs of 101 radii); a change that moves these counts says so in
-# CHANGES.md.
+# through, the second direction of a pair only when the first leaves it
+# above the incumbent.  Scanning every pair takes 10,100 (two scans for each
+# of the 5,050 pairs of 101 radii); a change that moves these counts says so
+# in CHANGES.md.
 HOLE_SCANS = {
-    (1000, 3, 3, "refined"): 3220,
-    (1001, 3, 3, "refined"): 3136,
+    (1000, 3, 3, "refined"): 1104,
+    (1001, 3, 3, "refined"): 1067,
 }
 
 
@@ -555,9 +662,9 @@ class TestPairHoleEffort:
     def test_exact_holes_on_demand(self, case, monkeypatch):
         scans = []
 
-        def counted(values, others):
+        def counted(values, others, k):
             scans.append(1)
-            return _deepest_hole(values, others)
+            return _deepest_hole(values, others, k)
 
         monkeypatch.setattr(spacing, "_deepest_hole", counted)
         seed, n_radii, n_lambda, mode = case
@@ -565,3 +672,42 @@ class TestPairHoleEffort:
         sol = solve_spacing(inst, SpacingProblem(n_radii, n_lambda, mode))
         assert (sol.dist_pm, sol.selected_radii, sol.matrix) == PINNED[case][:3]
         assert len(scans) == HOLE_SCANS[case]
+
+
+# Refined shapes the n_lambda-aware bounds bring within test time (solve
+# only, 2-vCPU VM): desk 4x5 took ~7 s and small-ring 6x7 10-15 s before,
+# and now take ~0.1 s and ~0.01 s.  name -> (GenSpec fields beside
+# jitter_pm=100, n_radii, n_lambda, dist_pm, selected_radii, matrix, steps),
+# with steps pinned as in `PINNED`.
+LARGE = {
+    "desk-4x5": (
+        {"seed": 1000}, 4, 5, 2650, (10, 13, 16, 6),
+        ((0, 1, 5, 6, 7), (0, 1, 5, 6, 7), (0, 1, 5, 6, 7), (0, 1, 3, 4, 5)),
+        101732,
+    ),
+    "small-ring-6x7": (
+        {"seed": 3, "r_max_pm": 12_000_000}, 6, 7, 1031, (18, 10, 21, 23, 14, 26),
+        (
+            (0, 1, 2, 5, 6, 7, 8),
+            (0, 1, 2, 4, 5, 6, 7),
+            (0, 1, 2, 6, 7, 8, 9),
+            (0, 1, 2, 6, 7, 8, 9),
+            (0, 1, 2, 4, 5, 6, 7),
+            (0, 1, 2, 6, 7, 8, 9),
+        ),
+        3256,
+    ),
+}
+
+
+class TestLargeRefined:
+    @pytest.mark.parametrize("name", sorted(LARGE))
+    def test_matches_pinned(self, name, clocks):
+        fields, n_radii, n_lambda, dist, radii, matrix, steps = LARGE[name]
+        inst = generate(GenSpec(jitter_pm=100, **fields))
+        problem = SpacingProblem(n_radii, n_lambda, "refined")
+        sol = solve_spacing(inst, problem)
+        assert sol.status == "optimal"
+        assert (sol.dist_pm, sol.selected_radii, sol.matrix) == (dist, radii, matrix)
+        assert [c.steps for c in clocks] == [steps]
+        assert check_spacing_solution(inst, problem, sol) == []
