@@ -25,12 +25,13 @@ every probe works on what is left.  At d = 0 nothing else constrains the
 matrix, so the probe is a count: does every radius keep ``n_lambda``
 carriers?  At d > 0 it is a quota packing: can each radius take
 ``n_lambda`` of its admissible carriers, all pairwise at least d apart?
-Two one-pass greedies (`_greedy`) settle most packings: one builds a
-packing, the other counts too few carriers d apart for any.  An exact DP
-over per-radius count vectors (`_packs`) decides the rest without
-backtracking.  The depth-first row search (`_witness`) builds the one
-witness of a subset that improves the incumbent, and decides the probes
-of shapes beyond the DP's state budget.
+Two greedies (`_greedy`) settle most packings: one builds a packing, the
+other counts too few carriers d apart for any.  An exact DP over
+per-radius count vectors (`_packs`) decides the rest without
+backtracking.  The row search (`_witness`) builds the witness slot by
+slot, each slot taking the first candidate after which the rest still
+packs; beyond the DP's state budget it backtracks instead, and decides
+the probes too.
 
 Above the probes, refined mode propagates each radius's cardinality:
 every chosen radius needs ``n_lambda`` carriers clear of the others'
@@ -149,6 +150,60 @@ def _admissible(spectra, n_lambda: int, mode: str, dist: int):
     return allowed
 
 
+def _clear(placed, v: int, dist: int) -> bool:
+    """Whether `v` is at least `dist` from every value of the sorted list
+    `placed`."""
+    if dist > 0 and placed:
+        i = bisect_left(placed, v)
+        if i < len(placed) and placed[i] - v < dist:
+            return False
+        if i > 0 and v - placed[i - 1] < dist:
+            return False
+    return True
+
+
+def _completes(allowed, n_lambda: int, dist: int, rows, placed, clock: _Clock) -> bool:
+    """Whether a carrier matrix at `dist` over `allowed` (one sorted list
+    per radius) extends `rows`, the (radius position, indices) rows placed
+    so far in row order, the last one open, whose values are the sorted
+    list `placed`.
+
+    The carriers still to place are: each radius with no row yet,
+    n_lambda at or above the open row's first + `dist`; the open row's own
+    remaining ones, at later indices; all of them clear of `placed`.  That
+    is a quota packing, which `_greedy` and then `_packs` decide (at
+    `dist` = 0, the counts).
+    """
+    lists, quotas = [], []
+    used = {r for r, _ in rows}
+    if rows:
+        open_r, idxs = rows[-1]
+        floor = allowed[open_r][idxs[0]] + dist
+    else:
+        open_r, floor = -1, -math.inf
+    for r, lst in enumerate(allowed):
+        if r == open_r:
+            quota = n_lambda - len(idxs)
+            start = idxs[-1] + 1
+        elif r in used:
+            continue
+        else:
+            quota = n_lambda
+            start = bisect_left(lst, floor)
+        if quota:
+            keep = [v for v in lst[start:] if _clear(placed, v, dist)]
+            if len(keep) < quota:
+                return False
+            lists.append(keep)
+            quotas.append(quota)
+    if not lists or dist == 0:
+        return True
+    verdict = _greedy(lists, quotas, dist)
+    if verdict is None:
+        return _packs(lists, quotas, dist, clock)
+    return verdict
+
+
 def _witness(allowed, n_lambda: int, dist: int, clock: _Clock):
     """The canonical carrier matrix at `dist` over the admissible carriers
     `allowed` (one sorted list per radius), or None when there is none.
@@ -165,6 +220,10 @@ def _witness(allowed, n_lambda: int, dist: int, clock: _Clock):
     candidates in turn and yields; the loop then pushes the frame for the
     next carrier, or pops a spent one, whose parent then takes its own
     carrier back and tries the next.
+
+    Within `_PACK_STATES`, a frame yields a candidate only when the
+    carriers still to place pack (`_completes`, the DP-completion check),
+    so no frame is ever spent and nothing is taken back.
     """
     tick = clock.tick
     tail = n_lambda - 1
@@ -179,15 +238,6 @@ def _witness(allowed, n_lambda: int, dist: int, clock: _Clock):
     rows: list[tuple[int, list[int]]] = []
     used: set[int] = set()
 
-    def clear(v: int) -> bool:
-        if dist > 0 and placed:
-            i = bisect_left(placed, v)
-            if i < len(placed) and placed[i] - v < dist:
-                return False
-            if i > 0 and v - placed[i - 1] < dist:
-                return False
-        return True
-
     def open_row(min_first: int | None):
         """Frame that opens the next row with each candidate in turn: the
         openers from `min_first` up whose radius has no row yet."""
@@ -196,12 +246,13 @@ def _witness(allowed, n_lambda: int, dist: int, clock: _Clock):
             if r in used:
                 continue
             tick()
-            if not clear(v):
+            if not _clear(placed, v, dist):
                 continue
             insort(placed, v)
             rows.append((r, [j]))
             used.add(r)
-            yield
+            if not complete or _completes(allowed, n_lambda, dist, rows, placed, clock):
+                yield
             used.remove(r)
             rows.pop()
             placed.pop(bisect_left(placed, v))
@@ -217,14 +268,18 @@ def _witness(allowed, n_lambda: int, dist: int, clock: _Clock):
             if lst[-1] - v < left * dist:
                 break
             tick()
-            if not clear(v):
+            if not _clear(placed, v, dist):
                 continue
             insort(placed, v)
             rows[-1][1].append(j)
-            yield
+            if not complete or _completes(allowed, n_lambda, dist, rows, placed, clock):
+                yield
             rows[-1][1].pop()
             placed.pop(bisect_left(placed, v))
 
+    complete = (n_lambda + 1) ** len(allowed) <= _PACK_STATES
+    if complete and not _completes(allowed, n_lambda, dist, rows, placed, clock):
+        return None
     stack = [open_row(None)]
     while stack:
         for _ in stack[-1]:
@@ -242,44 +297,46 @@ def _witness(allowed, n_lambda: int, dist: int, clock: _Clock):
     return None
 
 
-# The largest quota-packing DP, in states, that decides a ladder probe;
-# beyond it `_witness` decides, as the row search did before the DP.
-# `_packs` ticks the clock once per state, as every search loop ticks once
-# per step (`_Clock` reads the time every 256 steps), so a time limit bounds
-# the DP too.  A state costs ~3 us at 6 radii on a 2-vCPU VM, so a probe at
-# the budget takes ~3 s.  Chosen by measurement: at 20 s on small-ring and
-# desk instances the DP decider held a better incumbent than the row search
-# at 262,144 (6x7), 823,543 (7x6) and 1,000,000 (6x9) states, the same one
-# at 537,824 (5x13) and 1,679,616 (8x5), and a worse one at 2,097,152 (7x7).
-# Only probes that neither `_greedy` check settles still reach the decider.
-# In refined mode none did on desk 4x5 (seeds 1000, 1001) or small-ring 6x7
-# (seeds 3-5): the quota greedy settled the 20-35 probes per solve that pass
-# the admissible count, whose DPs had taken ~95% of a 6x7 solve.
-# Base mode still needs it: in 10 s of small-ring 6x7 (seed 3), 20 of 45
-# probes reach the DP and take nearly all the time, and a budget of 2^10,
-# which hands them to the row search, reached the same incumbents on 6x7
-# and 7x6.  Nothing argues for moving it, so it stays.
+# The largest quota-packing DP, in states, that decides a ladder probe and
+# checks a completion in `_witness`; beyond it `_witness` decides the probe
+# and builds the witness by backtracking, as the row search did before the
+# DP.  `_packs` ticks the clock once per state, as every search loop ticks
+# once per step (`_Clock` reads the time every 256 steps), so a time limit
+# bounds the DP too.  A state costs ~3 us at 6 radii on a 2-vCPU VM, so a
+# probe at the budget takes ~3 s.  Chosen by measurement: at 20 s on
+# small-ring and desk instances the DP decider held a better incumbent than
+# the row search at 262,144 (6x7), 823,543 (7x6) and 1,000,000 (6x9) states,
+# the same one at 537,824 (5x13) and 1,679,616 (8x5), and a worse one at
+# 2,097,152 (7x7).  Only probes that neither `_greedy` check settles reach
+# the DP; in refined mode none did on desk 4x5 (seeds 1000, 1001) or
+# small-ring 6x7 (seeds 3-5).  The budget also bounds the completion check
+# of `_witness`, which runs the DP once per candidate the greedies leave
+# open; a budget of 2^10, handing the base 6x7 and 7x6 probes to the row
+# search, reached the same incumbents, so nothing argues for moving it.
 _PACK_STATES = 1 << 20
 
 
-def _packs(allowed, n_lambda: int, dist: int, clock: _Clock) -> bool:
-    """Whether every radius can host `n_lambda` of its admissible carriers
-    `allowed` (one sorted list per radius), all pairwise at least `dist` > 0
-    apart.
+def _packs(allowed, quotas, dist: int, clock: _Clock) -> bool:
+    """Whether each radius r can host `quotas[r]` of its admissible carriers
+    `allowed[r]` (one sorted list per radius), all pairwise at least `dist`
+    > 0 apart.
 
     A quota packing: g(c), the smallest possible last carrier of a valid
     pick with per-radius counts c, is the minimum over radii r of the first
     admissible carrier of r at or above g(c - e_r) + dist.  The probe is
-    feasible iff g(n_lambda, ...) exists.  The DP has
-    (n_lambda + 1) ** len(allowed) states.
+    feasible iff g(quotas) exists.  The DP has the product of
+    (quotas[r] + 1) states.
     """
-    width = n_lambda + 1
-    n = len(allowed)
-    strides = [width ** (n - 1 - r) for r in range(n)]
-    g = [math.inf] * width ** n
+    strides = []
+    size = 1
+    for q in reversed(quotas):
+        strides.append(size)
+        size *= q + 1
+    strides.reverse()
+    g = [math.inf] * size
     g[0] = -math.inf
     tick = clock.tick
-    counts = product(range(width), repeat=n)
+    counts = product(*(range(q + 1) for q in quotas))
     next(counts)
     for state, c in enumerate(counts, 1):
         tick()
@@ -296,37 +353,55 @@ def _packs(allowed, n_lambda: int, dist: int, clock: _Clock) -> bool:
     return g[-1] != math.inf
 
 
-def _greedy(allowed, n_lambda: int, dist: int) -> bool | None:
+def _greedy(allowed, quotas, dist: int) -> bool | None:
     """Two one-pass checks of the quota packing `_packs` decides: True when
     it is feasible, False when it is not, None when neither check settles it.
 
-    Both walk the admissible carriers `allowed` (one sorted list per radius)
-    merged in ascending order.  The quota greedy takes each carrier whose
-    radius still needs one and that clears the last pick by `dist`; filling
-    every quota builds a packing.  The quota-free greedy takes each carrier
-    that clears the last pick, which finds the most carriers pairwise `dist`
-    apart; fewer than n_lambda per radius rules every packing out.
+    Both take carriers of the radii with a quota in ascending order, each
+    the lowest admissible one at least `dist` above the last pick.  The
+    quota-free greedy, first, takes it from any of them, which finds the
+    most carriers pairwise `dist` apart; fewer than sum(quotas) rules every
+    packing out.  The quota greedy takes it from a radius that still needs
+    one; filling every quota builds a packing.  A pass walks the merged
+    carriers when there are no more of them than radii times picks, and
+    otherwise finds each pick by one bisect per radius, so it never costs
+    more than O(len(allowed) * sum(quotas)) steps, nor more than the DP.
     """
-    merged = sorted((v, r) for r, lst in enumerate(allowed) for v in lst)
-    need = [n_lambda] * len(allowed)
-    left = total = n_lambda * len(allowed)
-    last = -math.inf
-    for v, r in merged:
-        if need[r] and v >= last + dist:
-            need[r] -= 1
-            left -= 1
-            last = v
-            if not left:
-                return True
-    count = 0
-    last = -math.inf
-    for v, _ in merged:
-        if v >= last + dist:
-            count += 1
-            last = v
-            if count == total:
-                return None
-    return False
+    total = sum(quotas)
+    need = list(quotas)
+    lists = [(r, lst) for r, lst in enumerate(allowed) if need[r]]
+    merged = None
+    if sum(len(lst) for _, lst in lists) <= len(lists) * total:
+        merged = sorted((v, r) for r, lst in lists for v in lst)
+    for free in (True, False):
+        floor = -math.inf
+        count = 0
+        if merged is not None:
+            for v, r in merged:
+                if v >= floor and (free or need[r]):
+                    if not free:
+                        need[r] -= 1
+                    count += 1
+                    if count == total:
+                        break
+                    floor = v + dist
+        else:
+            while count < total:
+                pick = math.inf
+                for r, lst in lists:
+                    if need[r]:
+                        j = bisect_left(lst, floor)
+                        if j < len(lst) and lst[j] < pick:
+                            pick, taken = lst[j], r
+                if pick == math.inf:
+                    break
+                if not free:
+                    need[taken] -= 1
+                count += 1
+                floor = pick + dist
+        if count < total:
+            return False if free else None
+    return True
 
 
 def _deepest_hole(values, others, k: int) -> int:
@@ -382,23 +457,31 @@ def solve_spacing(
 ) -> SpacingSolution:
     """Exact max-min spacing over all radius subsets and carrier matrices.
 
-    Search plan: depth-first over radius subsets in ascending id order,
-    pruning any branch whose admissible bound cannot beat the incumbent,
-    then for each surviving subset a binary search for the largest
-    feasible ladder distance.  First strict improvement wins, so the
-    reported optimum is the lexicographically smallest one.
+    Search plan: two depth-first passes over radius subsets, as Phase 1
+    runs a value pass and a canonical pass.  The value pass finds the
+    optimum d*: it visits radii best-first (by `far`, below, descending,
+    then lowest resonance, then id), tests each subset that survives the
+    bounds at the incumbent + 1 and binary-searches the ladder of each that
+    beats it.  At the last level it takes siblings by their cheap cap,
+    min(`far`, span over carrier gaps), descending and stops at the first
+    cap at or below the incumbent, as every later one is too.  The
+    canonical pass then visits the radii with `far` >= d* in ascending id
+    order and stops at the first subset that fits at d*, so the reported
+    optimum is the lexicographically smallest one.  Only that subset's
+    witness is built.  Every distance a value-pass probe finds to fit
+    raises the incumbent, and a timeout in either pass reports it, with a
+    witness built under a second clock of the same time limit.
 
     Every probe first cuts the subset to its admissible carriers
     (`_admissible`); a radius left with fewer than n_lambda fails it, and
-    at d = 0 that count decides.  At d > 0 two greedies (`_greedy`) try
-    first where one pass over the carriers is cheaper than the DP's
-    (n_lambda + 1) ** n_radii states: the quota greedy proves the probe
-    feasible, the quota-free one infeasible.  What they leave, the
+    at d = 0 that count decides.  Base admissibility does not depend on d,
+    and a subset in which no two radii share a nominal keeps its spectra
+    whole, so a base leaf filters only when such a pair is chosen.  At
+    d > 0 two greedies (`_greedy`) try first: the quota greedy proves the
+    probe feasible, the quota-free one infeasible.  What they leave, the
     quota-packing DP, `_packs`, decides, or `_witness` when the DP would
-    exceed `_PACK_STATES` states.  A subset is first tested at the
-    incumbent + 1, so most subsets cost one filter and at most one greedy
-    pass or small DP.  `_witness` builds the one canonical witness of a
-    subset that beats the incumbent, at its optimum.
+    exceed `_PACK_STATES` states.  `_witness` builds the witness, within
+    that budget without backtracking.
 
     The DFS carries one bound, the refined pair hole: each of the
     n_lambda carriers of one radius must clear the whole spectrum of
@@ -447,90 +530,191 @@ def solve_spacing(
     lows = [min(s) for s in spectra]
     highs = [max(s) for s in spectra]
     refined = mode == REFINED
+    quotas = [n_lambda] * n_radii
+    # Whether the DP's state count, which depends only on the shape, is
+    # within its budget.
+    small = (n_lambda + 1) ** n_radii <= _PACK_STATES
 
     best = -1
-    best_rows = None
+    # The value pass's incumbent: a subset and a distance it fits at.
+    incumbent = None
 
-    # The DP's state count, which depends only on the shape.
-    states = (n_lambda + 1) ** n_radii
-
-    def fits(subset, dist: int) -> bool:
-        allowed = _admissible(subset, n_lambda, mode, dist)
+    def fits(allowed, dist: int) -> bool:
         if allowed is None or dist == 0:
             # At d = 0 nothing limits the spacing, so the counts decide.
             return allowed is not None
-        # The greedies cost a pass over the carriers and the DP a step per
-        # state, so the greedies go first only where they are the cheaper.
-        if states > sum(map(len, allowed)):
-            verdict = _greedy(allowed, n_lambda, dist)
-            if verdict is not None:
-                return verdict
-        if states <= _PACK_STATES:
-            return _packs(allowed, n_lambda, dist, clock)
+        verdict = _greedy(allowed, quotas, dist)
+        if verdict is not None:
+            return verdict
+        if small:
+            return _packs(allowed, quotas, dist, clock)
         return _witness(allowed, n_lambda, dist, clock) is not None
 
-    def leaf(chosen: list[int], top: int) -> None:
-        nonlocal best, best_rows
+    def admit(subset, clean: bool, dist: int):
+        # A clean subset is a base one in which no two radii share a nominal.
+        return subset if clean else _admissible(subset, n_lambda, mode, dist)
+
+    def witness(chosen: list[int], dist: int, clock: _Clock):
+        """The canonical matrix of `chosen` at `dist`, as payload rows."""
         subset = [spectra[c] for c in chosen]
-        # The subset optimum is a ladder value in (best, top], so it beats
-        # `best` iff the subset fits at best + 1 (at best = -1, the d = 0
-        # count); most leaves stop here.
-        if not fits(subset, best + 1):
-            return
-        ladder = _ladder(sorted(v for s in subset for v in s), best, top)
-        lo, hi = 0, len(ladder) - 1  # ladder[0] fits: it is at most the optimum
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if fits(subset, ladder[mid]):
-                lo = mid
-            else:
-                hi = mid - 1
-        dist = ladder[lo]
-        rows = _witness(_admissible(subset, n_lambda, mode, dist), n_lambda, dist, clock)
-        best, best_rows = dist, [
+        allowed = _admissible(subset, n_lambda, mode, dist)
+        rows = _witness(allowed, n_lambda, dist, clock)
+        return [
             (eligible[chosen[r]], [bisect_left(subset[r], v) for v in values])
             for r, values in rows
         ]
 
-    def dfs(start: int, chosen: list[int], lo, hi, cap) -> None:
-        need = n_radii - len(chosen)
-        for i in range(start, len(eligible) - need + 1):
-            clock.tick()
-            # far[i] bounds the optimum of every subset holding i and
-            # another radius, so this prunes no subset that could win.
-            if far[i] <= best:
-                continue
-            new_cap = cap
-            if refined:
-                for c in chosen:
-                    hole = pair_cap.get((c, i))
-                    if hole is None:
-                        hole = _deepest_hole(spectra[c], spectra[i], n_lambda)
-                        if hole > best:
-                            hole = min(hole, _deepest_hole(spectra[i], spectra[c], n_lambda))
-                        pair_cap[c, i] = hole
-                    if hole < new_cap:
-                        new_cap = hole
-                if new_cap <= best:
-                    continue
-            new_lo, new_hi = min(lo, lows[i]), max(hi, highs[i])
-            if need > 1:
-                dfs(i + 1, chosen + [i], new_lo, new_hi, new_cap)
+    def improve(chosen: list[int], top: int, clean: bool) -> None:
+        """The value pass's leaf: raise the incumbent to the subset's optimum
+        when that beats it."""
+        nonlocal best, incumbent
+        subset = [spectra[c] for c in chosen]
+        # The subset optimum is a ladder value in (best, top], so it beats
+        # `best` iff the subset fits at best + 1 (at best = -1, the d = 0
+        # count); most leaves stop here.
+        if not fits(admit(subset, clean, best + 1), best + 1):
+            return
+        ladder = _ladder(sorted(v for s in subset for v in s), best, top)
+        # ladder[0] fits: it is at most the optimum.  Every distance found
+        # to fit raises the incumbent, so a timeout keeps the highest.
+        best, incumbent = ladder[0], (chosen, ladder[0])
+        lo, hi = 0, len(ladder) - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if fits(admit(subset, clean, ladder[mid]), ladder[mid]):
+                lo = mid
+                best, incumbent = ladder[mid], (chosen, ladder[mid])
             else:
-                top = min(new_cap, (new_hi - new_lo) // gaps)
-                if top > best:
-                    leaf(chosen + [i], top)
+                hi = mid - 1
+
+    def first(chosen: list[int], top: int, clean: bool):
+        """The canonical pass's leaf: the subset when it fits at d*."""
+        target = best + 1
+        return chosen if fits(admit([spectra[c] for c in chosen], clean, target), target) else None
+
+    def cap(chosen: list[int], i: int, bound):
+        """`bound` cut by the refined pair caps of `i` with each of `chosen`."""
+        for c in chosen:
+            hole = pair_cap.get((c, i))
+            if hole is None:
+                hole = _deepest_hole(spectra[c], spectra[i], n_lambda)
+                if hole > best:
+                    hole = min(hole, _deepest_hole(spectra[i], spectra[c], n_lambda))
+                pair_cap[c, i] = hole
+            if hole < bound:
+                bound = hole
+        return bound
+
+    def search(seq: list[int], leaf, by_cap: bool):
+        """Depth-first over the subsets of `seq`, in its order; `leaf` takes
+        each subset that survives the bounds, and a subset it returns ends
+        the search with that subset."""
+
+        def dfs(start: int, chosen: list[int], lo, hi, bound, shared: int):
+            # `shared` is the union of the chosen radii's `shares`, or -1
+            # once two of them share a nominal.
+            need = n_radii - len(chosen)
+            if need == 1:
+                sibs = seq[start:]
+                if by_cap and far[sibs[0]] * gaps > hi - lo:
+                    # A span may cap a sibling below its `far`: take them
+                    # by cheap cap, descending.  (Otherwise, as every span
+                    # covers hi - lo, each cheap cap is `far`, and the
+                    # value pass's `seq` is already in that order.)
+                    caps = [
+                        min(far[i], ((hi if hi > highs[i] else highs[i])
+                                     - (lo if lo < lows[i] else lows[i])) // gaps)
+                        for i in sibs
+                    ]
+                    ranks = sorted(range(len(sibs)), key=caps.__getitem__, reverse=True)
+                    sibs = [sibs[k] for k in ranks]
+                for i in sibs:
+                    clock.tick()
+                    if far[i] <= best:
+                        break  # and so is every later sibling's cheap cap
+                    top = bound
+                    if refined:
+                        top = cap(chosen, i, bound)
+                        if top <= best:
+                            continue
+                    span = (hi if hi > highs[i] else highs[i]) - (lo if lo < lows[i] else lows[i])
+                    cheap = min(far[i], span // gaps)
+                    if cheap <= best:
+                        if by_cap:
+                            # So is every later sibling's.
+                            return None
+                        continue
+                    found = leaf(chosen + [i], min(top, cheap), not (refined or shared >> i & 1))
+                    if found:
+                        return found
+                return None
+            for p in range(start, len(seq) - need + 1):
+                i = seq[p]
+                clock.tick()
+                # far[i] bounds the optimum of every subset holding i and
+                # another radius, so this prunes no subset that could win.
+                # No later radius of `seq` has a larger one: the value
+                # pass's is in descending `far`, and the canonical pass's
+                # has none at or below `best`.
+                if far[i] <= best:
+                    break
+                new_bound = bound
+                if refined:
+                    new_bound = cap(chosen, i, bound)
+                    if new_bound <= best:
+                        continue
+                found = dfs(
+                    p + 1, chosen + [i], min(lo, lows[i]), max(hi, highs[i]), new_bound,
+                    -1 if shared >> i & 1 else shared | shares[i],
+                )
+                if found:
+                    return found
+            return None
+
+        return dfs(0, [], math.inf, -math.inf, math.inf, 0)
 
     far = [math.inf] * len(eligible)
     if refined and n_radii > 1:
         far = _hole_bounds(spectra, n_lambda)
     # The pair caps of the candidates that pass `far`, by (c, i), on demand.
     pair_cap: dict[tuple[int, int], int] = {}
+    # shares[i]: the radii, as bits, that hold one of i's nominals (base).
+    shares = [0] * len(eligible)
+    if not refined:
+        holders: dict[int, int] = {}
+        for i, s in enumerate(spectra):
+            for v in s:
+                holders[v] = holders.get(v, 0) | 1 << i
+        for i, s in enumerate(spectra):
+            for v in s:
+                shares[i] |= holders[v]
+            shares[i] &= ~(1 << i)
+    order = sorted(range(len(eligible)), key=lambda i: (-far[i], lows[i], i))
+
+    def timed_out() -> SpacingSolution:
+        # The deadline has passed, so the incumbent's witness gets a clock
+        # of its own, with the same limit.
+        if incumbent is not None:
+            chosen, dist = incumbent
+            try:
+                return _solution(witness(chosen, dist, _Clock(config.time_limit)), dist, True)
+            except _Timeout:
+                pass
+        return _solution(None, None, True)
+
     try:
-        dfs(0, [], math.inf, -math.inf, math.inf)
+        search(order, improve, True)
     except _Timeout:
-        return _solution(best_rows, best, True)
-    return _solution(best_rows, best, False)
+        return timed_out()
+    if incumbent is None:
+        return SpacingSolution((), (), None, INFEASIBLE)
+    dist = best
+    best = dist - 1  # the canonical pass looks for the first subset at d*
+    try:
+        chosen = search([i for i in range(len(eligible)) if far[i] >= dist], first, False)
+        return _solution(witness(chosen, dist, clock), dist, False)
+    except _Timeout:
+        return timed_out()
 
 
 def _matrix_key(rows_ordered, vals):

@@ -1,6 +1,8 @@
+import math
 import time
 import tracemalloc
-from itertools import combinations, permutations
+from bisect import insort
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,9 +29,11 @@ from wronoc import (
 from wronoc.parallelism import _Clock, _Timeout
 from wronoc.spacing import (
     _admissible,
+    _completes,
     _deepest_hole,
     _greedy,
     _hole_bounds,
+    _ladder,
     _packs,
     _witness,
 )
@@ -135,8 +139,9 @@ def fits(spectra, n_lambda, mode, dist):
     allowed = _admissible(spectra, n_lambda, mode, dist)
     if allowed is None or dist == 0:
         return allowed is not None
-    verdict = _packs(allowed, n_lambda, dist, _Clock(0))
-    assert _greedy(allowed, n_lambda, dist) in (None, verdict)
+    quotas = [n_lambda] * len(allowed)
+    verdict = _packs(allowed, quotas, dist, _Clock(0))
+    assert _greedy(allowed, quotas, dist) in (None, verdict)
     return verdict
 
 
@@ -177,7 +182,7 @@ class TestPacks:
         clock = _Clock(0)
         spectra = [table1.entry(r).nominals() for r in (1, 2, 3)]
         allowed = _admissible(spectra, 2, "base", 1)
-        assert _packs(allowed, 2, 1, clock)
+        assert _packs(allowed, [2, 2, 2], 1, clock)
         assert clock.steps == 3**3 - 1
 
 
@@ -280,8 +285,145 @@ class TestGreedy:
     @example(allowed=[[0, 10], [5, 15]], n_lambda=2, dist=5)  # the quota greedy fills both
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_packs(self, allowed, n_lambda, dist):
-        verdict = _greedy(allowed, n_lambda, dist)
-        assert verdict in (None, _packs(allowed, n_lambda, dist, _Clock(0)))
+        quotas = [n_lambda] * len(allowed)
+        verdict = _greedy(allowed, quotas, dist)
+        assert verdict in (None, _packs(allowed, quotas, dist, _Clock(0)))
+
+
+def brute_packs(allowed, quotas, dist):
+    """Whether some quotas[r] values of each allowed[r] are all pairwise at
+    least `dist` apart: every pick tried."""
+    for pick in product(*(combinations(lst, q) for lst, q in zip(allowed, quotas))):
+        values = sorted(v for row in pick for v in row)
+        if all(b - a >= dist for a, b in zip(values, values[1:])):
+            return True
+    return False
+
+
+value_lists = st.lists(
+    st.lists(st.integers(0, 30), min_size=1, max_size=5, unique=True).map(sorted),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestQuotaPacking:
+    """`_packs` decides a packing with its own quota per radius, and
+    `_greedy`, where it settles one, agrees."""
+
+    @given(
+        allowed=value_lists,
+        quotas=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        dist=st.integers(1, 10),
+    )
+    @example(allowed=[[0, 10], [5]], quotas=[2, 0, 0, 0], dist=5)  # a zero quota drops a radius
+    @settings(max_examples=300, deadline=None)
+    def test_against_brute_force(self, allowed, quotas, dist):
+        quotas = quotas[: len(allowed)]
+        want = brute_packs(allowed, quotas, dist)
+        assert _packs(allowed, quotas, dist, _Clock(0)) == want
+        assert _greedy(allowed, quotas, dist) in (None, want)
+
+
+def brute_completes(allowed, n_lambda, dist, rows):
+    """Whether some choice of the carriers still to place after `rows`
+    keeps every carrier pairwise at least `dist` apart: every pick tried."""
+    placed = [allowed[r][j] for r, idxs in rows for j in idxs]
+    used = {r for r, _ in rows}
+    choices = []
+    floor = -math.inf
+    if rows:
+        r, idxs = rows[-1]
+        lst = allowed[r]
+        later = [v for j, v in enumerate(lst) if j > idxs[-1] and v >= lst[idxs[-1]] + dist]
+        choices.append(combinations(later, n_lambda - len(idxs)))
+        floor = lst[idxs[0]] + dist
+    for r, lst in enumerate(allowed):
+        if r not in used:
+            choices.append(combinations([v for v in lst if v >= floor], n_lambda))
+    for pick in product(*choices):
+        values = sorted(placed + [v for row in pick for v in row])
+        if all(b - a >= dist for a, b in zip(values, values[1:])):
+            return True
+    return False
+
+
+class TestCompletionWitness:
+    """Within the DP budget `_witness` keeps, at each slot, the first
+    candidate after which the rest still packs; that is the matrix the
+    backtracking row search finds."""
+
+    @given(allowed=value_lists, n_lambda=st.integers(1, 3), dist=st.integers(0, 10))
+    @example(allowed=[[0, 5, 10], [5, 10, 15]], n_lambda=2, dist=0)  # shared values at d = 0
+    @example(allowed=[[0, 5, 10], [5, 10, 15]], n_lambda=1, dist=5)  # shared values at d > 0
+    @example(allowed=[[0, 5], [1, 2]], n_lambda=1, dist=3)  # the first opener fails
+    @example(allowed=[[0, 3, 6], [1, 4]], n_lambda=2, dist=3)  # no matrix
+    @example(allowed=[[0, 1, 2], [0, 1, 2], [0, 1, 2]], n_lambda=3, dist=0)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_row_search(self, allowed, n_lambda, dist):
+        rows = _witness(allowed, n_lambda, dist, _Clock(0))
+        with pytest.MonkeyPatch.context() as mp:
+            # No completion check: the search backtracks.
+            mp.setattr(spacing, "_PACK_STATES", 0)
+            assert _witness(allowed, n_lambda, dist, _Clock(0)) == rows
+
+    @pytest.mark.parametrize(
+        "allowed,rows,want",
+        [
+            ([[0, 20], [10, 21]], [(0, [0, 1])], False),  # 21 is within 5 of row 0's 20
+            ([[0, 20], [10, 26]], [(0, [0, 1])], True),
+            ([[0, 20], [3, 10, 26]], [(0, [0])], True),
+            ([[10, 30], [0, 40]], [(0, [0])], False),  # 0 clears 10 but opens before it
+        ],
+    )
+    def test_check_on_hand_states(self, allowed, rows, want):
+        placed = sorted(allowed[r][j] for r, idxs in rows for j in idxs)
+        assert brute_completes(allowed, 2, 5, rows) == want
+        assert _completes(allowed, 2, 5, rows, placed, _Clock(0)) == want
+
+    @given(
+        allowed=st.lists(
+            st.lists(st.integers(0, 30), min_size=1, max_size=5, unique=True).map(sorted),
+            min_size=1,
+            max_size=3,
+        ),
+        n_lambda=st.integers(1, 3),
+        dist=st.integers(0, 10),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_check_against_brute_force(self, allowed, n_lambda, dist, data):
+        # Place carriers as the row search does, each a candidate clear of
+        # those placed, and stop at a drawn step.
+        rows, placed = [], []
+        for _ in range(data.draw(st.integers(0, len(allowed) * n_lambda))):
+            if rows and len(rows[-1][1]) < n_lambda:
+                r, idxs = rows[-1]
+                lst = allowed[r]
+                cands = [
+                    (r, j) for j in range(idxs[-1] + 1, len(lst))
+                    if lst[j] >= lst[idxs[-1]] + dist
+                ]
+            elif len(rows) < len(allowed):
+                used = {r for r, _ in rows}
+                floor = allowed[rows[-1][0]][rows[-1][1][0]] + dist if rows else -math.inf
+                cands = [
+                    (r, j) for r, lst in enumerate(allowed) if r not in used
+                    for j, v in enumerate(lst) if v >= floor
+                ]
+            else:
+                break
+            cands = [c for c in cands if all(abs(allowed[c[0]][c[1]] - w) >= dist for w in placed)]
+            if not cands:
+                break
+            r, j = data.draw(st.sampled_from(cands))
+            if rows and len(rows[-1][1]) < n_lambda:
+                rows[-1][1].append(j)
+            else:
+                rows.append((r, [j]))
+            insort(placed, allowed[r][j])
+        want = brute_completes(allowed, n_lambda, dist, rows)
+        assert _completes(allowed, n_lambda, dist, rows, placed, _Clock(0)) == want
 
 
 class TestLadderAndBound:
@@ -400,9 +542,9 @@ class TestSolve:
         assert sol.status == "incumbent-timeout"
 
     def test_time_limit_stops_a_large_pool(self):
-        # 1,251 radii: the whole solve takes ~0.1 s on a 2-vCPU VM, ten times
-        # the limit.
-        inst = generate(GenSpec(r_step_pm=20_000))
+        # 5,001 radii: the whole solve takes ~0.08 s on a 2-vCPU VM, eight
+        # times the limit.
+        inst = generate(GenSpec(r_step_pm=5_000))
         started = time.monotonic()
         sol = solve_spacing(inst, SpacingProblem(2, 2, "refined"), SolveConfig(time_limit=0.01))
         assert sol.status == "incumbent-timeout"
@@ -410,20 +552,58 @@ class TestSolve:
 
     @pytest.mark.parametrize("mode", ["base", "refined"])
     def test_timeout_in_witness_keeps_the_incumbent(self, table1, monkeypatch, mode):
-        # The second improving subset is cut while its witness is built: the
-        # report is the first subset's matrix at the first subset's distance.
+        # The canonical pass is cut while it builds the witness of the first
+        # subset at the optimum: the report is the value pass's incumbent,
+        # with its witness, at the same distance.
         calls = []
 
         def cut(*args):
             calls.append(args)
-            if len(calls) > 1:
+            if len(calls) == 1:
                 raise _Timeout
             return _witness(*args)
 
-        monkeypatch.setattr(spacing, "_witness", cut)
         problem = SpacingProblem(2, 2, mode)
+        optimum = solve_spacing(table1, problem).dist_pm
+        monkeypatch.setattr(spacing, "_witness", cut)
         sol = solve_spacing(table1, problem)
-        assert sol.status == "incumbent-timeout"
+        assert len(calls) == 2
+        assert (sol.status, sol.dist_pm) == ("incumbent-timeout", optimum)
+        assert check_spacing_solution(table1, problem, sol) == []
+
+    @pytest.mark.parametrize("mode", ["base", "refined"])
+    def test_timeout_in_the_canonical_pass(self, table1, monkeypatch, mode):
+        # Cut the solve at its last step before the final witness, which the
+        # canonical pass takes: the value pass has proven the optimum by
+        # then, and its incumbent is reported.
+        problem = SpacingProblem(2, 2, mode)
+        starts = []
+
+        def recorded(allowed, n_lambda, dist, clock):
+            starts.append(clock.steps)
+            return _witness(allowed, n_lambda, dist, clock)
+
+        monkeypatch.setattr(spacing, "_witness", recorded)
+        optimum = solve_spacing(table1, problem)
+        steps = starts[-1]
+        made = []
+
+        class Cut(_Clock):
+            def tick(self):
+                if self.steps == steps - 1:
+                    raise _Timeout
+                super().tick()
+
+        def clock(time_limit):
+            # Only the solve's own clock is cut, not the one the timed-out
+            # solve gives its incumbent's witness.
+            made.append(Cut(time_limit) if not made else _Clock(time_limit))
+            return made[-1]
+
+        monkeypatch.setattr(spacing, "_Clock", clock)
+        sol = solve_spacing(table1, problem)
+        assert made[0].steps == steps - 1
+        assert (sol.status, sol.dist_pm) == ("incumbent-timeout", optimum.dist_pm)
         assert check_spacing_solution(table1, problem, sol) == []
 
     def test_determinism(self, table1):
@@ -483,6 +663,51 @@ NARROW_SUFFIX = {  # radii 4-7 together span less than the incumbent
     7: (1_505_030,),
 }
 
+# Instances on which the value pass, visiting radii best-first, raises its
+# incumbent to the optimum with a later subset in id order than the first
+# one there: name -> (mode, shape, values, the subset it raises it with,
+# the subset reported).
+TIES = {
+    "base-2x1": (
+        "base", (2, 1),
+        {1: (1_500_900, 1_502_900), 2: (1_501_300,), 3: (1_500_300, 1_502_000, 1_502_900)},
+        (2, 3), (1, 2),
+    ),
+    "base-2x2": (
+        "base", (2, 2),
+        {
+            1: (1_502_100, 1_502_600, 1_502_900),
+            2: (1_500_900,),
+            3: (1_501_800, 1_502_800),
+            4: (1_501_600, 1_502_700),
+        },
+        (1, 4), (1, 3),
+    ),
+    "refined-2x1": (
+        "refined", (2, 1),
+        {
+            1: (1_502_300,),
+            2: (1_500_900, 1_501_100, 1_501_500),
+            3: (1_500_400, 1_502_500),
+            4: (1_500_800, 1_501_500),
+        },
+        (3, 4), (2, 3),
+    ),
+    "refined-2x2": (
+        "refined", (2, 2),
+        {1: (1_501_000, 1_501_200), 2: (1_500_600, 1_502_500), 3: (1_500_300, 1_500_800)},
+        (2, 3), (1, 2),
+    ),
+}
+
+# Base 2x1: the first subset in id order, (1, 2), reaches 17 pm, one below
+# the optimum of 18 that (1, 3) reaches, though its span allows 20.
+ONE_BELOW = {
+    1: (1_500_008, 1_500_018, 1_500_028),
+    2: (1_500_011,),
+    3: (1_500_010, 1_500_011, 1_500_026),
+}
+
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 1)], ids=str)
@@ -493,6 +718,33 @@ class TestOracleAgreement:
         sol = solve_spacing(inst, problem, SolveConfig(method="bnb"))
         assert sol == oracle_spacing(inst, problem)
         assert sol.status == "optimal"
+
+    @pytest.mark.parametrize("name", sorted(TIES))
+    def test_value_pass_meets_a_later_tie_first(self, name, monkeypatch):
+        mode, shape, values, met, first = TIES[name]
+        ladders = []
+
+        def recorded(noms, floor, top):
+            ladders.append(noms)
+            return _ladder(noms, floor, top)
+
+        monkeypatch.setattr(spacing, "_ladder", recorded)
+        inst = build_instance(values)
+        problem = SpacingProblem(*shape, mode)
+        sol = solve_spacing(inst, problem)
+        # Only the value pass builds ladders, one per incumbent it raises.
+        assert ladders[-1] == sorted(v for r in met for v in values[r])
+        assert sol == oracle_spacing(inst, problem)
+        assert sol.status == "optimal"
+        assert tuple(sorted(sol.selected_radii)) == first < met
+
+    def test_first_subset_one_below_the_optimum(self):
+        # The canonical pass must test each subset at the optimum itself.
+        inst = build_instance(ONE_BELOW)
+        problem = SpacingProblem(2, 1, "base")
+        sol = solve_spacing(inst, problem)
+        assert sol == oracle_spacing(inst, problem)
+        assert (sol.dist_pm, sol.selected_radii) == (18, (1, 3))
 
     def test_hole_bound_prunes_at_the_root(self, monkeypatch):
         scanned = []
@@ -619,15 +871,16 @@ class TestProperties:
 # (dist_pm, selected_radii, matrix, steps) on generate(GenSpec(seed,
 # jitter_pm=100)).  The oracle tests use small instances, where the hole
 # bounds and leaf span caps rarely prune; these pin the search where they
-# do.  `steps` is the search effort in `_Clock` ticks (subset nodes,
-# row-search candidates and packing-DP states), pinned as in
+# do.  `steps` is the search effort in `_Clock` ticks (subset nodes of
+# both passes, witness candidates and packing-DP states), pinned as in
 # `TestSearchEffort`: a change that alters it on purpose updates it here
 # and says so in CHANGES.md with the old and new counts.
 PINNED = {
-    (1000, 2, 2, "base"): (43154, (72, 96), ((0, 8), (19, 28)), 19916),
-    (1001, 2, 2, "base"): (43122, (72, 96), ((0, 8), (19, 28)), 18920),
-    (1000, 3, 3, "refined"): (4932, (6, 14, 1), ((0, 3, 4), (1, 4, 5), (1, 3, 4)), 11099),
-    (1001, 3, 3, "refined"): (4970, (8, 14, 1), ((0, 4, 5), (1, 5, 6), (1, 3, 4)), 10817),
+    (1000, 2, 2, "base"): (43154, (72, 96), ((0, 8), (19, 28)), 4966),
+    (1001, 2, 2, "base"): (43122, (72, 96), ((0, 8), (19, 28)), 4991),
+    (1000, 3, 1, "base"): (64883, (63, 81, 24), ((0,), (12,), (10,)), 105670),
+    (1000, 3, 3, "refined"): (4932, (6, 14, 1), ((0, 3, 4), (1, 4, 5), (1, 3, 4)), 2927),
+    (1001, 3, 3, "refined"): (4970, (8, 14, 1), ((0, 4, 5), (1, 5, 6), (1, 3, 4)), 2706),
 }
 
 
@@ -652,8 +905,8 @@ class TestPinnedDeskScale:
 # of the 5,050 pairs of 101 radii); a change that moves these counts says so
 # in CHANGES.md.
 HOLE_SCANS = {
-    (1000, 3, 3, "refined"): 1104,
-    (1001, 3, 3, "refined"): 1067,
+    (1000, 3, 3, "refined"): 1103,
+    (1001, 3, 3, "refined"): 1066,
 }
 
 
@@ -683,7 +936,7 @@ LARGE = {
     "desk-4x5": (
         {"seed": 1000}, 4, 5, 2650, (10, 13, 16, 6),
         ((0, 1, 5, 6, 7), (0, 1, 5, 6, 7), (0, 1, 5, 6, 7), (0, 1, 3, 4, 5)),
-        101732,
+        81031,
     ),
     "small-ring-6x7": (
         {"seed": 3, "r_max_pm": 12_000_000}, 6, 7, 1031, (18, 10, 21, 23, 14, 26),
@@ -695,7 +948,7 @@ LARGE = {
             (0, 1, 2, 4, 5, 6, 7),
             (0, 1, 2, 6, 7, 8, 9),
         ),
-        3256,
+        2747,
     ),
 }
 
