@@ -42,7 +42,9 @@ radius by the largest distance at which its own holes still hold
 
 Solutions are canonical: rows are built left to right, rows open in
 ascending first-carrier order, and ties break toward smaller wavelength
-then smaller radius id, so repeated runs are byte-identical.
+then smaller radius id, so repeated runs are byte-identical.  A timed-out
+solve reports the packing that proved its incumbent, which is a valid
+matrix but not necessarily the canonical one.
 
 Two documented modelling alternatives for the refined rules (treating a
 carrier as centred on its guard interval, or giving non-selected
@@ -316,16 +318,18 @@ def _witness(allowed, n_lambda: int, dist: int, clock: _Clock):
 _PACK_STATES = 1 << 20
 
 
-def _packs(allowed, quotas, dist: int, clock: _Clock) -> bool:
+def _packs(allowed, quotas, dist: int, clock: _Clock, picks=None) -> bool:
     """Whether each radius r can host `quotas[r]` of its admissible carriers
     `allowed[r]` (one sorted list per radius), all pairwise at least `dist`
-    > 0 apart.
+    > 0 apart.  When it can, `picks`, if given, receives such a packing as
+    (value, radius position) pairs.
 
     A quota packing: g(c), the smallest possible last carrier of a valid
     pick with per-radius counts c, is the minimum over radii r of the first
     admissible carrier of r at or above g(c - e_r) + dist.  The probe is
-    feasible iff g(quotas) exists.  The DP has the product of
-    (quotas[r] + 1) states.
+    feasible iff g(quotas) exists, and the radii that set each g walk a
+    packing back from it.  The DP has the product of (quotas[r] + 1)
+    states.
     """
     strides = []
     size = 1
@@ -350,12 +354,29 @@ def _packs(allowed, quotas, dist: int, clock: _Clock) -> bool:
                     if j < len(lst) and lst[j] < last:
                         last = lst[j]
         g[state] = last
-    return g[-1] != math.inf
+    if g[-1] == math.inf:
+        return False
+    if picks is not None:
+        state, c = size - 1, list(quotas)
+        while state:
+            v = g[state]
+            for r, stride in enumerate(strides):
+                if c[r] and g[state - stride] != math.inf:
+                    lst = allowed[r]
+                    j = bisect_left(lst, g[state - stride] + dist)
+                    if j < len(lst) and lst[j] == v:
+                        break
+            picks.append((v, r))
+            c[r] -= 1
+            state -= stride
+    return True
 
 
-def _greedy(allowed, quotas, dist: int) -> bool | None:
+def _greedy(allowed, quotas, dist: int, picks=None) -> bool | None:
     """Two one-pass checks of the quota packing `_packs` decides: True when
     it is feasible, False when it is not, None when neither check settles it.
+    On True, `picks`, if given, receives the packing built, as (value,
+    radius position) pairs.
 
     Both take carriers of the radii with a quota in ascending order, each
     the lowest admissible one at least `dist` above the last pick.  The
@@ -381,6 +402,8 @@ def _greedy(allowed, quotas, dist: int) -> bool | None:
                 if v >= floor and (free or need[r]):
                     if not free:
                         need[r] -= 1
+                        if picks is not None:
+                            picks.append((v, r))
                     count += 1
                     if count == total:
                         break
@@ -397,9 +420,13 @@ def _greedy(allowed, quotas, dist: int) -> bool | None:
                     break
                 if not free:
                     need[taken] -= 1
+                    if picks is not None:
+                        picks.append((pick, taken))
                 count += 1
                 floor = pick + dist
         if count < total:
+            if not free and picks is not None:
+                picks.clear()
             return False if free else None
     return True
 
@@ -469,8 +496,10 @@ def solve_spacing(
     order and stops at the first subset that fits at d*, so the reported
     optimum is the lexicographically smallest one.  Only that subset's
     witness is built.  Every distance a value-pass probe finds to fit
-    raises the incumbent, and a timeout in either pass reports it, with a
-    witness built under a second clock of the same time limit.
+    raises the incumbent, with the packing the probe found (the quota
+    greedy's, the DP's, walked back from its table, or the row search's),
+    and a timeout in either pass reports it at once: a matrix at the
+    incumbent distance, not necessarily the canonical one.
 
     Every probe first cuts the subset to its admissible carriers
     (`_admissible`); a radius left with fewer than n_lambda fails it, and
@@ -536,31 +565,41 @@ def solve_spacing(
     small = (n_lambda + 1) ** n_radii <= _PACK_STATES
 
     best = -1
-    # The value pass's incumbent: a subset and a distance it fits at.
+    # The value pass's incumbent: a subset, a distance it fits at and a
+    # packing of it there.
     incumbent = None
 
-    def fits(allowed, dist: int) -> bool:
-        if allowed is None or dist == 0:
+    def fits(allowed, dist: int, picks=None) -> bool:
+        """Whether `allowed` packs at `dist`; when it does, `picks`, if
+        given, receives a packing as (value, radius position) pairs."""
+        if allowed is None:
+            return False
+        if dist == 0:
             # At d = 0 nothing limits the spacing, so the counts decide.
-            return allowed is not None
-        verdict = _greedy(allowed, quotas, dist)
+            if picks is not None:
+                picks += [(v, r) for r, lst in enumerate(allowed) for v in lst[:n_lambda]]
+            return True
+        verdict = _greedy(allowed, quotas, dist, picks)
         if verdict is not None:
             return verdict
         if small:
-            return _packs(allowed, quotas, dist, clock)
-        return _witness(allowed, n_lambda, dist, clock) is not None
+            return _packs(allowed, quotas, dist, clock, picks)
+        rows = _witness(allowed, n_lambda, dist, clock)
+        if rows is None:
+            return False
+        if picks is not None:
+            picks += [(v, r) for r, values in rows for v in values]
+        return True
 
     def admit(subset, clean: bool, dist: int):
         # A clean subset is a base one in which no two radii share a nominal.
         return subset if clean else _admissible(subset, n_lambda, mode, dist)
 
-    def witness(chosen: list[int], dist: int, clock: _Clock):
-        """The canonical matrix of `chosen` at `dist`, as payload rows."""
-        subset = [spectra[c] for c in chosen]
-        allowed = _admissible(subset, n_lambda, mode, dist)
-        rows = _witness(allowed, n_lambda, dist, clock)
+    def payload(chosen: list[int], rows):
+        """The (radius position, values) `rows` of `chosen` as payload rows:
+        (radius id, indices)."""
         return [
-            (eligible[chosen[r]], [bisect_left(subset[r], v) for v in values])
+            (eligible[chosen[r]], [bisect_left(spectra[chosen[r]], v) for v in values])
             for r, values in rows
         ]
 
@@ -572,18 +611,23 @@ def solve_spacing(
         # The subset optimum is a ladder value in (best, top], so it beats
         # `best` iff the subset fits at best + 1 (at best = -1, the d = 0
         # count); most leaves stop here.
-        if not fits(admit(subset, clean, best + 1), best + 1):
+        picks = []
+        if not fits(admit(subset, clean, best + 1), best + 1, picks):
             return
         ladder = _ladder(sorted(v for s in subset for v in s), best, top)
-        # ladder[0] fits: it is at most the optimum.  Every distance found
-        # to fit raises the incumbent, so a timeout keeps the highest.
-        best, incumbent = ladder[0], (chosen, ladder[0])
+        # ladder[0] fits: the packing keeps every distance, carrier to
+        # carrier and, in refined mode, carrier to spectrum, above best, and
+        # each is a gap of the subset's nominals, so at least ladder[0].
+        # Every distance found to fit raises the incumbent with its
+        # packing, so a timeout reports the highest with a matrix.
+        best, incumbent = ladder[0], (chosen, ladder[0], picks)
         lo, hi = 0, len(ladder) - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if fits(admit(subset, clean, ladder[mid]), ladder[mid]):
+            picks = []
+            if fits(admit(subset, clean, ladder[mid]), ladder[mid], picks):
                 lo = mid
-                best, incumbent = ladder[mid], (chosen, ladder[mid])
+                best, incumbent = ladder[mid], (chosen, ladder[mid], picks)
             else:
                 hi = mid - 1
 
@@ -691,30 +735,26 @@ def solve_spacing(
             shares[i] &= ~(1 << i)
     order = sorted(range(len(eligible)), key=lambda i: (-far[i], lows[i], i))
 
-    def timed_out() -> SpacingSolution:
-        # The deadline has passed, so the incumbent's witness gets a clock
-        # of its own, with the same limit.
-        if incumbent is not None:
-            chosen, dist = incumbent
-            try:
-                return _solution(witness(chosen, dist, _Clock(config.time_limit)), dist, True)
-            except _Timeout:
-                pass
-        return _solution(None, None, True)
-
     try:
         search(order, improve, True)
-    except _Timeout:
-        return timed_out()
-    if incumbent is None:
-        return SpacingSolution((), (), None, INFEASIBLE)
-    dist = best
-    best = dist - 1  # the canonical pass looks for the first subset at d*
-    try:
+        if incumbent is None:
+            return SpacingSolution((), (), None, INFEASIBLE)
+        dist = best
+        best = dist - 1  # the canonical pass looks for the first subset at d*
         chosen = search([i for i in range(len(eligible)) if far[i] >= dist], first, False)
-        return _solution(witness(chosen, dist, clock), dist, False)
+        allowed = _admissible([spectra[c] for c in chosen], n_lambda, mode, dist)
+        return _solution(payload(chosen, _witness(allowed, n_lambda, dist, clock)), dist, False)
     except _Timeout:
-        return timed_out()
+        if incumbent is None:
+            return _solution(None, None, True)
+        # The incumbent's packing, by radius, is a matrix at its distance,
+        # though not necessarily the canonical one; taking the carriers in
+        # ascending order opens the rows in ascending first-carrier order.
+        chosen, dist, picks = incumbent
+        rows: dict[int, list[int]] = {}
+        for v, r in sorted(picks):
+            rows.setdefault(r, []).append(v)
+        return _solution(payload(chosen, rows.items()), dist, True)
 
 
 def _matrix_key(rows_ordered, vals):

@@ -584,15 +584,13 @@ class TestErrors:
         assert json.loads(proc.stdout)["status"] == "incumbent-timeout"
 
     def test_packing_dp_honours_time_limit(self, tmp_path):
-        # 3 radii x 13 carriers: 2,744 DP states a probe, over ~1.3M subsets
-        # of 201 radii.  (On the default 101 radii the solve now finishes in
-        # ~2.5 s on a 2-vCPU VM, too close to the limit; on 201 it runs
-        # past 20 s.)
+        # 4 radii x 13 carriers: 38,416 DP states a probe, over ~4.1M subsets;
+        # the solve runs past 40 s on a 2-vCPU VM.
         gen = tmp_path / "gen.txt"
         assert cli.main(["generate", "--seed", "1000", "--jitter-pm", "100",
-                         "--r-step-pm", "125000", "--out", str(gen)]) == 0
+                         "--out", str(gen)]) == 0
         proc, elapsed = self.run_timed(
-            ["spacing", "--instance", str(gen), "--n-radii", "3", "--parallelism", "13",
+            ["spacing", "--instance", str(gen), "--n-radii", "4", "--parallelism", "13",
              "--mode", "base", "--time-limit", "2"])
         assert proc.returncode == 3, proc.stderr
         assert elapsed < 2 + 1

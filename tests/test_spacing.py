@@ -307,9 +307,19 @@ value_lists = st.lists(
 )
 
 
+def assert_packing(picks, allowed, quotas, dist):
+    """`picks`, (value, radius position) pairs, fill every quota from the
+    radius's own list, pairwise at least `dist` apart."""
+    assert sorted(r for _, r in picks) == [r for r, q in enumerate(quotas) for _ in range(q)]
+    assert all(v in allowed[r] for v, r in picks)
+    values = sorted(v for v, _ in picks)
+    assert all(b - a >= dist for a, b in zip(values, values[1:]))
+
+
 class TestQuotaPacking:
     """`_packs` decides a packing with its own quota per radius, and
-    `_greedy`, where it settles one, agrees."""
+    `_greedy`, where it settles one, agrees; where either finds one, the
+    packing it hands back is valid."""
 
     @given(
         allowed=value_lists,
@@ -323,6 +333,16 @@ class TestQuotaPacking:
         want = brute_packs(allowed, quotas, dist)
         assert _packs(allowed, quotas, dist, _Clock(0)) == want
         assert _greedy(allowed, quotas, dist) in (None, want)
+        picks = []
+        assert _packs(allowed, quotas, dist, _Clock(0), picks) == want
+        if want:
+            assert_packing(picks, allowed, quotas, dist)
+        picks = []
+        verdict = _greedy(allowed, quotas, dist, picks)
+        if verdict:
+            assert_packing(picks, allowed, quotas, dist)
+        elif verdict is None:
+            assert picks == []
 
 
 def brute_completes(allowed, n_lambda, dist, rows):
@@ -542,32 +562,31 @@ class TestSolve:
         assert sol.status == "incumbent-timeout"
 
     def test_time_limit_stops_a_large_pool(self):
-        # 5,001 radii: the whole solve takes ~0.08 s on a 2-vCPU VM, eight
-        # times the limit.
-        inst = generate(GenSpec(r_step_pm=5_000))
+        # 1,251 radii, three a subset: the whole solve takes ~0.4 s on a
+        # 2-vCPU VM, forty times the limit.
+        inst = generate(GenSpec(r_step_pm=20_000))
         started = time.monotonic()
-        sol = solve_spacing(inst, SpacingProblem(2, 2, "refined"), SolveConfig(time_limit=0.01))
+        sol = solve_spacing(inst, SpacingProblem(3, 2, "refined"), SolveConfig(time_limit=0.01))
         assert sol.status == "incumbent-timeout"
         assert time.monotonic() - started < 1
 
     @pytest.mark.parametrize("mode", ["base", "refined"])
     def test_timeout_in_witness_keeps_the_incumbent(self, table1, monkeypatch, mode):
         # The canonical pass is cut while it builds the witness of the first
-        # subset at the optimum: the report is the value pass's incumbent,
-        # with its witness, at the same distance.
+        # subset at the optimum: the report is the value pass's incumbent at
+        # the same distance, with the packing that proved it, and no second
+        # witness is built after the cut.
         calls = []
 
         def cut(*args):
             calls.append(args)
-            if len(calls) == 1:
-                raise _Timeout
-            return _witness(*args)
+            raise _Timeout
 
         problem = SpacingProblem(2, 2, mode)
         optimum = solve_spacing(table1, problem).dist_pm
         monkeypatch.setattr(spacing, "_witness", cut)
         sol = solve_spacing(table1, problem)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert (sol.status, sol.dist_pm) == ("incumbent-timeout", optimum)
         assert check_spacing_solution(table1, problem, sol) == []
 
@@ -586,7 +605,6 @@ class TestSolve:
         monkeypatch.setattr(spacing, "_witness", recorded)
         optimum = solve_spacing(table1, problem)
         steps = starts[-1]
-        made = []
 
         class Cut(_Clock):
             def tick(self):
@@ -594,17 +612,56 @@ class TestSolve:
                     raise _Timeout
                 super().tick()
 
-        def clock(time_limit):
-            # Only the solve's own clock is cut, not the one the timed-out
-            # solve gives its incumbent's witness.
-            made.append(Cut(time_limit) if not made else _Clock(time_limit))
-            return made[-1]
-
-        monkeypatch.setattr(spacing, "_Clock", clock)
+        monkeypatch.setattr(spacing, "_Clock", Cut)
         sol = solve_spacing(table1, problem)
-        assert made[0].steps == steps - 1
+        assert len(starts) == 1
         assert (sol.status, sol.dist_pm) == ("incumbent-timeout", optimum.dist_pm)
         assert check_spacing_solution(table1, problem, sol) == []
+
+    @pytest.mark.parametrize("budget", [spacing._PACK_STATES, 0])
+    @pytest.mark.parametrize("mode", ["base", "refined"])
+    def test_a_cut_at_any_step_reports_a_matrix(self, monkeypatch, mode, budget):
+        # Cut the solve at every step in turn.  Each report comes with no
+        # second clock, so nothing runs after the cut; it is verified and
+        # keeps the highest distance proven so far: none before the first,
+        # then a rising one that ends at the optimum.  At budget 0 the row
+        # search decides the probes and its matrices are the packings kept.
+        monkeypatch.setattr(spacing, "_PACK_STATES", budget)
+        inst = generate_random_small(5, 6, 5)
+        problem = SpacingProblem(3, 2, mode)
+        optimum = solve_spacing(inst, problem)
+        assert optimum.status == "optimal"
+        cut_at = [0]
+        clocks = []
+
+        class Cut(_Clock):
+            def __init__(self, time_limit):
+                super().__init__(time_limit)
+                clocks.append(self)
+
+            def tick(self):
+                if self.steps == cut_at[0]:
+                    raise _Timeout
+                super().tick()
+
+        monkeypatch.setattr(spacing, "_Clock", Cut)
+        seen = []
+        while True:
+            sol = solve_spacing(inst, problem)
+            if sol.status == "optimal":
+                break
+            assert sol.status == "incumbent-timeout"
+            assert check_spacing_solution(inst, problem, sol) == []
+            if sol.dist_pm is not None:
+                assert len(sol.matrix) == problem.n_radii
+            seen.append(sol.dist_pm)
+            cut_at[0] += 1
+        assert sol == optimum
+        assert len(clocks) == len(seen) + 1
+        proven = [d for d in seen if d is not None]
+        assert seen[: len(seen) - len(proven)] == [None] * (len(seen) - len(proven))
+        assert proven == sorted(proven)
+        assert proven[-1] == optimum.dist_pm
 
     def test_determinism(self, table1):
         p = SpacingProblem(2, 2, "refined")
