@@ -7,6 +7,10 @@ codes: 0 success, 1 infeasible, 2 usage or data error, 3 time limit hit
 (best incumbent reported), 4 internal error (a solution failed the
 independent checker and was refused, or the run ran out of memory or of
 recursion depth, as a search choosing ~1,000 radii does).
+
+``main`` builds its argument parser once per process and reuses it, so
+repeated in-process calls pay for argparse set-up only once;
+``build_parser`` still returns a fresh parser on every call.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -471,6 +476,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on the first call, then reused."""
+    return build_parser()
+
+
 _HANDLERS = {
     "validate": _cmd_validate,
     "export-asp": _cmd_export,
@@ -484,9 +495,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; keep its code.
         return int(exc.code or 0)

@@ -208,103 +208,109 @@ _LAMBDA_RE = re.compile(
 def parse_instance(text: str | bytes, policy: DeltaPolicy | None = None) -> Instance:
     """Parse canonical or ASP-fact instance text into a validated Instance.
 
-    Resonances are normalised ascending by nominal and radii ascending by
-    id.  Under a symmetric policy, intervals in the file are discarded and
-    recomputed from the policy half width.
+    One pass over the lines: each is split once and dispatched on its
+    first field, canonical ``resonance`` lines first.  Only the other
+    lines (comments and ``lambda`` facts) are stripped and matched
+    further.  Resonances are normalised ascending by nominal and radii
+    ascending by id.  Under a symmetric policy, intervals in the file are
+    discarded and recomputed from the policy half width.
     """
     if policy is None:
         policy = DeltaPolicy.explicit()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    half_width = policy.half_width if policy.mode == SYMMETRIC_HALF_WIDTH else None
 
     label = ""
     radius_pm: dict[int, int] = {}
     declared: set[int] = set()
-    raw: dict[int, list[tuple[int, int, int]]] = {}
-    nominals_seen: dict[int, set[int]] = {}
+    # Per radius, nominal -> (lmin, lmax); each radius is sorted once at the end.
+    spectra: dict[int, dict[int, tuple[int, int]]] = {}
 
-    def declare(rid: int, pm: int, line_no: int, explicit: bool) -> None:
-        if explicit and rid in declared:
+    def declare(rid: int, pm: int, line_no: int) -> None:
+        if rid in declared:
             raise ParseError(f"duplicate radius id {rid}", line_no)
-        if explicit:
-            declared.add(rid)
-        radius_pm.setdefault(rid, 0)
-        if pm:
+        declared.add(rid)
+        if rid not in spectra:
+            spectra[rid] = {}
             radius_pm[rid] = pm
-        raw.setdefault(rid, [])
-        nominals_seen.setdefault(rid, set())
-
-    def add_resonance(rid: int, nom: int, lo: int, hi: int, line_no: int) -> None:
-        if nom in nominals_seen[rid]:
-            raise ParseError(
-                f"duplicate nominal wavelength {nom} for radius {rid}", line_no
-            )
-        nominals_seen[rid].add(nom)
-        if policy.mode == SYMMETRIC_HALF_WIDTH:
-            lo, hi = nom - policy.half_width, nom + policy.half_width
-        elif not (lo <= nom <= hi):
-            raise ParseError(
-                f"radius {rid}: interval violates lmin <= nominal <= lmax", line_no
-            )
-        raw[rid].append((nom, lo, hi))
+        elif pm:
+            radius_pm[rid] = pm
 
     for line_no, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped:
+        fields = line.split()
+        if not fields:
             continue
-        if stripped[0] in "#%":
-            body = stripped[1:].strip()
-            if body.startswith("label:"):
-                label = body[len("label:"):].strip()
-            elif stripped[0] == "%":
-                # Metadata our ASP exporter embeds; '#' comments stay inert.
-                fields = body.split()
-                if len(fields) == 3 and fields[0] == "radius":
-                    try:
-                        declare(int(fields[1]), int(fields[2]), line_no, explicit=True)
-                    except ValueError:
-                        pass  # free-form comment that merely starts with "radius"
-            continue
-        m = _LAMBDA_RE.match(stripped)
-        if m:
-            rid, lo, nom, hi = (int(g) for g in m.groups())
-            declare(rid, 0, line_no, explicit=False)
-            add_resonance(rid, nom, lo, hi, line_no)
-            continue
-        fields = stripped.split()
-        if fields[0] == "radius":
-            if len(fields) != 3:
-                raise ParseError("radius line needs: radius <id> <radius_pm>", line_no)
-            try:
-                declare(int(fields[1]), int(fields[2]), line_no, explicit=True)
-            except ValueError:
-                raise ParseError("radius arguments must be integers", line_no) from None
-        elif fields[0] == "resonance":
-            if len(fields) not in (3, 5):
+        head = fields[0]
+        if head == "resonance":
+            n = len(fields)
+            if n != 3 and n != 5:
                 raise ParseError(
                     "resonance line needs: resonance <radius_id> <nominal_pm> "
                     "[<lmin_pm> <lmax_pm>]",
                     line_no,
                 )
             try:
-                nums = [int(f) for f in fields[1:]]
+                rid, nom = int(fields[1]), int(fields[2])
+                lo, hi = (int(fields[3]), int(fields[4])) if n == 5 else (nom, nom)
             except ValueError:
                 raise ParseError("resonance arguments must be integers", line_no) from None
-            rid, nom = nums[0], nums[1]
-            lo, hi = (nums[2], nums[3]) if len(nums) == 4 else (nom, nom)
-            if rid not in raw:
+            spectrum = spectra.get(rid)
+            if spectrum is None:
                 raise ParseError(f"resonance references unknown radius id {rid}", line_no)
-            add_resonance(rid, nom, lo, hi, line_no)
+        elif head == "radius":
+            if len(fields) != 3:
+                raise ParseError("radius line needs: radius <id> <radius_pm>", line_no)
+            try:
+                rid, pm = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise ParseError("radius arguments must be integers", line_no) from None
+            declare(rid, pm, line_no)
+            continue
+        elif head[0] in "#%":
+            body = line.strip()[1:].strip()
+            if body.startswith("label:"):
+                label = body[len("label:"):].strip()
+            elif head[0] == "%":
+                # Metadata our ASP exporter embeds; '#' comments stay inert.
+                meta = body.split()
+                if len(meta) == 3 and meta[0] == "radius":
+                    try:
+                        rid, pm = int(meta[1]), int(meta[2])
+                    except ValueError:
+                        continue  # free-form comment that merely starts with "radius"
+                    declare(rid, pm, line_no)
+            continue
         else:
-            raise ParseError(f"unrecognized line: {stripped!r}", line_no)
+            stripped = line.strip()
+            m = _LAMBDA_RE.match(stripped)
+            if m is None:
+                raise ParseError(f"unrecognized line: {stripped!r}", line_no)
+            rid, lo, nom, hi = (int(g) for g in m.groups())
+            spectrum = spectra.get(rid)
+            if spectrum is None:
+                spectrum = spectra[rid] = {}
+                radius_pm[rid] = 0
+        # A canonical resonance or a lambda fact: the per-resonance checks.
+        if nom in spectrum:
+            raise ParseError(
+                f"duplicate nominal wavelength {nom} for radius {rid}", line_no
+            )
+        if half_width is not None:
+            lo, hi = nom - half_width, nom + half_width
+        elif not lo <= nom <= hi:
+            raise ParseError(
+                f"radius {rid}: interval violates lmin <= nominal <= lmax", line_no
+            )
+        spectrum[nom] = (lo, hi)
 
     radii = tuple(
         RadiusEntry(
             rid,
             radius_pm[rid],
-            tuple(Resonance(nom, lo, hi) for nom, lo, hi in sorted(raw[rid])),
+            tuple(Resonance(nom, lo, hi) for nom, (lo, hi) in sorted(spectrum.items())),
         )
-        for rid in sorted(raw)
+        for rid, spectrum in sorted(spectra.items())
     )
     instance = Instance(radii, label)
     violations = validate(instance)

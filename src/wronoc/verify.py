@@ -25,6 +25,8 @@ def check_parallelism_solution(
     if not solution.selected_radii:
         if solution.status == OPTIMAL:
             out.append("status optimal but no radii selected")
+        if solution.parallelism is not None:
+            out.append("P given but no radii selected")
         return out
     ids = set(instance.ids())
     sel = solution.selected_radii
@@ -88,6 +90,8 @@ def check_spacing_solution(
     if not solution.selected_radii:
         if solution.status == OPTIMAL:
             out.append("status optimal but no radii selected")
+        if solution.dist_pm is not None:
+            out.append("dist_pm given but no radii selected")
         return out
     ids = set(instance.ids())
     sel = solution.selected_radii

@@ -658,3 +658,90 @@ class TestExitCodeContract:
             assert payload_problems(doc, table1_path) == []
         else:
             assert code == 2
+
+
+class TestParserCache:
+    def test_usage_errors_leave_the_parser_as_new(self, capsys, table1_file):
+        argv = ["spacing", "--instance", table1_file, "--delta", "0",
+                "--n-radii", "2", "--parallelism", "2"]
+
+        def without_wall_time(out):
+            return [line for line in out.splitlines() if '"wall_time_ms"' not in line]
+
+        cli._parser.cache_clear()
+        first_code, first_out, _ = run_cli(capsys, argv)
+        assert run_cli(capsys, ["--help"])[0] == 0
+        assert run_cli(capsys, ["frobnicate"])[0] == 2
+        code, out, err = run_cli(capsys, argv[:4] + argv[6:])
+        assert (code, out) == (2, "")
+        assert "--n-radii" in err
+        code, again_out, _ = run_cli(capsys, argv)
+        assert code == first_code == 0
+        assert without_wall_time(again_out) == without_wall_time(first_out)
+        assert json.loads(again_out)["wall_time_ms"] >= 0
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
+# Small generated instances (9 radii) in both file formats, for mutation.
+_FUZZ_BASES = [
+    model.format_instance(wronoc.generate(wronoc.GenSpec(r_max_pm=7_000_000, jitter_pm=100))),
+    model.export_asp_facts(model.apply_delta(
+        wronoc.generate(wronoc.GenSpec(r_max_pm=7_000_000, jitter_pm=100, seed=1)), 300)),
+]
+
+
+@st.composite
+def mutated_files(draw):
+    """A generated file with one to three lines dropped, duplicated, given
+    an extra field or with one digit corrupted."""
+    lines = draw(st.sampled_from(_FUZZ_BASES)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop", "duplicate", "add-field", "corrupt-digit"]))
+        if kind == "drop":
+            del lines[k]
+        elif kind == "duplicate":
+            lines.insert(k, lines[k])
+        elif kind == "add-field":
+            lines[k] += " " + draw(st.sampled_from(["7", "x", "#", "-1", "1500000"]))
+        else:
+            digits = [j for j, c in enumerate(lines[k]) if c.isdigit()]
+            if digits:
+                j = draw(st.sampled_from(digits))
+                lines[k] = lines[k][:j] + draw(st.sampled_from("0123456789x-. ")) + lines[k][j + 1:]
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    # Module-scoped: hypothesis does not rerun function-scoped fixtures.
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestMalformedFiles:
+    @given(text=mutated_files())
+    @settings(max_examples=200, deadline=None)
+    def test_validate_exits_0_or_2_without_a_traceback(self, fuzz_dir, text):
+        path = fuzz_dir / "mutated.txt"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["validate", "--instance", str(path)])
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        try:
+            model.parse_instance(text)
+        except model.ParseError as exc:
+            assert code == 2
+            assert 1 <= exc.line_no <= len(text.splitlines())
+            assert str(exc).startswith(f"line {exc.line_no}: ")
+            assert f"line {exc.line_no}: " in err.getvalue()
+        except model.ModelError:
+            assert code == 2
+        else:
+            assert code == 0
+            assert json.loads(out.getvalue())["violations"] == []

@@ -1,4 +1,8 @@
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_instance, generate_random_small, table1_instance
 from wronoc import (
@@ -180,3 +184,168 @@ class TestPolicy:
     def test_negative_half_width_rejected_in_apply(self, table1):
         with pytest.raises(ModelError):
             apply_delta(table1, -5)
+
+
+@st.composite
+def instances(draw):
+    """Random valid instances: distinct ids, distinct nominals per radius,
+    and intervals that hold their nominal.  Nominals exceed 250 pm, so a
+    symmetric half width up to that keeps every wavelength positive."""
+    ids = draw(st.lists(st.integers(1, 10_000), min_size=1, max_size=6, unique=True))
+    radii = []
+    for rid in sorted(ids):
+        nominals = draw(st.lists(st.integers(251, 2_000_000), min_size=1, max_size=8,
+                                 unique=True))
+        resonances = []
+        for nom in sorted(nominals):
+            lo = draw(st.integers(1, nom))
+            hi = draw(st.integers(nom, nom + 5_000))
+            resonances.append(Resonance(nom, lo, hi))
+        radii.append(RadiusEntry(rid, draw(st.integers(0, 40_000_000)), tuple(resonances)))
+    label = draw(st.text(string.ascii_letters + string.digits + " #%:()-_.", max_size=20))
+    return Instance(tuple(radii), label.strip())
+
+
+# The parse contract: for every error path, the exception type, the
+# message and ``line_no``.  ``None`` as ``line_no`` marks a ``ModelError``
+# from the final ``validate`` pass, which names no line.
+R1 = "radius 1 0\n"
+SYMMETRIC_0 = DeltaPolicy.symmetric(0)
+PARSE_ERRORS = [
+    # radius lines
+    ("radius 1\n", ParseError, "radius line needs: radius <id> <radius_pm>", 1),
+    ("radius 1 0 5\n", ParseError, "radius line needs: radius <id> <radius_pm>", 1),
+    ("radius\n", ParseError, "radius line needs: radius <id> <radius_pm>", 1),
+    ("radius one 0\n", ParseError, "radius arguments must be integers", 1),
+    ("radius 1 0.5\n", ParseError, "radius arguments must be integers", 1),
+    # duplicate radius ids, canonical and from '%' metadata
+    ("radius 1 0\nradius 1 5\n", ParseError, "duplicate radius id 1", 2),
+    ("% radius 2 7000\nradius 2 7000\n", ParseError, "duplicate radius id 2", 2),
+    ("radius 2 0\n% radius 2 7000\n", ParseError, "duplicate radius id 2", 2),
+    ("% radius 2 1\n% radius 2 1\n", ParseError, "duplicate radius id 2", 2),
+    # resonance lines
+    (R1 + "resonance 1\n", ParseError,
+     "resonance line needs: resonance <radius_id> <nominal_pm> [<lmin_pm> <lmax_pm>]", 2),
+    (R1 + "resonance 1 1500000 1499000\n", ParseError,
+     "resonance line needs: resonance <radius_id> <nominal_pm> [<lmin_pm> <lmax_pm>]", 2),
+    (R1 + "resonance 1 1500000 #c\n", ParseError,
+     "resonance line needs: resonance <radius_id> <nominal_pm> [<lmin_pm> <lmax_pm>]", 2),
+    (R1 + "resonance 1 1500000 1499000 1501000 # c\n", ParseError,
+     "resonance line needs: resonance <radius_id> <nominal_pm> [<lmin_pm> <lmax_pm>]", 2),
+    (R1 + "resonance 1 1500000 # c\n", ParseError,
+     "resonance arguments must be integers", 2),
+    (R1 + "resonance 1 1.5e6\n", ParseError, "resonance arguments must be integers", 2),
+    (R1 + "resonance x 1500000\n", ParseError, "resonance arguments must be integers", 2),
+    ("resonance 9 x\n", ParseError, "resonance arguments must be integers", 1),
+    # unknown radius, duplicate nominal
+    ("resonance 7 1500000\n", ParseError, "resonance references unknown radius id 7", 1),
+    (R1 + "resonance 2 1500000\n", ParseError,
+     "resonance references unknown radius id 2", 2),
+    (R1 + "resonance 1 1500000\nresonance 1 1500000 1499000 1501000\n", ParseError,
+     "duplicate nominal wavelength 1500000 for radius 1", 3),
+    ("lambda(1,1500000,1500000,1500000).\nlambda(1,1,1500000,9000000).\n", ParseError,
+     "duplicate nominal wavelength 1500000 for radius 1", 2),
+    ("lambda(1,1500000,1500000,1500000).\nresonance 1 1500000\n", ParseError,
+     "duplicate nominal wavelength 1500000 for radius 1", 2),
+    # a duplicate nominal is reported before its bad interval
+    (R1 + "resonance 1 1500000\nresonance 1 1500000 1500001 1500002\n", ParseError,
+     "duplicate nominal wavelength 1500000 for radius 1", 3),
+    # bad intervals
+    (R1 + "resonance 1 1500000 1500001 1500002\n", ParseError,
+     "radius 1: interval violates lmin <= nominal <= lmax", 2),
+    (R1 + "resonance 1 1500000 1499000 1499999\n", ParseError,
+     "radius 1: interval violates lmin <= nominal <= lmax", 2),
+    ("lambda(4,1500001,1500000,1500002).\n", ParseError,
+     "radius 4: interval violates lmin <= nominal <= lmax", 1),
+    # unrecognised lines
+    ("nonsense here\n", ParseError, "unrecognized line: 'nonsense here'", 1),
+    (R1 + "\t  bogus\t\n", ParseError, "unrecognized line: 'bogus'", 2),
+    ("lambda(1,-5,1500000,1500001).\n", ParseError,
+     "unrecognized line: 'lambda(1,-5,1500000,1500001).'", 1),
+    ("lambda(1,1499000,1500000).\n", ParseError,
+     "unrecognized line: 'lambda(1,1499000,1500000).'", 1),
+    ("lambda(1,1499000,1500000,1501000)\n", ParseError,
+     "unrecognized line: 'lambda(1,1499000,1500000,1501000)'", 1),
+    ("Radius 1 0\n", ParseError, "unrecognized line: 'Radius 1 0'", 1),
+    # errors the final validate pass finds
+    ("", ModelError, "no radii", None),
+    ("# just a comment\n% and another\n\n", ModelError, "no radii", None),
+    ("% radius 3 7000\n", ModelError, "radius 3: no resonances", None),
+    ("radius 0 0\nresonance 0 1500000\n", ModelError, "radius 0: id must be positive", None),
+    ("radius 1 -5\nresonance 1 1500000\n", ModelError, "radius 1: negative radius_pm", None),
+    (R1 + "resonance 1 -5\n", ModelError,
+     "radius 1, resonance 0: non-positive wavelength", None),
+    ("lambda(2,0,0,0).\n", ModelError, "radius 2, resonance 0: non-positive wavelength", None),
+]
+
+
+class TestParseContract:
+    @pytest.mark.parametrize("text, kind, message, line_no", PARSE_ERRORS)
+    def test_error_paths(self, text, kind, message, line_no):
+        with pytest.raises(ModelError) as info:
+            parse_instance(text)
+        assert type(info.value) is kind
+        if line_no is None:
+            assert str(info.value) == message
+        else:
+            assert str(info.value) == f"line {line_no}: {message}"
+            assert info.value.line_no == line_no
+
+    @pytest.mark.parametrize("text", [
+        R1 + "resonance 1 1500000 1500001 1500002\n",
+        R1 + "resonance 1 1500000 1501000 1499000\n",
+        "lambda(1,1500001,1500000,1500002).\n",
+    ])
+    def test_bad_interval_ignored_under_symmetric_policy(self, text):
+        inst = parse_instance(text, SYMMETRIC_0)
+        assert inst.radii[0].resonances == (Resonance.exact(1500000),)
+
+    def test_symmetric_policy_keeps_the_other_checks(self):
+        text = R1 + "resonance 1 1500000 1500001 1500002\nresonance 1 1500000\n"
+        with pytest.raises(ParseError) as info:
+            parse_instance(text, SYMMETRIC_0)
+        assert str(info.value) == (
+            "line 3: duplicate nominal wavelength 1500000 for radius 1")
+
+    @pytest.mark.parametrize("text", [
+        "radius\t1\t0\nresonance\t1\t1500000\t1499000\t1501000\n# label: t\n",
+        "radius 1 0\r\nresonance 1 1500000 1499000 1501000\r\n# label: t\r\n",
+        "radius 1 0\rresonance 1 1500000 1499000 1501000\r# label: t",
+        "  radius 1 0\n   resonance 1   1500000 1499000  1501000  \n  #   label: t  \n",
+        "\n\n \t\nradius 1 0\n\nresonance 1 1500000 1499000 1501000\n\n#label:t\n",
+        "% label: t\n% radius 1 0\n  lambda( 1 , 1499000 , 1500000 , 1501000 ) .\r\n",
+    ])
+    def test_whitespace_and_line_endings(self, text):
+        inst = parse_instance(text)
+        assert inst == Instance((RadiusEntry(1, 0, (Resonance(1500000, 1499000, 1501000),)),), "t")
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("radius 1 0\r\n\r\nbogus\r\n", 3),
+        ("radius 1 0\r\rbogus\r", 3),
+        ("\tradius 1 0\n\t\n\tresonance 1 1500000\n\tresonance 1 1500000\n", 4),
+    ])
+    def test_line_numbers_count_every_line_break(self, text, line_no):
+        with pytest.raises(ParseError) as info:
+            parse_instance(text)
+        assert info.value.line_no == line_no
+
+    def test_metadata_comments(self):
+        text = ("# radius 9 9\n% radius x 5\n% radius 1 2 3\n% radius 1 5000\n"
+                "lambda(1,1500000,1500000,1500000).\nlambda(3,1,2,3).\n% label:  a b \n")
+        inst = parse_instance(text)
+        assert [(e.id, e.radius_pm) for e in inst.radii] == [(1, 5000), (3, 0)]
+        assert inst.label == "a b"
+
+    def test_radius_line_after_facts_sets_radius_pm(self):
+        text = "lambda(1,1500000,1500000,1500000).\nradius 1 7000\nradius 2 0\n" \
+               "resonance 2 1500000\n"
+        inst = parse_instance(text)
+        assert [(e.id, e.radius_pm) for e in inst.radii] == [(1, 7000), (2, 0)]
+
+    @given(instance=instances(), half_width=st.sampled_from([None, 0, 250]))
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip(self, instance, half_width):
+        if half_width is not None:
+            instance = apply_delta(instance, half_width)
+        assert parse_instance(format_instance(instance)) == instance
+        assert parse_instance(export_asp_facts(instance)) == instance

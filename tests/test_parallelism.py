@@ -47,6 +47,14 @@ class TestEvaluateSubset:
             "status optimal but no radii selected"
         ]
 
+    def test_empty_timeout_with_a_p_rejected(self, table1):
+        sol = ParallelismSolution((), parallelism=3, status="incumbent-timeout")
+        assert check_parallelism_solution(table1, sol, 2) == [
+            "P given but no radii selected"
+        ]
+        empty = ParallelismSolution((), status="incumbent-timeout")
+        assert check_parallelism_solution(table1, empty, 2) == []
+
 
 class TestSolve:
     def test_three_radii(self, table1, table1_conflicts):

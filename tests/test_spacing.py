@@ -76,6 +76,15 @@ class TestCrossConstraint:
         ]
         assert check_rows(table1, "refined", 2200, rows) == []
 
+    def test_empty_timeout_with_a_distance_rejected(self, table1):
+        problem = SpacingProblem(2, 2, "base")
+        sol = SpacingSolution((), (), 4000, "incumbent-timeout")
+        assert check_spacing_solution(table1, problem, sol) == [
+            "dist_pm given but no radii selected"
+        ]
+        empty = SpacingSolution((), (), None, "incumbent-timeout")
+        assert check_spacing_solution(table1, problem, empty) == []
+
     def test_requires_selected_carrier(self, table1):
         # A third row of carriers belongs to no selected radius.
         sol = SpacingSolution((1, 2), ((0,), (2,), (4,)), 0)
