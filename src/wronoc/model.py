@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 PM_PER_NM = 1000
 
@@ -115,11 +116,16 @@ class Instance:
     def ids(self) -> tuple[int, ...]:
         return tuple(e.id for e in self.radii)
 
+    @cached_property
+    def _by_id(self) -> dict[int, RadiusEntry]:
+        """Each id's entry, the first of duplicates, built on first use."""
+        return {e.id: e for e in reversed(self.radii)}
+
     def entry(self, radius_id: int) -> RadiusEntry:
-        for e in self.radii:
-            if e.id == radius_id:
-                return e
-        raise KeyError(f"no radius with id {radius_id}")
+        try:
+            return self._by_id[radius_id]
+        except KeyError:
+            raise KeyError(f"no radius with id {radius_id}") from None
 
     def all_nominals(self) -> list[int]:
         return [r.nominal for e in self.radii for r in e.resonances]

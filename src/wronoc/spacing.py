@@ -489,17 +489,18 @@ def solve_spacing(
     optimum d*: it visits radii best-first (by `far`, below, descending,
     then lowest resonance, then id), tests each subset that survives the
     bounds at the incumbent + 1 and binary-searches the ladder of each that
-    beats it.  At the last level it takes siblings by their cheap cap,
-    min(`far`, span over carrier gaps), descending and stops at the first
-    cap at or below the incumbent, as every later one is too.  The
-    canonical pass then visits the radii with `far` >= d* in ascending id
-    order and stops at the first subset that fits at d*, so the reported
-    optimum is the lexicographically smallest one.  Only that subset's
-    witness is built.  Every distance a value-pass probe finds to fit
-    raises the incumbent, with the packing the probe found (the quota
-    greedy's, the DP's, walked back from its table, or the row search's),
-    and a timeout in either pass reports it at once: a matrix at the
-    incumbent distance, not necessarily the canonical one.
+    beats it.  The canonical pass then visits the radii with `far` >= d*
+    in ascending id order and stops at the first subset that fits at d*,
+    so the reported optimum is the lexicographically smallest one.  Only
+    that subset's witness is built.  Both passes share the last level:
+    where a span may cap a sibling below its `far`, one filter drops the
+    siblings whose span over the carrier gaps is at or below the
+    incumbent; the rest go in the pass's order, each against its cheap
+    cap, min(`far`, that span).  Every distance a value-pass
+    probe finds to fit raises the incumbent, with the packing the probe
+    found (the quota greedy's, the DP's, walked back from its table, or the
+    row search's), and a timeout in either pass reports it at once: a
+    matrix at the incumbent distance, not necessarily the canonical one.
 
     Every probe first cuts the subset to its admissible carriers
     (`_admissible`); a radius left with fewer than n_lambda fails it, and
@@ -649,7 +650,7 @@ def solve_spacing(
                 bound = hole
         return bound
 
-    def search(seq: list[int], leaf, by_cap: bool):
+    def search(seq: list[int], leaf):
         """Depth-first over the subsets of `seq`, in its order; `leaf` takes
         each subset that survives the bounds, and a subset it returns ends
         the search with that subset."""
@@ -660,18 +661,18 @@ def solve_spacing(
             need = n_radii - len(chosen)
             if need == 1:
                 sibs = seq[start:]
-                if by_cap and far[sibs[0]] * gaps > hi - lo:
-                    # A span may cap a sibling below its `far`: take them
-                    # by cheap cap, descending.  (Otherwise, as every span
-                    # covers hi - lo, each cheap cap is `far`, and the
-                    # value pass's `seq` is already in that order.)
-                    caps = [
-                        min(far[i], ((hi if hi > highs[i] else highs[i])
-                                     - (lo if lo < lows[i] else lows[i])) // gaps)
-                        for i in sibs
+                if far[sibs[0]] * gaps > hi - lo:
+                    # A span may cap a sibling below its `far`: drop those
+                    # whose span is at or below the incumbent, as part of
+                    # the step that opened this node.  (Otherwise, as every
+                    # span covers hi - lo, the first sibling's cheap cap is
+                    # its `far`, and in the value pass's `seq`, descending
+                    # by `far`, so is every sibling's.)
+                    sibs = [
+                        i for i in sibs
+                        if ((hi if hi > highs[i] else highs[i])
+                            - (lo if lo < lows[i] else lows[i])) // gaps > best
                     ]
-                    ranks = sorted(range(len(sibs)), key=caps.__getitem__, reverse=True)
-                    sibs = [sibs[k] for k in ranks]
                 for i in sibs:
                     clock.tick()
                     if far[i] <= best:
@@ -684,9 +685,6 @@ def solve_spacing(
                     span = (hi if hi > highs[i] else highs[i]) - (lo if lo < lows[i] else lows[i])
                     cheap = min(far[i], span // gaps)
                     if cheap <= best:
-                        if by_cap:
-                            # So is every later sibling's.
-                            return None
                         continue
                     found = leaf(chosen + [i], min(top, cheap), not (refined or shared >> i & 1))
                     if found:
@@ -736,12 +734,12 @@ def solve_spacing(
     order = sorted(range(len(eligible)), key=lambda i: (-far[i], lows[i], i))
 
     try:
-        search(order, improve, True)
+        search(order, improve)
         if incumbent is None:
             return SpacingSolution((), (), None, INFEASIBLE)
         dist = best
         best = dist - 1  # the canonical pass looks for the first subset at d*
-        chosen = search([i for i in range(len(eligible)) if far[i] >= dist], first, False)
+        chosen = search([i for i in range(len(eligible)) if far[i] >= dist], first)
         allowed = _admissible([spectra[c] for c in chosen], n_lambda, mode, dist)
         return _solution(payload(chosen, _witness(allowed, n_lambda, dist, clock)), dist, False)
     except _Timeout:

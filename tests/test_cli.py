@@ -532,6 +532,26 @@ class TestErrors:
         assert out == ""
         assert "time_limit must be >= 0" in err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["bench", "--n-radii", "2,x"], "--n-radii expects a comma-separated integer list"),
+            (["bench", "--n-radii", "2", "--phases", "3"], "--phases entries must be 1 or 2"),
+            (["generate", "--band-lo-pm", "1600000", "--band-hi-pm", "1500000"],
+             "band_lo_pm must be <= band_hi_pm"),
+            (["generate", "--n-eff-milli", "0"], "n_eff_milli must be positive"),
+        ],
+        ids=["bench-n-radii", "bench-phases", "generate-band", "generate-n-eff"],
+    )
+    def test_bad_grid_or_spec_exits_2(self, capsys, table1_file, tmp_path, argv, message):
+        if argv[0] == "bench":
+            argv = argv + ["--instance", table1_file]
+        code, out, err = run_cli(capsys, argv + ["--out", str(tmp_path / "out.txt")])
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.txt").exists()
+
     def test_out_of_memory_exits_4(self, capsys, table1_file, monkeypatch):
         def no_memory(*args):
             raise MemoryError

@@ -116,6 +116,25 @@ class TestValidate:
         assert violations == ["radius 1: no resonances"]
 
 
+class TestEntry:
+    def test_first_of_duplicate_ids_wins(self):
+        first = RadiusEntry(1, 0, (Resonance.exact(1500000),))
+        second = RadiusEntry(1, 7, (Resonance.exact(1600000),))
+        inst = Instance((RadiusEntry(2, 0, (Resonance.exact(1550000),)), first, second))
+        assert inst.entry(1) is first
+        assert inst.entry(2) is inst.radii[0]
+
+    def test_unknown_id_raises(self, table1):
+        with pytest.raises(KeyError) as raised:
+            table1.entry(9)
+        assert raised.value.args == ("no radius with id 9",)
+
+    def test_index_is_not_part_of_equality(self, table1):
+        table1.entry(1)
+        assert table1 == table1_instance()
+        assert hash(table1) == hash(table1_instance())
+
+
 class TestAspExport:
     def test_first_fact_delta_zero(self, table1):
         lines = export_asp_facts(table1).splitlines()

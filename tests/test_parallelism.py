@@ -86,6 +86,12 @@ class TestSolve:
     def test_bad_n_radii_raises(self, table1, table1_conflicts):
         with pytest.raises(ValueError):
             solve_max_parallelism(table1, table1_conflicts, 0)
+        with pytest.raises(ValueError, match="n_radii must be >= 1"):
+            oracle_max_parallelism(table1, 0)
+
+    def test_unknown_method_raises(self):
+        with pytest.raises(ValueError, match="unknown method 'x'"):
+            SolveConfig(method="x")
 
     def test_all_shared_is_infeasible(self):
         inst = build_instance({1: (1500000, 1510000), 2: (1500000, 1510000)})
