@@ -40,9 +40,12 @@ deepest hole of either radius in the other (`_deepest_hole`), and a
 radius by the largest distance at which its own holes still hold
 ``n_lambda`` carriers of another radius (`_hole_bounds`).
 
-Solutions are canonical: rows are built left to right, rows open in
-ascending first-carrier order, and ties break toward smaller wavelength
-then smaller radius id, so repeated runs are byte-identical.  A timed-out
+Solutions are canonical: of the radius subsets at the optimum the
+lexicographically smallest (by sorted ids) is reported, found by the same
+single subset search that proves the optimum; rows are built left to
+right, rows open in ascending first-carrier order, and ties break toward
+smaller wavelength then smaller radius id, so repeated runs are
+byte-identical.  A timed-out
 solve reports the packing that proved its incumbent, which is a valid
 matrix but not necessarily the canonical one.
 
@@ -484,23 +487,23 @@ def solve_spacing(
 ) -> SpacingSolution:
     """Exact max-min spacing over all radius subsets and carrier matrices.
 
-    Search plan: two depth-first passes over radius subsets, as Phase 1
-    runs a value pass and a canonical pass.  The value pass finds the
-    optimum d*: it visits radii best-first (by `far`, below, descending,
-    then lowest resonance, then id), tests each subset that survives the
-    bounds at the incumbent + 1 and binary-searches the ladder of each that
-    beats it.  The canonical pass then visits the radii with `far` >= d*
-    in ascending id order and stops at the first subset that fits at d*,
-    so the reported optimum is the lexicographically smallest one.  Only
-    that subset's witness is built.  Both passes share the last level:
-    where a span may cap a sibling below its `far`, one filter drops the
-    siblings whose span over the carrier gaps is at or below the
-    incumbent; the rest go in the pass's order, each against its cheap
-    cap, min(`far`, that span).  Every distance a value-pass
-    probe finds to fit raises the incumbent, with the packing the probe
-    found (the quota greedy's, the DP's, walked back from its table, or the
-    row search's), and a timeout in either pass reports it at once: a
-    matrix at the incumbent distance, not necessarily the canonical one.
+    Search plan: one depth-first pass over radius subsets, best-first (by
+    `far`, below, descending, then lowest resonance, then id).  It keeps
+    the incumbent distance `best` and `tie`, the smallest sorted subset
+    known to fit there.  A leaf that sorts below `tie` is first tested at
+    `best`: it becomes `tie` if it fits and is dropped if not, as it then
+    fails at best + 1 too.  A leaf whose cap is above `best` is then tested
+    at best + 1, and one that fits binary-searches its ladder, raising
+    `best` and becoming `tie`.  A subset at the bound can still tie, so
+    every prune drops only what is below `best`.  At the end `best` is the
+    optimum and `tie` the lexicographically smallest subset there; only
+    its witness is built.  At the last level, where a span may cap a
+    sibling below its `far`, one filter drops the siblings whose span over
+    the carrier gaps is below `best`; the rest go in order, each against
+    its cheap cap, min(`far`, that span).  Each raise keeps the packing the
+    probe found (the quota greedy's, the DP's, walked back from its table,
+    or the row search's), so a timeout reports at once a matrix at the
+    incumbent distance, though not necessarily the canonical one.
 
     Every probe first cuts the subset to its admissible carriers
     (`_admissible`); a radius left with fewer than n_lambda fails it, and
@@ -527,13 +530,14 @@ def solve_spacing(
     largest distance at which i's holes hold n_lambda carriers of another
     radius, pairwise that far apart.  With two or more radii to choose,
     every subset holding i has an optimum of at most `far[i]`, so a
-    candidate with `far[i] <= best` is dropped at any depth, the root
+    candidate with `far[i] < best` is dropped at any depth, the root
     included.  (One radius meets no cross rule, so the bound does not
     apply to it.)  The holes of a survivor are scanned once and memoised
-    by pair, the second direction only when the first leaves the pair
-    above the incumbent: a cap at or below it prunes the pair for good,
-    since the incumbent only rises.  Both bounds are sound on their own,
-    and neither dominates the other, so each only moves effort.
+    by pair, the second direction only when the first leaves the pair at
+    or above the incumbent: a cap below it prunes the pair for good, since
+    the incumbent only rises.  (Skipping it at a cap equal to the incumbent
+    is as sound.)  Both bounds are sound on their own, and neither
+    dominates the other, so each only moves effort.
     """
     if config is None:
         config = SolveConfig()
@@ -566,9 +570,12 @@ def solve_spacing(
     small = (n_lambda + 1) ** n_radii <= _PACK_STATES
 
     best = -1
-    # The value pass's incumbent: a subset, a distance it fits at and a
-    # packing of it there.
+    # The incumbent: a subset, a distance it fits at and a packing of it
+    # there.
     incumbent = None
+    # The smallest sorted subset known to fit at `best`: the canonical one
+    # once the search ends.
+    tie: list[int] | None = None
 
     def fits(allowed, dist: int, picks=None) -> bool:
         """Whether `allowed` packs at `dist`; when it does, `picks`, if
@@ -605,10 +612,19 @@ def solve_spacing(
         ]
 
     def improve(chosen: list[int], top: int, clean: bool) -> None:
-        """The value pass's leaf: raise the incumbent to the subset's optimum
-        when that beats it."""
-        nonlocal best, incumbent
+        """A leaf: the subset becomes `tie` when it fits at `best` and sorts
+        below `tie`, and raises the incumbent to its optimum when that beats
+        `best`."""
+        nonlocal best, incumbent, tie
         subset = [spectra[c] for c in chosen]
+        key = sorted(chosen)
+        if tie is not None and key < tie:
+            # A subset that fails at best fails at best + 1 too.
+            if not fits(admit(subset, clean, best), best):
+                return
+            tie = key
+        if top <= best:
+            return
         # The subset optimum is a ladder value in (best, top], so it beats
         # `best` iff the subset fits at best + 1 (at best = -1, the d = 0
         # count); most leaves stop here.
@@ -621,7 +637,7 @@ def solve_spacing(
         # each is a gap of the subset's nominals, so at least ladder[0].
         # Every distance found to fit raises the incumbent with its
         # packing, so a timeout reports the highest with a matrix.
-        best, incumbent = ladder[0], (chosen, ladder[0], picks)
+        best, incumbent, tie = ladder[0], (chosen, ladder[0], picks), key
         lo, hi = 0, len(ladder) - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
@@ -632,88 +648,70 @@ def solve_spacing(
             else:
                 hi = mid - 1
 
-    def first(chosen: list[int], top: int, clean: bool):
-        """The canonical pass's leaf: the subset when it fits at d*."""
-        target = best + 1
-        return chosen if fits(admit([spectra[c] for c in chosen], clean, target), target) else None
-
     def cap(chosen: list[int], i: int, bound):
         """`bound` cut by the refined pair caps of `i` with each of `chosen`."""
         for c in chosen:
             hole = pair_cap.get((c, i))
             if hole is None:
                 hole = _deepest_hole(spectra[c], spectra[i], n_lambda)
-                if hole > best:
+                if hole >= best:
                     hole = min(hole, _deepest_hole(spectra[i], spectra[c], n_lambda))
                 pair_cap[c, i] = hole
             if hole < bound:
                 bound = hole
         return bound
 
-    def search(seq: list[int], leaf):
-        """Depth-first over the subsets of `seq`, in its order; `leaf` takes
-        each subset that survives the bounds, and a subset it returns ends
-        the search with that subset."""
-
-        def dfs(start: int, chosen: list[int], lo, hi, bound, shared: int):
-            # `shared` is the union of the chosen radii's `shares`, or -1
-            # once two of them share a nominal.
-            need = n_radii - len(chosen)
-            if need == 1:
-                sibs = seq[start:]
-                if far[sibs[0]] * gaps > hi - lo:
-                    # A span may cap a sibling below its `far`: drop those
-                    # whose span is at or below the incumbent, as part of
-                    # the step that opened this node.  (Otherwise, as every
-                    # span covers hi - lo, the first sibling's cheap cap is
-                    # its `far`, and in the value pass's `seq`, descending
-                    # by `far`, so is every sibling's.)
-                    sibs = [
-                        i for i in sibs
-                        if ((hi if hi > highs[i] else highs[i])
-                            - (lo if lo < lows[i] else lows[i])) // gaps > best
-                    ]
-                for i in sibs:
-                    clock.tick()
-                    if far[i] <= best:
-                        break  # and so is every later sibling's cheap cap
-                    top = bound
-                    if refined:
-                        top = cap(chosen, i, bound)
-                        if top <= best:
-                            continue
-                    span = (hi if hi > highs[i] else highs[i]) - (lo if lo < lows[i] else lows[i])
-                    cheap = min(far[i], span // gaps)
-                    if cheap <= best:
-                        continue
-                    found = leaf(chosen + [i], min(top, cheap), not (refined or shared >> i & 1))
-                    if found:
-                        return found
-                return None
-            for p in range(start, len(seq) - need + 1):
-                i = seq[p]
+    def dfs(start: int, chosen: list[int], lo, hi, bound, shared: int) -> None:
+        """Depth-first over the subsets of `order[start:]` that extend
+        `chosen`, in `order`; `improve` takes each that survives the bounds.
+        `shared` is the union of the chosen radii's `shares`, or -1 once two
+        of them share a nominal."""
+        need = n_radii - len(chosen)
+        if need == 1:
+            sibs = order[start:]
+            if far[sibs[0]] * gaps > hi - lo:
+                # A span may cap a sibling below its `far`: drop those whose
+                # span is below the incumbent, as part of the step that
+                # opened this node.  (Otherwise, as every span covers
+                # hi - lo, the first sibling's cheap cap is its `far`, and
+                # in `order`, descending by `far`, so is every sibling's.)
+                sibs = [
+                    i for i in sibs
+                    if ((hi if hi > highs[i] else highs[i])
+                        - (lo if lo < lows[i] else lows[i])) // gaps >= best
+                ]
+            for i in sibs:
                 clock.tick()
-                # far[i] bounds the optimum of every subset holding i and
-                # another radius, so this prunes no subset that could win.
-                # No later radius of `seq` has a larger one: the value
-                # pass's is in descending `far`, and the canonical pass's
-                # has none at or below `best`.
-                if far[i] <= best:
-                    break
-                new_bound = bound
+                if far[i] < best:
+                    break  # and so is every later sibling's cheap cap
+                top = bound
                 if refined:
-                    new_bound = cap(chosen, i, bound)
-                    if new_bound <= best:
+                    top = cap(chosen, i, bound)
+                    if top < best:
                         continue
-                found = dfs(
-                    p + 1, chosen + [i], min(lo, lows[i]), max(hi, highs[i]), new_bound,
-                    -1 if shared >> i & 1 else shared | shares[i],
-                )
-                if found:
-                    return found
-            return None
-
-        return dfs(0, [], math.inf, -math.inf, math.inf, 0)
+                span = (hi if hi > highs[i] else highs[i]) - (lo if lo < lows[i] else lows[i])
+                cheap = min(far[i], span // gaps)
+                if cheap < best:
+                    continue
+                improve(chosen + [i], min(top, cheap), not (refined or shared >> i & 1))
+            return
+        for p in range(start, len(order) - need + 1):
+            i = order[p]
+            clock.tick()
+            # far[i] bounds the optimum of every subset holding i and
+            # another radius, so this prunes no subset that could win or
+            # tie, and no later radius of `order` has a larger one.
+            if far[i] < best:
+                break
+            new_bound = bound
+            if refined:
+                new_bound = cap(chosen, i, bound)
+                if new_bound < best:
+                    continue
+            dfs(
+                p + 1, chosen + [i], min(lo, lows[i]), max(hi, highs[i]), new_bound,
+                -1 if shared >> i & 1 else shared | shares[i],
+            )
 
     far = [math.inf] * len(eligible)
     if refined and n_radii > 1:
@@ -734,14 +732,11 @@ def solve_spacing(
     order = sorted(range(len(eligible)), key=lambda i: (-far[i], lows[i], i))
 
     try:
-        search(order, improve)
-        if incumbent is None:
+        dfs(0, [], math.inf, -math.inf, math.inf, 0)
+        if tie is None:
             return SpacingSolution((), (), None, INFEASIBLE)
-        dist = best
-        best = dist - 1  # the canonical pass looks for the first subset at d*
-        chosen = search([i for i in range(len(eligible)) if far[i] >= dist], first)
-        allowed = _admissible([spectra[c] for c in chosen], n_lambda, mode, dist)
-        return _solution(payload(chosen, _witness(allowed, n_lambda, dist, clock)), dist, False)
+        allowed = _admissible([spectra[c] for c in tie], n_lambda, mode, best)
+        return _solution(payload(tie, _witness(allowed, n_lambda, best, clock)), best, False)
     except _Timeout:
         if incumbent is None:
             return _solution(None, None, True)

@@ -594,10 +594,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("mode", ["base", "refined"])
     def test_timeout_in_witness_keeps_the_incumbent(self, table1, monkeypatch, mode):
-        # The canonical pass is cut while it builds the witness of the first
-        # subset at the optimum: the report is the value pass's incumbent at
-        # the same distance, with the packing that proved it, and no second
-        # witness is built after the cut.
+        # The solve is cut while it builds the witness of the first subset
+        # at the optimum, after the search has ended: the report is the
+        # incumbent at the same distance, with the packing that proved it,
+        # and no second witness is built after the cut.
         calls = []
 
         def cut(*args):
@@ -613,9 +613,9 @@ class TestSolve:
         assert check_spacing_solution(table1, problem, sol) == []
 
     @pytest.mark.parametrize("mode", ["base", "refined"])
-    def test_timeout_in_the_canonical_pass(self, table1, monkeypatch, mode):
-        # Cut the solve at its last step before the final witness, which the
-        # canonical pass takes: the value pass has proven the optimum by
+    def test_timeout_before_the_final_witness(self, table1, monkeypatch, mode):
+        # Cut the solve at its last step before the final witness, the last
+        # step of the subset search: the search has proven the optimum by
         # then, and its incumbent is reported.
         problem = SpacingProblem(2, 2, mode)
         starts = []
@@ -742,10 +742,10 @@ NARROW_SUFFIX = {  # radii 4-7 together span less than the incumbent
     7: (1_505_030,),
 }
 
-# Instances on which the value pass, visiting radii best-first, raises its
-# incumbent to the optimum with a later subset in id order than the first
-# one there: name -> (mode, shape, values, the subset it raises it with,
-# the subset reported).
+# Instances on which the subset search, visiting radii best-first, raises
+# its incumbent to the optimum with a later subset in id order than the
+# first one there: name -> (mode, shape, values, the subset it raises it
+# with, the subset reported).
 TIES = {
     "base-2x1": (
         "base", (2, 1),
@@ -776,6 +776,20 @@ TIES = {
         "refined", (2, 2),
         {1: (1_501_000, 1_501_200), 2: (1_500_600, 1_502_500), 3: (1_500_300, 1_500_800)},
         (1, 3), (1, 2),
+    ),
+    # Radius 1's `far` is 900, the optimum: the root `far` prune must keep
+    # it once (3, 4) has raised the incumbent there.
+    "refined-2x1-root-far": (
+        "refined", (2, 1),
+        {1: (1_500_100, 1_501_900), 2: (1_501_000,), 3: (1_501_100,), 4: (1_500_200,)},
+        (3, 4), (1, 2),
+    ),
+    # The span of (1, 3) is 3,500, the optimum: the last-level span filter
+    # must keep radius 1 once (2, 3) has raised the incumbent there.
+    "base-2x1-span": (
+        "base", (2, 1),
+        {1: (1_503_900,), 2: (1_500_000, 1_503_900), 3: (1_500_400,)},
+        (2, 3), (1, 3),
     ),
 }
 
@@ -811,14 +825,15 @@ class TestOracleAgreement:
         inst = build_instance(values)
         problem = SpacingProblem(*shape, mode)
         sol = solve_spacing(inst, problem)
-        # Only the value pass builds ladders, one per incumbent it raises.
+        # Only a leaf that raises the incumbent builds a ladder.
         assert ladders[-1] == sorted(v for r in met for v in values[r])
         assert sol == oracle_spacing(inst, problem)
         assert sol.status == "optimal"
         assert tuple(sorted(sol.selected_radii)) == first < met
 
     def test_first_subset_one_below_the_optimum(self):
-        # The canonical pass must test each subset at the optimum itself.
+        # (1, 2) sorts below the tie (1, 3) but reaches only 17: a leaf that
+        # sorts below the tie is tested at the incumbent itself.
         inst = build_instance(ONE_BELOW)
         problem = SpacingProblem(2, 1, "base")
         sol = solve_spacing(inst, problem)
@@ -951,15 +966,15 @@ class TestProperties:
 # jitter_pm=100)).  The oracle tests use small instances, where the hole
 # bounds and leaf span caps rarely prune; these pin the search where they
 # do.  `steps` is the search effort in `_Clock` ticks (subset nodes of
-# both passes, witness candidates and packing-DP states), pinned as in
+# the search, witness candidates and packing-DP states), pinned as in
 # `TestSearchEffort`: a change that alters it on purpose updates it here
 # and says so in CHANGES.md with the old and new counts.
 PINNED = {
-    (1000, 2, 2, "base"): (43154, (72, 96), ((0, 8), (19, 28)), 375),
-    (1001, 2, 2, "base"): (43122, (72, 96), ((0, 8), (19, 28)), 395),
-    (1000, 3, 1, "base"): (64883, (63, 81, 24), ((0,), (12,), (10,)), 8443),
-    (1000, 3, 3, "refined"): (4932, (6, 14, 1), ((0, 3, 4), (1, 4, 5), (1, 3, 4)), 2927),
-    (1001, 3, 3, "refined"): (4970, (8, 14, 1), ((0, 4, 5), (1, 5, 6), (1, 3, 4)), 2706),
+    (1000, 2, 2, "base"): (43154, (72, 96), ((0, 8), (19, 28)), 287),
+    (1001, 2, 2, "base"): (43122, (72, 96), ((0, 8), (19, 28)), 288),
+    (1000, 3, 1, "base"): (64883, (63, 81, 24), ((0,), (12,), (10,)), 6154),
+    (1000, 3, 3, "refined"): (4932, (6, 14, 1), ((0, 3, 4), (1, 4, 5), (1, 3, 4)), 2938),
+    (1001, 3, 3, "refined"): (4970, (8, 14, 1), ((0, 4, 5), (1, 5, 6), (1, 3, 4)), 2658),
 }
 
 
@@ -1015,7 +1030,7 @@ LARGE = {
     "desk-4x5": (
         {"seed": 1000}, 4, 5, 2650, (10, 13, 16, 6),
         ((0, 1, 5, 6, 7), (0, 1, 5, 6, 7), (0, 1, 5, 6, 7), (0, 1, 3, 4, 5)),
-        81031,
+        85675,
     ),
     "small-ring-6x7": (
         {"seed": 3, "r_max_pm": 12_000_000}, 6, 7, 1031, (18, 10, 21, 23, 14, 26),
@@ -1027,7 +1042,7 @@ LARGE = {
             (0, 1, 2, 4, 5, 6, 7),
             (0, 1, 2, 6, 7, 8, 9),
         ),
-        2747,
+        6026,
     ),
 }
 
