@@ -219,8 +219,8 @@ def _cmd_export(args) -> int:
                     "id": e.id,
                     "radius_pm": e.radius_pm,
                     "resonances": [
-                        {"nominal_pm": r.nominal, "lmin_pm": r.lmin, "lmax_pm": r.lmax}
-                        for r in e.resonances
+                        {"nominal_pm": nom, "lmin_pm": lo, "lmax_pm": hi}
+                        for nom, lo, hi in zip(e.nominals(), e.lmins, e.lmaxs)
                     ],
                 }
                 for e in instance.radii
@@ -239,7 +239,7 @@ def _cmd_conflicts(args) -> int:
         return {
             "radius": rid,
             "index": idx,
-            "nominal_pm": instance.entry(rid).resonances[idx].nominal,
+            "nominal_pm": instance.entry(rid).nominals()[idx],
         }
 
     def pair_doc(p):
@@ -262,8 +262,8 @@ def _cmd_conflicts(args) -> int:
     if args.table:
         for p in cross + within:
             (r1, i1), (r2, i2) = p.first, p.second
-            v1 = instance.entry(r1).resonances[i1].nominal
-            v2 = instance.entry(r2).resonances[i2].nominal
+            v1 = instance.entry(r1).nominals()[i1]
+            v2 = instance.entry(r2).nominals()[i2]
             print(
                 f"{p.kind:6}  r{r1}[{i1}] {model.pm_to_nm_text(v1)} nm  --  "
                 f"r{r2}[{i2}] {model.pm_to_nm_text(v2)} nm",
@@ -317,7 +317,7 @@ def _cmd_generate(args) -> int:
     if args.out:
         print(
             f"wrote {len(instance.radii)} radii, "
-            f"{sum(len(e.resonances) for e in instance.radii)} resonances to {args.out}",
+            f"{sum(len(e.nominals()) for e in instance.radii)} resonances to {args.out}",
             file=sys.stderr,
         )
     return EXIT_OK

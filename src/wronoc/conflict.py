@@ -88,9 +88,9 @@ def conflicts_of(instance: Instance) -> ConflictSet:
     ids = sorted(instance.ids())
     pos = {rid: p for p, rid in enumerate(ids)}
     items = sorted(
-        (r.lmin, r.lmax, pos[e.id], j)
+        (lo, hi, pos[e.id], j)
         for e in instance.radii
-        for j, r in enumerate(e.resonances)
+        for j, (lo, hi) in enumerate(zip(e.lmins, e.lmaxs))
     )
     block = [[0] * len(ids) for _ in ids]
     count = 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Instance, RadiusEntry, Resonance
+from .model import Instance, RadiusEntry
 
 _MASK64 = (1 << 64) - 1
 _TWO_PI_E15 = 6283185307179586  # round(2*pi * 1e15)
@@ -121,9 +121,8 @@ def generate(spec: GenSpec) -> Instance:
         if not noms:
             empty.append(rid)
             continue
-        radii.append(
-            RadiusEntry(rid, radius_pm, tuple(Resonance.exact(v) for v in sorted(noms)))
-        )
+        exact = tuple(sorted(noms))  # lmin = nominal = lmax
+        radii.append(RadiusEntry._of_columns(rid, radius_pm, exact, exact, exact))
     if empty:
         raise GeneratorError(
             "band too narrow; radii with zero resonances: "

@@ -10,13 +10,22 @@ resonance wavelengths.  Each resonance carries an uncertainty interval
 [lmin, lmax] around its nominal value; how that interval is obtained is a
 load-time policy (taken verbatim from the file, or recomputed as
 nominal +/- half_width).
+
+A radius entry stores its resonances as three int columns, the paper's
+flat ``lambda(R,Lmin,Lnom,Lmax)`` facts: ``nominals()``, ``lmins`` and
+``lmaxs``, index-aligned and ascending by nominal.  The parser, the
+generator, ``apply_delta``, the formatters, the conflict sweep and both
+solvers read and write only these columns, so no per-resonance object is
+built on the hot path.  ``RadiusEntry.resonances`` is a view of
+``Resonance`` objects for the callers that want them (the checkers and
+the oracles); it is built on first use and then kept.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 
 PM_PER_NM = 1000
@@ -88,19 +97,76 @@ class Resonance:
         return cls(nominal, nominal - half_width, nominal + half_width)
 
 
-@dataclass(frozen=True)
 class RadiusEntry:
-    """A ring radius and its resonances, sorted ascending by nominal."""
+    """A ring radius and its resonances, sorted ascending by nominal.
 
-    id: int
-    radius_pm: int
-    resonances: tuple[Resonance, ...]
+    Built from ``Resonance`` objects as ``RadiusEntry(id, radius_pm,
+    resonances)``, or from columns with ``_of_columns`` by the parser, the
+    generator and ``apply_delta``.  Either way it holds the same three
+    columns, so equality and hashing do not depend on how an entry was
+    built.  Entries are immutable.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "resonances", tuple(self.resonances))
+    __slots__ = ("id", "radius_pm", "_nominals", "lmins", "lmaxs", "_resonances")
+
+    def __init__(self, id: int, radius_pm: int, resonances):
+        resonances = tuple(resonances)
+        _init_entry(
+            self, id, radius_pm,
+            tuple(r.nominal for r in resonances),
+            tuple(r.lmin for r in resonances),
+            tuple(r.lmax for r in resonances),
+            resonances,
+        )
+
+    @classmethod
+    def _of_columns(cls, id: int, radius_pm: int, nominals: tuple[int, ...],
+                    lmins: tuple[int, ...], lmaxs: tuple[int, ...]) -> "RadiusEntry":
+        """An entry straight from its index-aligned int columns."""
+        entry = object.__new__(cls)
+        _init_entry(entry, id, radius_pm, nominals, lmins, lmaxs, None)
+        return entry
 
     def nominals(self) -> tuple[int, ...]:
-        return tuple(r.nominal for r in self.resonances)
+        return self._nominals
+
+    @property
+    def resonances(self) -> tuple[Resonance, ...]:
+        """The columns as ``Resonance`` objects, built on first use."""
+        view = self._resonances
+        if view is None:
+            view = tuple(map(Resonance, self._nominals, self.lmins, self.lmaxs))
+            object.__setattr__(self, "_resonances", view)
+        return view
+
+    def _key(self) -> tuple:
+        return (self.id, self.radius_pm, self._nominals, self.lmins, self.lmaxs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"RadiusEntry(id={self.id!r}, radius_pm={self.radius_pm!r}, "
+                f"resonances={self.resonances!r})")
+
+    def __reduce__(self):
+        return (RadiusEntry._of_columns, self._key())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _init_entry(entry, *values) -> None:
+    for name, value in zip(RadiusEntry.__slots__, values):
+        object.__setattr__(entry, name, value)
 
 
 @dataclass(frozen=True)
@@ -128,7 +194,7 @@ class Instance:
             raise KeyError(f"no radius with id {radius_id}") from None
 
     def all_nominals(self) -> list[int]:
-        return [r.nominal for e in self.radii for r in e.resonances]
+        return [n for e in self.radii for n in e.nominals()]
 
 
 def validate(instance: Instance) -> list[str]:
@@ -151,26 +217,27 @@ def validate(instance: Instance) -> list[str]:
         seen_ids.add(entry.id)
         if entry.radius_pm < 0:
             violations.append(f"radius {entry.id}: negative radius_pm")
-        if not entry.resonances:
+        nominals = entry.nominals()
+        if not nominals:
             violations.append(f"radius {entry.id}: no resonances")
             continue
         prev = None
-        for k, res in enumerate(entry.resonances):
-            if res.lmin <= 0:
+        for k, (nom, lo, hi) in enumerate(zip(nominals, entry.lmins, entry.lmaxs)):
+            if lo <= 0:
                 violations.append(
                     f"radius {entry.id}, resonance {k}: non-positive wavelength"
                 )
-            if not (res.lmin <= res.nominal <= res.lmax):
+            if not (lo <= nom <= hi):
                 violations.append(
                     f"radius {entry.id}, resonance {k}: "
                     "interval violates lmin <= nominal <= lmax"
                 )
-            if prev is not None and res.nominal <= prev:
+            if prev is not None and nom <= prev:
                 violations.append(
                     f"radius {entry.id}: resonances not strictly "
                     f"ascending at index {k}"
                 )
-            prev = res.nominal
+            prev = nom
     return violations
 
 
@@ -178,15 +245,17 @@ def apply_delta(instance: Instance, half_width_pm: int) -> Instance:
     """Return a copy with all intervals recomputed as nominal -/+ half width."""
     if half_width_pm < 0:
         raise ModelError("half_width must be >= 0")
-    radii = tuple(
-        RadiusEntry(
+    radii = []
+    for e in instance.radii:
+        noms = e.nominals()
+        radii.append(RadiusEntry._of_columns(
             e.id,
             e.radius_pm,
-            tuple(Resonance.widened(r.nominal, half_width_pm) for r in e.resonances),
-        )
-        for e in instance.radii
-    )
-    return Instance(radii, instance.label)
+            noms,
+            tuple(n - half_width_pm for n in noms),
+            tuple(n + half_width_pm for n in noms),
+        ))
+    return Instance(tuple(radii), instance.label)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +299,8 @@ def parse_instance(text: str | bytes, policy: DeltaPolicy | None = None) -> Inst
     label = ""
     radius_pm: dict[int, int] = {}
     declared: set[int] = set()
-    # Per radius, nominal -> (lmin, lmax); each radius is sorted once at the end.
+    # Per radius, nominal -> (lmin, lmax); each radius is sorted once at the
+    # end and becomes three columns.
     spectra: dict[int, dict[int, tuple[int, int]]] = {}
 
     def declare(rid: int, pm: int, line_no: int) -> None:
@@ -310,15 +380,15 @@ def parse_instance(text: str | bytes, policy: DeltaPolicy | None = None) -> Inst
             )
         spectrum[nom] = (lo, hi)
 
-    radii = tuple(
-        RadiusEntry(
-            rid,
-            radius_pm[rid],
-            tuple(Resonance(nom, lo, hi) for nom, (lo, hi) in sorted(spectrum.items())),
-        )
-        for rid, spectrum in sorted(spectra.items())
-    )
-    instance = Instance(radii, label)
+    radii = []
+    for rid, spectrum in sorted(spectra.items()):
+        noms = tuple(sorted(spectrum))
+        # zip's argument tuple comes from a list at its exact size; from an
+        # iterator it is resized, and each request then parks one tuple per
+        # radius in CPython's free lists until a full collection.
+        lmins, lmaxs = zip(*[spectrum[n] for n in noms]) if noms else ((), ())
+        radii.append(RadiusEntry._of_columns(rid, radius_pm[rid], noms, lmins, lmaxs))
+    instance = Instance(tuple(radii), label)
     violations = validate(instance)
     if violations:
         raise ModelError("; ".join(violations))
@@ -340,8 +410,8 @@ def export_asp_facts(instance: Instance) -> str:
         if e.radius_pm:
             lines.append(f"% radius {e.id} {e.radius_pm}")
     for e in entries:
-        for r in e.resonances:
-            lines.append(f"lambda({e.id},{r.lmin},{r.nominal},{r.lmax}).")
+        for nom, lo, hi in zip(e.nominals(), e.lmins, e.lmaxs):
+            lines.append(f"lambda({e.id},{lo},{nom},{hi}).")
     return "\n".join(lines) + "\n"
 
 
@@ -352,11 +422,11 @@ def format_instance(instance: Instance) -> str:
         lines.append(f"# label: {instance.label}")
     for e in sorted(instance.radii, key=lambda x: x.id):
         lines.append(f"radius {e.id} {e.radius_pm}")
-        for r in e.resonances:
-            if r.lmin == r.nominal == r.lmax:
-                lines.append(f"resonance {e.id} {r.nominal}")
+        for nom, lo, hi in zip(e.nominals(), e.lmins, e.lmaxs):
+            if lo == nom == hi:
+                lines.append(f"resonance {e.id} {nom}")
             else:
-                lines.append(f"resonance {e.id} {r.nominal} {r.lmin} {r.lmax}")
+                lines.append(f"resonance {e.id} {nom} {lo} {hi}")
     return "\n".join(lines) + "\n"
 
 

@@ -138,11 +138,11 @@ class _MisCache(dict):
     of its mask alone, so clearing the cache changes no result.
     """
 
-    def __init__(self, resonances):
+    def __init__(self, lmins: tuple[int, ...], lmaxs: tuple[int, ...]):
         super().__init__()
-        self.resonances = resonances
+        self.lmins, self.lmaxs = lmins, lmaxs
         self.by_lmax = sorted(  # (lmin, lmax, idx)
-            ((r.lmin, r.lmax, j) for j, r in enumerate(resonances)),
+            zip(lmins, lmaxs, range(len(lmins))),
             key=lambda t: (t[1], t[2]),
         )
 
@@ -164,15 +164,15 @@ class _MisCache(dict):
         and the indices after j that clear it still hold enough compatible
         resonances to reach the maximum.
         """
-        res = self.resonances
+        lmins, lmaxs = self.lmins, self.lmaxs
         need, picks, end = self[mask], [], None
-        for j in range(len(res)):
+        for j in range(len(lmins)):
             if not need:
                 break
-            if not mask >> j & 1 or (end is not None and res[j].lmin <= end):
+            if not mask >> j & 1 or (end is not None and lmins[j] <= end):
                 continue
-            lmax = res[j].lmax
-            after = sum(1 << k for k in range(j + 1, len(res)) if res[k].lmin > lmax)
+            lmax = lmaxs[j]
+            after = sum(1 << k for k in range(j + 1, len(lmins)) if lmins[k] > lmax)
             if 1 + self[mask & after] >= need:
                 picks.append(j)
                 need -= 1
@@ -186,10 +186,10 @@ class _Workspace:
     radius a that radius b leaves usable."""
 
     def __init__(self, instance: Instance, conflicts: ConflictSet):
-        resonances = {e.id: e.resonances for e in instance.radii}
-        rows = [resonances[rid] for rid in conflicts.ids]
-        self.full = [(1 << len(res)) - 1 for res in rows]
-        self.mis = [_MisCache(res) for res in rows]
+        by_id = {e.id: e for e in instance.radii}
+        entries = [by_id[rid] for rid in conflicts.ids]
+        self.full = [(1 << len(e.lmins)) - 1 for e in entries]
+        self.mis = [_MisCache(e.lmins, e.lmaxs) for e in entries]
         self.keep = [tuple(~m for m in col) for col in zip(*conflicts.block)]
 
     def capacity(self, pos: int) -> int:
@@ -282,6 +282,8 @@ class _Workspace:
             dfs([(p, self.full[p]) for p in order], [], [])
         except _Timeout:
             return floor, incumbent, True
+        finally:
+            del dfs  # a reference cycle through its own cell, as in solve_spacing
         return floor, incumbent, False
 
     def rows(self, ids: tuple[int, ...], subset: list[int]) -> dict[int, tuple[int, ...]]:

@@ -554,7 +554,7 @@ def solve_spacing(
     n_radii, n_lambda, mode = problem.n_radii, problem.n_lambda, problem.mode
     gaps = n_radii * n_lambda - 1
     entries = [
-        e for e in sorted(instance.radii, key=lambda e: e.id) if len(e.resonances) >= n_lambda
+        e for e in sorted(instance.radii, key=lambda e: e.id) if len(e.nominals()) >= n_lambda
     ]
     if len(entries) < n_radii:
         return SpacingSolution((), (), None, INFEASIBLE)
@@ -748,6 +748,11 @@ def solve_spacing(
         for v, r in sorted(picks):
             rows.setdefault(r, []).append(v)
         return _solution(payload(chosen, rows.items()), dist, True)
+    finally:
+        # The recursive closure is a reference cycle through its own cell;
+        # clearing the cell frees the search's tables now, not at the next
+        # garbage collection.
+        del dfs
 
 
 def _matrix_key(rows_ordered, vals):

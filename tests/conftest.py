@@ -1,3 +1,4 @@
+import gc
 import os
 
 import pytest
@@ -60,6 +61,17 @@ def with_delta(instance, half_width):
 def restrict(instance, ids):
     """The instance cut down to the radii in `ids`."""
     return Instance(tuple(e for e in instance.radii if e.id in ids), instance.label)
+
+
+def cyclic_garbage_of(solve) -> int:
+    """How many objects `solve()` leaves that only the cycle collector frees."""
+    gc.collect()
+    gc.disable()
+    try:
+        solve()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 # Random-small parameters are pinned: the 1500 pm value grid makes exact

@@ -1,10 +1,18 @@
-"""The README's "Performance envelope" must match the latest BENCH file."""
+"""The README's "Performance envelope" must match the latest BENCH file,
+and its instance-file example must parse."""
 
 import json
 import re
 from pathlib import Path
 
+from wronoc import Resonance, parse_instance
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_section(title):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_envelope_cites_the_latest_bench_file():
@@ -15,7 +23,14 @@ def test_envelope_cites_the_latest_bench_file():
     ]
     assert numbers
     latest = f"BENCH_{max(numbers)}.json"
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    envelope = readme.split("\n## Performance envelope\n", 1)[1].split("\n## ", 1)[0]
-    assert f"`{latest}`" in envelope
+    assert f"`{latest}`" in readme_section("Performance envelope")
     json.loads((ROOT / latest).read_text(encoding="utf-8"))
+
+
+def test_instance_file_example_parses():
+    example = readme_section("Instance files").split("```\n", 2)[1]
+    inst = parse_instance(example)
+    assert inst.label == "table1"
+    assert [(e.id, e.radius_pm) for e in inst.radii] == [(1, 5000000)]
+    assert inst.radii[0].resonances == (
+        Resonance.exact(1496400), Resonance(1521300, 1520300, 1522300))

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import string
 
 import pytest
@@ -5,18 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_instance, generate_random_small, table1_instance
+from wronoc import cli
 from wronoc import (
     DeltaPolicy,
+    GenSpec,
     Instance,
     ModelError,
     ParseError,
     RadiusEntry,
     Resonance,
+    SpacingProblem,
     apply_delta,
+    conflicts_of,
     export_asp_facts,
     format_instance,
+    generate,
     instance_digest,
     parse_instance,
+    solve_max_parallelism,
+    solve_spacing,
     validate,
 )
 
@@ -133,6 +143,85 @@ class TestEntry:
         table1.entry(1)
         assert table1 == table1_instance()
         assert hash(table1) == hash(table1_instance())
+
+
+def from_objects(entry):
+    """The same entry built through the public ``Resonance`` constructor."""
+    resonances = tuple(
+        Resonance(nom, lo, hi) for nom, lo, hi in zip(entry.nominals(), entry.lmins, entry.lmaxs)
+    )
+    return RadiusEntry(entry.id, entry.radius_pm, resonances)
+
+
+class TestColumns:
+    """An entry holds three int columns; ``resonances`` is a view of them."""
+
+    DESK = GenSpec(seed=1000, jitter_pm=100)
+
+    def built_entries(self, table1_text):
+        desk = generate(self.DESK)
+        text = "radius 1 0\nresonance 1 1600000\nresonance 1 1500000 1499000 1501000\n"
+        return [
+            *parse_instance(table1_text).radii,
+            *parse_instance(text).radii,
+            *parse_instance(export_asp_facts(desk)).radii,
+            *parse_instance(format_instance(desk), DeltaPolicy.symmetric(300)).radii,
+            *desk.radii,
+            *apply_delta(desk, 1000).radii,
+        ]
+
+    def test_columnar_entries_equal_object_entries(self, table1_text):
+        for entry in self.built_entries(table1_text):
+            twin = from_objects(entry)
+            assert entry == twin and twin == entry
+            assert hash(entry) == hash(twin)
+            assert entry != RadiusEntry(entry.id, entry.radius_pm + 1, twin.resonances)
+
+    def test_resonances_round_trip(self, table1_text):
+        for entry in self.built_entries(table1_text):
+            view = entry.resonances
+            assert view is entry.resonances
+            assert [(r.nominal, r.lmin, r.lmax) for r in view] == list(
+                zip(entry.nominals(), entry.lmins, entry.lmaxs))
+            assert RadiusEntry(entry.id, entry.radius_pm, view) == entry
+            assert copy.deepcopy(entry) == entry == pickle.loads(pickle.dumps(entry))
+        entry = RadiusEntry(3, 5, [Resonance(1500000, 1499000, 1501000)])
+        assert entry.nominals() == (1500000,)
+        assert (entry.lmins, entry.lmaxs) == ((1499000,), (1501000,))
+
+    @pytest.mark.parametrize("name", ["id", "radius_pm", "lmins", "lmaxs", "resonances", "other"])
+    def test_entries_are_immutable(self, table1, name):
+        entry = table1.entry(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(entry, name, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(entry, name)
+        assert entry == table1_instance().entry(1)
+
+    def test_the_hot_path_builds_no_resonance(self, monkeypatch, tmp_path):
+        path = tmp_path / "desk.txt"
+        path.write_text(format_instance(generate(self.DESK)), encoding="utf-8")
+        out = tmp_path / "out.json"
+
+        def refuse(self, *args):
+            raise AssertionError("a Resonance was built")
+
+        monkeypatch.setattr(Resonance, "__init__", refuse)
+        desk = generate(self.DESK)
+        inst = parse_instance(path.read_text(encoding="utf-8"))
+        assert inst == desk
+        wide = parse_instance(format_instance(desk), DeltaPolicy.symmetric(1000))
+        assert wide == apply_delta(desk, 1000)
+        assert parse_instance(export_asp_facts(wide)) == wide
+        instance_digest(wide)
+        assert len(conflicts_of(wide)) > 0
+        assert solve_max_parallelism(wide, conflicts_of(wide), 4).status == "optimal"
+        assert solve_spacing(inst, SpacingProblem(2, 2)).status == "optimal"
+        argv = ["spacing", "--instance", str(path), "--n-radii", "2", "--parallelism", "2",
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        with pytest.raises(AssertionError, match="a Resonance was built"):
+            inst.radii[0].resonances
 
 
 class TestAspExport:

@@ -2,7 +2,14 @@ import time
 
 import pytest
 
-from conftest import build_instance, generate_random_small, restrict, table1_instance, with_delta
+from conftest import (
+    build_instance,
+    cyclic_garbage_of,
+    generate_random_small,
+    restrict,
+    table1_instance,
+    with_delta,
+)
 from wronoc import (
     GenSpec,
     ParallelismSolution,
@@ -57,6 +64,15 @@ class TestEvaluateSubset:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("half_width, n_radii, limit", [(100, 4, 0), (1000, 16, 0.001)])
+    def test_a_solve_leaves_no_cyclic_garbage(self, half_width, n_radii, limit):
+        # A recursive closure is a cycle that would hold the MIS caches until
+        # the next full collection; the search clears it, timed out or not.
+        inst = apply_delta(generate(GenSpec(seed=1000, jitter_pm=100)), half_width)
+        conflicts = conflicts_of(inst)
+        config = SolveConfig(time_limit=limit)
+        assert cyclic_garbage_of(lambda: solve_max_parallelism(inst, conflicts, n_radii, config)) == 0
+
     def test_three_radii(self, table1, table1_conflicts):
         sol = solve_max_parallelism(table1, table1_conflicts, 3)
         assert sol.status == "optimal"
@@ -308,8 +324,9 @@ class TestBoundedMisCache(TestPinnedDeskScale, TestSearchEffort):
 
     def test_a_full_cache_is_cleared(self):
         # Widened so that neighbouring resonances overlap.
-        resonances = table1_instance(half_width=10_000).entry(4).resonances
-        cache = parallelism._MisCache(resonances)
+        entry = table1_instance(half_width=10_000).entry(4)
+        resonances = entry.resonances
+        cache = parallelism._MisCache(entry.lmins, entry.lmaxs)
         for mask in range(1 << len(resonances)):
             usable = tuple(j for j in range(len(resonances)) if mask >> j & 1)
             assert cache[mask] == len(parallelism._longest_chain(resonances, usable))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     build_instance,
+    cyclic_garbage_of,
     dist_upper_bound,
     distance_ladder,
     generate_random_small,
@@ -581,6 +582,18 @@ class TestSolve:
         sol = solve_spacing(inst, SpacingProblem(3, 2, "refined"), SolveConfig(time_limit=0.01))
         assert sol.status == "incumbent-timeout"
         assert time.monotonic() - started < 1
+
+    @pytest.mark.parametrize("problem, limit", [
+        (SpacingProblem(2, 2, "base"), 0),
+        (SpacingProblem(3, 3, "refined"), 0),
+        (SpacingProblem(3, 5, "base"), 0.01),
+    ])
+    def test_a_solve_leaves_no_cyclic_garbage(self, problem, limit):
+        # The recursive `dfs` closure is a cycle that would hold the search's
+        # tables until the next full collection; the solve clears it.
+        inst = generate(GenSpec(seed=1000, jitter_pm=100))
+        config = SolveConfig(time_limit=limit)
+        assert cyclic_garbage_of(lambda: solve_spacing(inst, problem, config)) == 0
 
     def test_time_limit_stops_a_large_base_pool(self):
         # 2,501 radii, base 3x2: siblings the last level filters out do not
