@@ -27,6 +27,7 @@ import hashlib
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from operator import lt
 
 PM_PER_NM = 1000
 
@@ -196,13 +197,19 @@ class Instance:
     def all_nominals(self) -> list[int]:
         return [n for e in self.radii for n in e.nominals()]
 
+    @cached_property
+    def _text(self) -> str:
+        """The canonical text, formatted on first use.  ``parse_instance``
+        seeds it with the file's own text when that text is canonical."""
+        return _format(self)
+
 
 def validate(instance: Instance) -> list[str]:
     """Check every structural invariant; return one message per violation.
 
     Violations are data, not exceptions: an empty list means the instance
-    is well formed.  ``parse_instance`` calls this and refuses to return
-    an invalid instance.
+    is well formed.  ``parse_instance`` refuses to return an instance
+    with violations.
     """
     violations: list[str] = []
     if not instance.radii:
@@ -221,8 +228,11 @@ def validate(instance: Instance) -> list[str]:
         if not nominals:
             violations.append(f"radius {entry.id}: no resonances")
             continue
-        prev = None
+        prev = 0
         for k, (nom, lo, hi) in enumerate(zip(nominals, entry.lmins, entry.lmaxs)):
+            if 0 < lo <= nom <= hi and prev < nom:
+                prev = nom
+                continue
             if lo <= 0:
                 violations.append(
                     f"radius {entry.id}, resonance {k}: non-positive wavelength"
@@ -232,7 +242,7 @@ def validate(instance: Instance) -> list[str]:
                     f"radius {entry.id}, resonance {k}: "
                     "interval violates lmin <= nominal <= lmax"
                 )
-            if prev is not None and nom <= prev:
+            if k and nom <= prev:
                 violations.append(
                     f"radius {entry.id}: resonances not strictly "
                     f"ascending at index {k}"
@@ -283,19 +293,80 @@ _LAMBDA_RE = re.compile(
 def parse_instance(text: str | bytes, policy: DeltaPolicy | None = None) -> Instance:
     """Parse canonical or ASP-fact instance text into a validated Instance.
 
-    One pass over the lines: each is split once and dispatched on its
-    first field, canonical ``resonance`` lines first.  Only the other
-    lines (comments and ``lambda`` facts) are stripped and matched
-    further.  Resonances are normalised ascending by nominal and radii
-    ascending by id.  Under a symmetric policy, intervals in the file are
-    discarded and recomputed from the policy half width.
+    A text that is already canonical with point intervals (what
+    ``generate`` writes) is read block by block; any other text, and any
+    canonical text that fails a check, goes to the line parser, so every
+    error it reports is the line parser's.  Resonances are normalised
+    ascending by nominal and radii ascending by id.  Under a symmetric
+    policy, intervals in the file are discarded and recomputed from the
+    policy half width.
     """
     if policy is None:
         policy = DeltaPolicy.explicit()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     half_width = policy.half_width if policy.mode == SYMMETRIC_HALF_WIDTH else None
+    instance = _parse_canonical(text, half_width)
+    if instance is None:
+        return _parse_lines(text, half_width)
+    if half_width is None:
+        # The text is format_instance's output for this very instance.
+        object.__setattr__(instance, "_text", text)
+    return instance
 
+
+def _parse_canonical(text: str, half_width: int | None) -> Instance | None:
+    """The instance of a canonical text with point intervals, or None.
+
+    The text is split once on ``"radius "``.  A radius block is accepted
+    only if formatting what was read from it gives back the block byte
+    for byte, and the same holds for the ``# label:`` head; that rules
+    out every spelling the line parser would read differently (leading
+    zeros, signs, ``_``, other whitespace, CRLF, a missing final
+    newline).  The checks are ``validate``'s: ids and nominals strictly
+    ascending, ids and wavelengths positive, ``radius_pm`` not negative,
+    at least one resonance per radius.
+    """
+    if not text.startswith(("radius ", "# label: ")):  # ASP facts, comments
+        return None
+    head, *blocks = text.split("radius ")
+    label = head[len("# label: "):-1]
+    if not blocks or head and (head != f"# label: {label}\n"
+                               or label.splitlines() != [label] or label != label.strip()):
+        return None
+    shift = half_width or 0
+    radii = []
+    last = 0
+    try:
+        for block in blocks:
+            fields = block.split()
+            rid, pm = int(fields[0]), int(fields[1])
+            noms = list(map(int, fields[4::3]))
+            if not (last < rid and pm >= 0 and noms and noms[0] > shift
+                    and all(map(lt, noms, noms[1:]))
+                    and block == f"{rid} {pm}\n{_point_lines(rid, noms)}\n"):
+                return None
+            last = rid
+            nominals = tuple(noms)
+            if half_width is None:
+                lmins = lmaxs = nominals
+            else:
+                lmins = tuple([n - half_width for n in noms])
+                lmaxs = tuple([n + half_width for n in noms])
+            radii.append(RadiusEntry._of_columns(rid, pm, nominals, lmins, lmaxs))
+    except (ValueError, IndexError):
+        return None
+    return Instance(tuple(radii), label)
+
+
+def _parse_lines(text: str, half_width: int | None) -> Instance:
+    """The line parser: any canonical or ASP-fact text.
+
+    One pass over the lines: each is split once and dispatched on its
+    first field, canonical ``resonance`` lines first.  Only the other
+    lines (comments and ``lambda`` facts) are stripped and matched
+    further.
+    """
     label = ""
     radius_pm: dict[int, int] = {}
     declared: set[int] = set()
@@ -416,13 +487,24 @@ def export_asp_facts(instance: Instance) -> str:
 
 
 def format_instance(instance: Instance) -> str:
-    """Render an instance in the canonical line-oriented format."""
+    """Render an instance in the canonical line-oriented format.
+
+    The text is kept on the instance, so later calls return it as is.
+    """
+    return instance._text
+
+
+def _format(instance: Instance) -> str:
     lines: list[str] = []
     if instance.label:
         lines.append(f"# label: {instance.label}")
     for e in sorted(instance.radii, key=lambda x: x.id):
         lines.append(f"radius {e.id} {e.radius_pm}")
-        for nom, lo, hi in zip(e.nominals(), e.lmins, e.lmaxs):
+        noms = e.nominals()
+        if noms and e.lmins == noms == e.lmaxs:
+            lines.append(_point_lines(e.id, noms))
+            continue
+        for nom, lo, hi in zip(noms, e.lmins, e.lmaxs):
             if lo == nom == hi:
                 lines.append(f"resonance {e.id} {nom}")
             else:
@@ -430,8 +512,18 @@ def format_instance(instance: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _point_lines(rid: int, nominals) -> str:
+    """The canonical lines of point resonances, without the last newline."""
+    head = f"resonance {rid} "
+    return head + f"\n{head}".join(map(str, nominals))
+
+
 def instance_digest(instance: Instance) -> str:
-    """Content hash of the canonical serialization (sha256 hex)."""
+    """Content hash of the canonical serialization (sha256 hex).
+
+    For an instance parsed from a canonical file under the explicit
+    policy, that serialization is the file's own text.
+    """
     return hashlib.sha256(format_instance(instance).encode("utf-8")).hexdigest()
 
 

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import hashlib
+import json
 import pickle
 import string
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_instance, generate_random_small, table1_instance
-from wronoc import cli
+from wronoc import cli, model
 from wronoc import (
     DeltaPolicy,
     GenSpec,
@@ -124,6 +126,15 @@ class TestValidate:
     def test_empty_radius(self):
         violations = validate(Instance((RadiusEntry(1, 0, ()),)))
         assert violations == ["radius 1: no resonances"]
+
+    @pytest.mark.parametrize("bad", [Resonance(1600000, 1600001, 1600002),
+                                     Resonance(1600000, 1599999, 1599999)])
+    def test_each_interval_bound_is_checked(self, bad):
+        # Only one side of lmin <= nominal <= lmax fails, after a valid
+        # resonance.
+        entry = RadiusEntry(1, 0, (Resonance.exact(1500000), bad))
+        assert validate(Instance((entry,))) == [
+            "radius 1, resonance 1: interval violates lmin <= nominal <= lmax"]
 
 
 class TestEntry:
@@ -457,3 +468,122 @@ class TestParseContract:
             instance = apply_delta(instance, half_width)
         assert parse_instance(format_instance(instance)) == instance
         assert parse_instance(export_asp_facts(instance)) == instance
+
+
+def outcome(parse):
+    """An instance with its canonical text, or the error's type, message
+    and line number."""
+    try:
+        instance = parse()
+    except ModelError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return instance, format_instance(instance)
+
+
+def line_parser_outcome(text, policy):
+    half_width = policy.half_width if policy.mode == "symmetric-half-width" else None
+    return outcome(lambda: model._parse_lines(text, half_width))
+
+
+CANONICAL = ("# label: t\nradius 1 5000\nresonance 1 1500000\nresonance 1 1500100\n"
+             "radius 2 6000\nresonance 2 1490000\n")
+EXPLICIT = DeltaPolicy.explicit()
+# Texts close to canonical that the line parser reads differently, or not at
+# all; the canonical fast path must give the same instance or the same error.
+NEAR_CANONICAL = [
+    (CANONICAL, EXPLICIT),
+    (CANONICAL, DeltaPolicy.symmetric(1000)),
+    (CANONICAL.replace("1500100", "01500100"), EXPLICIT),
+    (CANONICAL.replace("radius 2 6000", "radius 02 6000"), EXPLICIT),
+    (CANONICAL.replace("radius 1 5000", "radius 1 05000"), EXPLICIT),
+    (CANONICAL.replace("1500100", "+1500100"), EXPLICIT),
+    (CANONICAL.replace("1500100", "1_500_100"), EXPLICIT),
+    (CANONICAL.replace("1500100", "\u0661\u0665\u0660\u0660\u0661\u0660\u0660"), EXPLICIT),
+    (CANONICAL.replace("1500100", "\uff11\uff15\uff10\uff10\uff11\uff10\uff10"), EXPLICIT),
+    (CANONICAL.replace("\n", "\r\n"), EXPLICIT),
+    (CANONICAL.replace("\n", "\r"), EXPLICIT),
+    (CANONICAL.replace("radius 1 5000", "radius\t1 5000"), EXPLICIT),
+    (CANONICAL.replace("resonance 2 1490000", "resonance 2  1490000"), EXPLICIT),
+    (CANONICAL.replace("t\n", "a\u00a0b\n", 1), EXPLICIT),
+    (CANONICAL.replace("t\n", "t\u00a0\n", 1), EXPLICIT),
+    (CANONICAL.replace("t\n", "t\x85\n", 1), EXPLICIT),
+    (CANONICAL.replace("t\n", "t\u2028u\n", 1), EXPLICIT),
+    (CANONICAL.replace("t\n", "my radius 1 5000\n", 1), EXPLICIT),
+    (CANONICAL.replace("t\n", " t \n", 1), EXPLICIT),
+    (CANONICAL.replace("# label: t\n", "# label: \n"), EXPLICIT),
+    (CANONICAL.replace("# label: t\n", "#label: t\n"), EXPLICIT),
+    (CANONICAL.replace("# label: t\n", "# a comment\n"), EXPLICIT),
+    (CANONICAL.replace("# label: t\n", ""), EXPLICIT),
+    ("# label: t\n", EXPLICIT),
+    ("", EXPLICIT),
+    (CANONICAL[:-1], EXPLICIT),
+    (CANONICAL + "\n", EXPLICIT),
+    (CANONICAL + "radius 3 7000\n", EXPLICIT),
+    ("radius 1 5000\nradius 2 6000\nresonance 2 1490000\n", EXPLICIT),
+    ("radius 2 6000\nresonance 2 1490000\nradius 1 5000\nresonance 1 1500000\n", EXPLICIT),
+    ("radius 1 5000\nresonance 1 1500000\nradius 1 6000\nresonance 1 1490000\n", EXPLICIT),
+    ("radius 1 0\nresonance 1 1500100\nresonance 1 1500000\n", EXPLICIT),
+    ("radius 1 0\nresonance 1 1500000\nresonance 1 1500000\n", EXPLICIT),
+    ("radius 1 0\nresonance 2 1500000\n", EXPLICIT),
+    ("radius 1 0\nresonance 1 1500000 1499000 1501000\n", EXPLICIT),
+    ("radius 1 0\nresonance 1 1500000 1499000 1501000\n", DeltaPolicy.symmetric(5)),
+    ("radius 1 0\nresonance 1 1500000 1500000 1500000\n", EXPLICIT),
+    ("radius 1 -5000\nresonance 1 1500000\n", EXPLICIT),
+    ("radius 0 0\nresonance 0 1500000\n", EXPLICIT),
+    ("radius -1 0\nresonance -1 1500000\n", EXPLICIT),
+    ("radius 1 0\nresonance 1 -5\n", EXPLICIT),
+    ("radius 1 0\nresonance 1 0\n", EXPLICIT),
+    ("radius 1 0\nresonance 1 500\n", DeltaPolicy.symmetric(500)),
+    ("radius 1 0\nresonance 1 500\n", DeltaPolicy.symmetric(499)),
+    ("radius 1 0\nresonance 1 1500000\nradius 2 0\nresonance 2 500\n",
+     DeltaPolicy.symmetric(600)),
+    ("radius 1 0\nresonance 1 1500000\nxradius 2 0\nresonance 2 1500000\n", EXPLICIT),
+    ("radius 1 0\nresonance 1 1500000 radius 2 0\n", EXPLICIT),
+    ("radius 1 0\nresonance 1 1500000\n% radius 2 0\nlambda(2,1,1,1).\n", EXPLICIT),
+]
+
+
+class TestCanonicalFastPath:
+    """``parse_instance`` reads canonical files block by block and falls
+    back to the line parser; both must give the same result."""
+
+    @pytest.mark.parametrize("text, policy", NEAR_CANONICAL)
+    def test_same_result_as_the_line_parser(self, text, policy):
+        assert outcome(lambda: parse_instance(text, policy)) == \
+            line_parser_outcome(text, policy)
+
+    def test_canonical_text_takes_the_fast_path(self):
+        assert model._parse_canonical(CANONICAL, None) is not None
+        # The file's own text is the instance's canonical text: no re-format.
+        assert format_instance(parse_instance(CANONICAL)) is CANONICAL
+        assert format_instance(parse_instance(CANONICAL, DeltaPolicy.symmetric(5))) != CANONICAL
+        assert model._parse_canonical(CANONICAL.replace("\n", "\r\n"), None) is None
+
+    @given(instance=instances(), half_width=st.sampled_from([None, 0, 250]),
+           delta=st.sampled_from([None, 0, 250]))
+    @settings(max_examples=150, deadline=None)
+    def test_formatted_instances(self, instance, half_width, delta):
+        if half_width is not None:
+            instance = apply_delta(instance, half_width)
+        text = format_instance(instance)
+        policy = EXPLICIT if delta is None else DeltaPolicy.symmetric(delta)
+        got = outcome(lambda: parse_instance(text, policy))
+        assert got == line_parser_outcome(text, policy)
+        if half_width == 0 and "radius " not in instance.label:
+            assert model._parse_canonical(text, delta) is not None
+        if delta is None:
+            assert got[0] == instance
+            assert instance_digest(got[0]) == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_digest_of_a_generated_file_is_its_sha256(self, tmp_path):
+        # generate writes a canonical file, so validate reports the sha256
+        # of its bytes as the instance digest.
+        desk, out = tmp_path / "desk.txt", tmp_path / "validate.json"
+        assert cli.main(["generate", "--seed", "1000", "--jitter-pm", "100",
+                         "--out", str(desk)]) == 0
+        assert cli.main(["validate", "--instance", str(desk), "--out", str(out)]) == 0
+        document = json.loads(out.read_text(encoding="utf-8"))
+        assert document["violations"] == []
+        assert document["instance_digest"] == hashlib.sha256(desk.read_bytes()).hexdigest()
+        inst = parse_instance(desk.read_text(encoding="utf-8"))
+        assert instance_digest(inst) == instance_digest(Instance(inst.radii, inst.label))
