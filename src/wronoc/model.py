@@ -89,14 +89,6 @@ class Resonance:
     lmin: int
     lmax: int
 
-    @classmethod
-    def exact(cls, nominal: int) -> "Resonance":
-        return cls(nominal, nominal, nominal)
-
-    @classmethod
-    def widened(cls, nominal: int, half_width: int) -> "Resonance":
-        return cls(nominal, nominal - half_width, nominal + half_width)
-
 
 class RadiusEntry:
     """A ring radius and its resonances, sorted ascending by nominal.

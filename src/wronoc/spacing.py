@@ -21,17 +21,17 @@ over that ladder finds the exact optimum without a continuous search.
 
 At a fixed distance d both rule sets' cross rules are static, so one
 filter (`_admissible`) cuts each radius to the carriers they admit, and
-every probe works on what is left.  At d = 0 nothing else constrains the
-matrix, so the probe is a count: does every radius keep ``n_lambda``
-carriers?  At d > 0 it is a quota packing: can each radius take
-``n_lambda`` of its admissible carriers, all pairwise at least d apart?
-Two greedies (`_greedy`) settle most packings: one builds a packing, the
-other counts too few carriers d apart for any.  An exact DP over
-per-radius count vectors (`_packs`) decides the rest without
-backtracking.  The row search (`_witness`) builds the witness slot by
-slot, each slot taking the first candidate after which the rest still
-packs; beyond the DP's state budget it backtracks instead, and decides
-the probes too.
+every probe works on what is left.  A probe is a quota packing: can
+each radius take ``n_lambda`` of its admissible carriers, all pairwise at
+least d apart?  One routine (`_packing`) returns a packing or None.  At
+d = 0 each radius's first ``n_lambda`` carriers are one.  Otherwise two
+greedies (`_greedy`) settle most probes: one builds a packing, the other
+counts too few carriers d apart for any.  An exact DP over per-radius
+count vectors (`_packs`) decides the rest and walks its packing back from
+its table; beyond the DP's state budget the row search (`_witness`)
+decides by backtracking.  The row search builds the witness slot by
+slot; within the budget each slot takes the first candidate after which
+the rest still packs, so it never backtracks.
 
 Above the probes, refined mode propagates each radius's cardinality:
 every chosen radius needs ``n_lambda`` carriers clear of the others'
@@ -176,8 +176,8 @@ def _completes(allowed, n_lambda: int, dist: int, rows, placed, clock: _Clock) -
     The carriers still to place are: each radius with no row yet,
     n_lambda at or above the open row's first + `dist`; the open row's own
     remaining ones, at later indices; all of them clear of `placed`.  That
-    is a quota packing, which `_greedy` and then `_packs` decide (at
-    `dist` = 0, the counts).
+    is a quota packing, which `_packing` decides once every list holds its
+    quota.
     """
     lists, quotas = [], []
     used = {r for r, _ in rows}
@@ -201,12 +201,7 @@ def _completes(allowed, n_lambda: int, dist: int, rows, placed, clock: _Clock) -
                 return False
             lists.append(keep)
             quotas.append(quota)
-    if not lists or dist == 0:
-        return True
-    verdict = _greedy(lists, quotas, dist)
-    if verdict is None:
-        return _packs(lists, quotas, dist, clock)
-    return verdict
+    return not lists or _packing(lists, quotas, dist, clock) is not None
 
 
 def _witness(allowed, n_lambda: int, dist: int, clock: _Clock):
@@ -227,8 +222,9 @@ def _witness(allowed, n_lambda: int, dist: int, clock: _Clock):
     carrier back and tries the next.
 
     Within `_PACK_STATES`, a frame yields a candidate only when the
-    carriers still to place pack (`_completes`, the DP-completion check),
-    so no frame is ever spent and nothing is taken back.
+    carriers still to place pack (`_completes`), so nothing is taken back,
+    and on an infeasible input every opener fails.  Beyond the budget it
+    backtracks; `_packing` calls it there for the probes left open.
     """
     tick = clock.tick
     tail = n_lambda - 1
@@ -283,8 +279,6 @@ def _witness(allowed, n_lambda: int, dist: int, clock: _Clock):
             placed.pop(bisect_left(placed, v))
 
     complete = (n_lambda + 1) ** len(allowed) <= _PACK_STATES
-    if complete and not _completes(allowed, n_lambda, dist, rows, placed, clock):
-        return None
     stack = [open_row(None)]
     while stack:
         for _ in stack[-1]:
@@ -302,17 +296,17 @@ def _witness(allowed, n_lambda: int, dist: int, clock: _Clock):
     return None
 
 
-# The largest quota-packing DP, in states, that decides a ladder probe and
-# checks a completion in `_witness`; beyond it `_witness` decides the probe
-# and builds the witness by backtracking, as the row search did before the
-# DP.  `_packs` ticks the clock once per state, as every search loop ticks
-# once per step (`_Clock` reads the time every 256 steps), so a time limit
-# bounds the DP too.  A state costs ~3 us at 6 radii on a 2-vCPU VM, so a
-# probe at the budget takes ~3 s.  Chosen by measurement: at 20 s on
-# small-ring and desk instances the DP decider held a better incumbent than
-# the row search at 262,144 (6x7), 823,543 (7x6) and 1,000,000 (6x9) states,
-# the same one at 537,824 (5x13) and 1,679,616 (8x5), and a worse one at
-# 2,097,152 (7x7).  Only probes that neither `_greedy` check settles reach
+# The largest quota-packing DP, in states, that `_packing` runs, for a
+# ladder probe or a completion check in `_witness`; beyond it `_witness`
+# decides the probe and builds the witness by backtracking, as the row
+# search did before the DP.  `_packs` ticks the clock once per state, as
+# every search loop ticks once per step (`_Clock` reads the time every 256
+# steps), so a time limit bounds the DP too.  A state costs ~3 us at 6
+# radii on a 2-vCPU VM, so a probe at the budget takes ~3 s.  Chosen by
+# measurement: at 20 s on small-ring and desk instances the DP decider held
+# a better incumbent than the row search at 262,144 (6x7), 823,543 (7x6)
+# and 1,000,000 (6x9) states, the same one at 537,824 (5x13) and
+# 1,679,616 (8x5), and a worse one at 2,097,152 (7x7).  Only probes that neither `_greedy` check settles reach
 # the DP; in refined mode none did on desk 4x5 (seeds 1000, 1001) or
 # small-ring 6x7 (seeds 3-5).  The budget also bounds the completion check
 # of `_witness`, which runs the DP once per candidate the greedies leave
@@ -321,17 +315,38 @@ def _witness(allowed, n_lambda: int, dist: int, clock: _Clock):
 _PACK_STATES = 1 << 20
 
 
-def _packs(allowed, quotas, dist: int, clock: _Clock, picks=None) -> bool:
-    """Whether each radius r can host `quotas[r]` of its admissible carriers
+def _packing(allowed, quotas, dist: int, clock: _Clock):
+    """A packing of `quotas[r]` of each radius r's admissible carriers
     `allowed[r]` (one sorted list per radius), all pairwise at least `dist`
-    > 0 apart.  When it can, `picks`, if given, receives such a packing as
-    (value, radius position) pairs.
+    apart, as (value, radius position) pairs, or None when there is none.
+
+    Every list must hold at least its quota, so at `dist` = 0 each list's
+    first carriers are a packing.  Otherwise the greedies (`_greedy`) try
+    first, and the DP (`_packs`) decides what they leave open; beyond
+    `_PACK_STATES` states the row search (`_witness`) does, which needs
+    every quota to be the same.
+    """
+    if dist == 0:
+        return [(v, r) for r, lst in enumerate(allowed) for v in lst[: quotas[r]]]
+    picks = _greedy(allowed, quotas, dist)
+    if picks is False:
+        return None
+    if picks is not None:
+        return picks
+    if math.prod(q + 1 for q in quotas) <= _PACK_STATES:
+        return _packs(allowed, quotas, dist, clock)
+    rows = _witness(allowed, quotas[0], dist, clock)
+    return None if rows is None else [(v, r) for r, values in rows for v in values]
+
+
+def _packs(allowed, quotas, dist: int, clock: _Clock):
+    """The exact decider of `_packing` at `dist` > 0: a packing, or None.
 
     A quota packing: g(c), the smallest possible last carrier of a valid
     pick with per-radius counts c, is the minimum over radii r of the first
     admissible carrier of r at or above g(c - e_r) + dist.  The probe is
-    feasible iff g(quotas) exists, and the radii that set each g walk a
-    packing back from it.  The DP has the product of (quotas[r] + 1)
+    feasible iff g(quotas) exists, and then the radii that set each g walk
+    a packing back from it.  The DP has the product of (quotas[r] + 1)
     states.
     """
     strides = []
@@ -358,28 +373,27 @@ def _packs(allowed, quotas, dist: int, clock: _Clock, picks=None) -> bool:
                         last = lst[j]
         g[state] = last
     if g[-1] == math.inf:
-        return False
-    if picks is not None:
-        state, c = size - 1, list(quotas)
-        while state:
-            v = g[state]
-            for r, stride in enumerate(strides):
-                if c[r] and g[state - stride] != math.inf:
-                    lst = allowed[r]
-                    j = bisect_left(lst, g[state - stride] + dist)
-                    if j < len(lst) and lst[j] == v:
-                        break
-            picks.append((v, r))
-            c[r] -= 1
-            state -= stride
-    return True
+        return None
+    picks = []
+    state, c = size - 1, list(quotas)
+    while state:
+        v = g[state]
+        for r, stride in enumerate(strides):
+            if c[r] and g[state - stride] != math.inf:
+                lst = allowed[r]
+                j = bisect_left(lst, g[state - stride] + dist)
+                if j < len(lst) and lst[j] == v:
+                    break
+        picks.append((v, r))
+        c[r] -= 1
+        state -= stride
+    return picks
 
 
-def _greedy(allowed, quotas, dist: int, picks=None) -> bool | None:
-    """Two one-pass checks of the quota packing `_packs` decides: True when
-    it is feasible, False when it is not, None when neither check settles it.
-    On True, `picks`, if given, receives the packing built, as (value,
-    radius position) pairs.
+def _greedy(allowed, quotas, dist: int):
+    """Two one-pass checks of the quota packing `_packs` decides: the
+    packing built, as (value, radius position) pairs, when it is feasible,
+    False when it is not, None when neither check settles it.
 
     Both take carriers of the radii with a quota in ascending order, each
     the lowest admissible one at least `dist` above the last pick.  The
@@ -397,6 +411,7 @@ def _greedy(allowed, quotas, dist: int, picks=None) -> bool | None:
     merged = None
     if sum(len(lst) for _, lst in lists) <= len(lists) * total:
         merged = sorted((v, r) for r, lst in lists for v in lst)
+    picks = []
     for free in (True, False):
         floor = -math.inf
         count = 0
@@ -405,8 +420,7 @@ def _greedy(allowed, quotas, dist: int, picks=None) -> bool | None:
                 if v >= floor and (free or need[r]):
                     if not free:
                         need[r] -= 1
-                        if picks is not None:
-                            picks.append((v, r))
+                        picks.append((v, r))
                     count += 1
                     if count == total:
                         break
@@ -423,15 +437,12 @@ def _greedy(allowed, quotas, dist: int, picks=None) -> bool | None:
                     break
                 if not free:
                     need[taken] -= 1
-                    if picks is not None:
-                        picks.append((pick, taken))
+                    picks.append((pick, taken))
                 count += 1
                 floor = pick + dist
         if count < total:
-            if not free and picks is not None:
-                picks.clear()
             return False if free else None
-    return True
+    return picks
 
 
 def _deepest_hole(values, others, k: int) -> int:
@@ -500,21 +511,20 @@ def solve_spacing(
     its witness is built.  At the last level, where a span may cap a
     sibling below its `far`, one filter drops the siblings whose span over
     the carrier gaps is below `best`; the rest go in order, each against
-    its cheap cap, min(`far`, that span).  Each raise keeps the packing the
-    probe found (the quota greedy's, the DP's, walked back from its table,
-    or the row search's), so a timeout reports at once a matrix at the
+    its cheap cap, min(`far`, that span).  Each raise keeps the packing
+    that the probe returned, so a timeout reports at once a matrix at the
     incumbent distance, though not necessarily the canonical one.
 
     Every probe first cuts the subset to its admissible carriers
-    (`_admissible`); a radius left with fewer than n_lambda fails it, and
-    at d = 0 that count decides.  Base admissibility does not depend on d,
-    and a subset in which no two radii share a nominal keeps its spectra
-    whole, so a base leaf filters only when such a pair is chosen.  At
-    d > 0 two greedies (`_greedy`) try first: the quota greedy proves the
-    probe feasible, the quota-free one infeasible.  What they leave, the
-    quota-packing DP, `_packs`, decides, or `_witness` when the DP would
-    exceed `_PACK_STATES` states.  `_witness` builds the witness, within
-    that budget without backtracking.
+    (`_admissible`); a radius left with fewer than n_lambda fails it.
+    Base admissibility does not depend on d, and a subset in which no two
+    radii share a nominal keeps its spectra whole, so a base leaf filters
+    only when such a pair is chosen.  `_packing` then returns a packing or
+    None: at d = 0 the counts decide; at d > 0 the quota greedy builds a
+    packing or the quota-free one proves there is none, and what they
+    leave the quota-packing DP, `_packs`, decides, or `_witness` when the
+    DP would exceed `_PACK_STATES` states.  `_witness` builds the final
+    witness, within that budget without backtracking.
 
     The DFS carries one bound, the refined pair hole: each of the
     n_lambda carriers of one radius must clear the whole spectrum of
@@ -565,9 +575,6 @@ def solve_spacing(
     highs = [max(s) for s in spectra]
     refined = mode == REFINED
     quotas = [n_lambda] * n_radii
-    # Whether the DP's state count, which depends only on the shape, is
-    # within its budget.
-    small = (n_lambda + 1) ** n_radii <= _PACK_STATES
 
     best = -1
     # The incumbent: a subset, a distance it fits at and a packing of it
@@ -577,31 +584,12 @@ def solve_spacing(
     # once the search ends.
     tie: list[int] | None = None
 
-    def fits(allowed, dist: int, picks=None) -> bool:
-        """Whether `allowed` packs at `dist`; when it does, `picks`, if
-        given, receives a packing as (value, radius position) pairs."""
-        if allowed is None:
-            return False
-        if dist == 0:
-            # At d = 0 nothing limits the spacing, so the counts decide.
-            if picks is not None:
-                picks += [(v, r) for r, lst in enumerate(allowed) for v in lst[:n_lambda]]
-            return True
-        verdict = _greedy(allowed, quotas, dist, picks)
-        if verdict is not None:
-            return verdict
-        if small:
-            return _packs(allowed, quotas, dist, clock, picks)
-        rows = _witness(allowed, n_lambda, dist, clock)
-        if rows is None:
-            return False
-        if picks is not None:
-            picks += [(v, r) for r, values in rows for v in values]
-        return True
-
-    def admit(subset, clean: bool, dist: int):
-        # A clean subset is a base one in which no two radii share a nominal.
-        return subset if clean else _admissible(subset, n_lambda, mode, dist)
+    def fits(subset, clean: bool, dist: int):
+        """A packing of the spectra `subset` at `dist`, as (value, radius
+        position) pairs, or None.  A clean subset is a base one in which no
+        two radii share a nominal, so every carrier is admissible."""
+        allowed = subset if clean else _admissible(subset, n_lambda, mode, dist)
+        return None if allowed is None else _packing(allowed, quotas, dist, clock)
 
     def payload(chosen: list[int], rows):
         """The (radius position, values) `rows` of `chosen` as payload rows:
@@ -620,7 +608,7 @@ def solve_spacing(
         key = sorted(chosen)
         if tie is not None and key < tie:
             # A subset that fails at best fails at best + 1 too.
-            if not fits(admit(subset, clean, best), best):
+            if fits(subset, clean, best) is None:
                 return
             tie = key
         if top <= best:
@@ -628,8 +616,8 @@ def solve_spacing(
         # The subset optimum is a ladder value in (best, top], so it beats
         # `best` iff the subset fits at best + 1 (at best = -1, the d = 0
         # count); most leaves stop here.
-        picks = []
-        if not fits(admit(subset, clean, best + 1), best + 1, picks):
+        picks = fits(subset, clean, best + 1)
+        if picks is None:
             return
         ladder = _ladder(sorted(v for s in subset for v in s), best, top)
         # ladder[0] fits: the packing keeps every distance, carrier to
@@ -641,8 +629,8 @@ def solve_spacing(
         lo, hi = 0, len(ladder) - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            picks = []
-            if fits(admit(subset, clean, ladder[mid]), ladder[mid], picks):
+            picks = fits(subset, clean, ladder[mid])
+            if picks is not None:
                 lo = mid
                 best, incumbent = ladder[mid], (chosen, ladder[mid], picks)
             else:

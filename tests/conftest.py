@@ -21,6 +21,16 @@ TABLE1_PM = {
 }
 
 
+def widened(nominal, half_width):
+    """A resonance whose interval reaches `half_width` pm either side."""
+    return Resonance(nominal, nominal - half_width, nominal + half_width)
+
+
+def exact(nominal):
+    """A resonance with a point interval."""
+    return Resonance(nominal, nominal, nominal)
+
+
 def build_instance(values, label="test", half_width=0, radius_pm=None):
     """Build an Instance from {radius_id: (nominal, ...)} with symmetric widths."""
     radii = []
@@ -31,7 +41,7 @@ def build_instance(values, label="test", half_width=0, radius_pm=None):
             RadiusEntry(
                 rid,
                 pm,
-                tuple(Resonance.widened(v, half_width) for v in sorted(vals)),
+                tuple(widened(v, half_width) for v in sorted(vals)),
             )
         )
     return Instance(tuple(radii), label)
@@ -42,7 +52,7 @@ def table1_instance(half_width=0):
         RadiusEntry(
             rid,
             pm,
-            tuple(Resonance.widened(v, half_width) for v in vals),
+            tuple(widened(v, half_width) for v in vals),
         )
         for rid, (pm, vals) in TABLE1_PM.items()
     )
@@ -115,7 +125,7 @@ def generate_random_small(
         RadiusEntry(
             rid,
             0,
-            tuple(Resonance.exact(v) for v in vals),
+            tuple(exact(v) for v in vals),
         )
         for rid, vals in enumerate(values, 1)
     )

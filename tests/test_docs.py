@@ -1,10 +1,12 @@
 """The README's "Performance envelope" must match the latest BENCH file,
-and its instance-file example must parse."""
+its instance-file example must parse, and the test dependencies are
+pinned alike in CI, pyproject and the README."""
 
 import json
 import re
 from pathlib import Path
 
+from conftest import exact
 from wronoc import Resonance, parse_instance
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,4 +35,17 @@ def test_instance_file_example_parses():
     assert inst.label == "table1"
     assert [(e.id, e.radius_pm) for e in inst.radii] == [(1, 5000000)]
     assert inst.radii[0].resonances == (
-        Resonance.exact(1496400), Resonance(1521300, 1520300, 1522300))
+        exact(1496400), Resonance(1521300, 1520300, 1522300))
+
+
+def test_dependency_pins_agree():
+    # Read as text: CI runs Python 3.10, which has no tomllib.
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    ci = re.search(r"pip install (.+)", workflow).group(1).split()
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    extra = re.findall(r'"([^"]+)"', re.search(r"^test = \[(.*)\]$", pyproject, re.M).group(1))
+    readme = readme_section("Install and test")
+    line = re.search(r"pip install (.+?)\s+# test dependencies", readme).group(1).split()
+    assert len(ci) == 2 and all("==" in pin for pin in ci)
+    assert sorted(extra) == sorted(ci)
+    assert sorted(line) == sorted(ci)

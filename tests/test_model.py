@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_instance, generate_random_small, table1_instance
+from conftest import build_instance, exact, generate_random_small, table1_instance
 from wronoc import cli, model
 from wronoc import (
     DeltaPolicy,
@@ -64,7 +64,7 @@ class TestParse:
     def test_inverted_interval_ignored_in_symmetric_mode(self):
         text = "radius 1 0\nresonance 1 1500000 1501000 1499000\n"
         inst = parse_instance(text, DeltaPolicy.symmetric(0))
-        assert inst.entry(1).resonances[0] == Resonance.exact(1500000)
+        assert inst.entry(1).resonances[0] == exact(1500000)
 
     def test_duplicate_radius_id(self):
         text = "radius 1 0\nradius 1 0\n"
@@ -106,13 +106,13 @@ class TestValidate:
         assert validate(table1) == []
 
     def test_unsorted_resonances(self):
-        entry = RadiusEntry(1, 0, (Resonance.exact(1600000), Resonance.exact(1500000)))
+        entry = RadiusEntry(1, 0, (exact(1600000), exact(1500000)))
         violations = validate(Instance((entry,)))
         assert len(violations) == 1
         assert "ascending" in violations[0]
 
     def test_duplicate_ids(self):
-        entry = RadiusEntry(1, 0, (Resonance.exact(1500000),))
+        entry = RadiusEntry(1, 0, (exact(1500000),))
         violations = validate(Instance((entry, entry)))
         assert violations == ["duplicate radius id 1"]
 
@@ -132,16 +132,16 @@ class TestValidate:
     def test_each_interval_bound_is_checked(self, bad):
         # Only one side of lmin <= nominal <= lmax fails, after a valid
         # resonance.
-        entry = RadiusEntry(1, 0, (Resonance.exact(1500000), bad))
+        entry = RadiusEntry(1, 0, (exact(1500000), bad))
         assert validate(Instance((entry,))) == [
             "radius 1, resonance 1: interval violates lmin <= nominal <= lmax"]
 
 
 class TestEntry:
     def test_first_of_duplicate_ids_wins(self):
-        first = RadiusEntry(1, 0, (Resonance.exact(1500000),))
-        second = RadiusEntry(1, 7, (Resonance.exact(1600000),))
-        inst = Instance((RadiusEntry(2, 0, (Resonance.exact(1550000),)), first, second))
+        first = RadiusEntry(1, 0, (exact(1500000),))
+        second = RadiusEntry(1, 7, (exact(1600000),))
+        inst = Instance((RadiusEntry(2, 0, (exact(1550000),)), first, second))
         assert inst.entry(1) is first
         assert inst.entry(2) is inst.radii[0]
 
@@ -417,7 +417,7 @@ class TestParseContract:
     ])
     def test_bad_interval_ignored_under_symmetric_policy(self, text):
         inst = parse_instance(text, SYMMETRIC_0)
-        assert inst.radii[0].resonances == (Resonance.exact(1500000),)
+        assert inst.radii[0].resonances == (exact(1500000),)
 
     def test_symmetric_policy_keeps_the_other_checks(self):
         text = R1 + "resonance 1 1500000 1500001 1500002\nresonance 1 1500000\n"

@@ -35,6 +35,7 @@ from wronoc.spacing import (
     _greedy,
     _hole_bounds,
     _ladder,
+    _packing,
     _packs,
     _witness,
 )
@@ -145,14 +146,25 @@ class TestFeasible:
 
 def fits(spectra, n_lambda, mode, dist):
     """A ladder probe as `solve_spacing` decides it within the DP budget,
-    checking that the greedies, where they settle it, agree with the DP."""
+    checking that the greedies, where they settle it, agree with the DP,
+    that `_packing` agrees with both and that every packing returned is
+    one."""
     allowed = _admissible(spectra, n_lambda, mode, dist)
-    if allowed is None or dist == 0:
-        return allowed is not None
+    if allowed is None:
+        return False
     quotas = [n_lambda] * len(allowed)
+    picks = _packing(allowed, quotas, dist, _Clock(0))
+    if picks is not None:
+        assert_packing(picks, allowed, quotas, dist)
+    if dist == 0:
+        assert picks is not None
+        return True
     verdict = _packs(allowed, quotas, dist, _Clock(0))
-    assert _greedy(allowed, quotas, dist) in (None, verdict)
-    return verdict
+    assert (verdict is None) == (picks is None)
+    if verdict is not None:
+        assert_packing(verdict, allowed, quotas, dist)
+    assert_greedy_agrees(allowed, quotas, dist, verdict is not None)
+    return verdict is not None
 
 
 class TestPacks:
@@ -192,7 +204,9 @@ class TestPacks:
         clock = _Clock(0)
         spectra = [table1.entry(r).nominals() for r in (1, 2, 3)]
         allowed = _admissible(spectra, 2, "base", 1)
-        assert _packs(allowed, [2, 2, 2], 1, clock)
+        picks = _packs(allowed, [2, 2, 2], 1, clock)
+        assert picks is not None
+        assert_packing(picks, allowed, [2, 2, 2], 1)
         assert clock.steps == 3**3 - 1
 
 
@@ -296,8 +310,10 @@ class TestGreedy:
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_packs(self, allowed, n_lambda, dist):
         quotas = [n_lambda] * len(allowed)
-        verdict = _greedy(allowed, quotas, dist)
-        assert verdict in (None, _packs(allowed, quotas, dist, _Clock(0)))
+        picks = _packs(allowed, quotas, dist, _Clock(0))
+        if picks is not None:
+            assert_packing(picks, allowed, quotas, dist)
+        assert_greedy_agrees(allowed, quotas, dist, picks is not None)
 
 
 def brute_packs(allowed, quotas, dist):
@@ -326,10 +342,33 @@ def assert_packing(picks, allowed, quotas, dist):
     assert all(b - a >= dist for a, b in zip(values, values[1:]))
 
 
+def assert_greedy_agrees(allowed, quotas, dist, feasible):
+    """`_greedy` leaves the probe open, proves it infeasible only when it is
+    not `feasible`, or returns a packing only when it is."""
+    verdict = _greedy(allowed, quotas, dist)
+    if verdict is False:
+        assert not feasible
+    elif verdict is not None:
+        assert feasible
+        assert_packing(verdict, allowed, quotas, dist)
+
+
+@st.composite
+def packing_probes(draw):
+    """Sorted value lists and a quota per list of at most what it holds,
+    the same one for every list half the time."""
+    allowed = draw(value_lists)
+    if draw(st.booleans()):
+        quota = draw(st.integers(0, min(3, *map(len, allowed))))
+        return allowed, [quota] * len(allowed)
+    return allowed, [draw(st.integers(0, min(3, len(lst)))) for lst in allowed]
+
+
 class TestQuotaPacking:
     """`_packs` decides a packing with its own quota per radius, and
-    `_greedy`, where it settles one, agrees; where either finds one, the
-    packing it hands back is valid."""
+    `_greedy`, where it settles one, agrees; `_packing`, which chains them,
+    decides it at any distance.  Every packing any of them returns is
+    valid."""
 
     @given(
         allowed=value_lists,
@@ -341,18 +380,33 @@ class TestQuotaPacking:
     def test_against_brute_force(self, allowed, quotas, dist):
         quotas = quotas[: len(allowed)]
         want = brute_packs(allowed, quotas, dist)
-        assert _packs(allowed, quotas, dist, _Clock(0)) == want
-        assert _greedy(allowed, quotas, dist) in (None, want)
-        picks = []
-        assert _packs(allowed, quotas, dist, _Clock(0), picks) == want
-        if want:
+        picks = _packs(allowed, quotas, dist, _Clock(0))
+        assert (picks is not None) == want
+        if picks is not None:
             assert_packing(picks, allowed, quotas, dist)
-        picks = []
-        verdict = _greedy(allowed, quotas, dist, picks)
-        if verdict:
+        assert_greedy_agrees(allowed, quotas, dist, want)
+
+    @given(probe=packing_probes(), dist=st.integers(0, 10))
+    @example(probe=([[0]], [0]), dist=1)  # the empty packing, which is falsy
+    @example(probe=([[0, 1]], [0]), dist=0)
+    @example(probe=([[0, 3], [1]], [1, 1]), dist=2)  # neither greedy settles it
+    @example(probe=([[0, 1, 2], [1]], [1, 1]), dist=2)  # nor this infeasible one
+    @settings(max_examples=300, deadline=None)
+    def test_packing_against_brute_force(self, probe, dist):
+        allowed, quotas = probe
+        picks = _packing(allowed, quotas, dist, _Clock(0))
+        assert (picks is not None) == brute_packs(allowed, quotas, dist)
+        if picks is not None:
             assert_packing(picks, allowed, quotas, dist)
-        elif verdict is None:
-            assert picks == []
+        if len(set(quotas)) == 1:
+            # Beyond the DP budget the row search decides what the greedies
+            # leave open.
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spacing, "_PACK_STATES", 0)
+                rows = _packing(allowed, quotas, dist, _Clock(0))
+            assert (rows is None) == (picks is None)
+            if rows is not None:
+                assert_packing(rows, allowed, quotas, dist)
 
 
 def brute_completes(allowed, n_lambda, dist, rows):
