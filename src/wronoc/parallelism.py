@@ -15,10 +15,12 @@ every completion of the branch.  A branch dies when that bound cannot
 beat the incumbent, when a chosen radius drops to zero capacity, or when
 too few viable candidates remain.
 
-Two exact rules keep the tree small.  While the floor to beat is 0, as
-it is throughout an infeasibility proof, "capacity > floor" is just "mask
-nonempty", so those tests are bit operations and the min capacity is
-read from the MIS cache only at a leaf.  And at every node that still
+Two exact rules keep the tree small.  A radius's capacity never exceeds
+the count of its usable resonances, and equals it when no two of them
+overlap, so every node test of "capacity > floor" counts bits instead
+(at floor 0, as throughout an infeasibility proof, it is just "mask
+nonempty"); the exact MIS runs only at a leaf, which is skipped when its
+min capacity does not beat the floor.  And at every node that still
 needs three or more radii, a greedy colouring of the candidate pool
 bounds how many of them can still be chosen together (the MCQ/BBMC
 colouring bound of Tomita & Seki 2003 and San Segundo et al. 2011):
@@ -40,6 +42,7 @@ at the first subset sustaining it.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -118,43 +121,27 @@ class _Clock:
         self.steps += 1
 
 
-# The most masks one `_MisCache` holds; a full cache is cleared and refills
-# with what the search asks for next, so a long search above floor 0 runs
-# in bounded memory.  Chosen by measurement on the default instance (seed 0,
-# 2-vCPU VM): 60 s of delta 100, k = 16 filled 508k entries without a cap
-# (peak RSS 57 MB) and 344k with it (47 MB), at the same incumbent; the
-# complete delta 100, k = 12 solve took 8.2-8.6 s with it and 8.2-9.2 s
-# without.  A cap of 2^12 saved more memory but ran that solve in 8.6-10 s.
-_MIS_CACHE_SIZE = 1 << 14
-
-
-class _MisCache(dict):
-    """Greedy MIS size of one radius's usable-index masks, memoised by mask.
+class _Mis:
+    """Maximum independent sets of one radius's usable-index masks.
 
     Within one radius the conflict graph is an interval graph (each
     resonance is its interval [lmin, lmax]), so the greedy activity
     selection scan in ascending lmax order finds a maximum independent set
-    exactly; the brute-force tests guard that claim.  A size is a function
-    of its mask alone, so clearing the cache changes no result.
+    exactly; the brute-force tests guard that claim.
     """
 
-    def __init__(self, lmins: tuple[int, ...], lmaxs: tuple[int, ...]):
-        super().__init__()
-        self.lmins, self.lmaxs = lmins, lmaxs
-        self.by_lmax = sorted(  # (lmin, lmax, idx)
-            zip(lmins, lmaxs, range(len(lmins))),
-            key=lambda t: (t[1], t[2]),
-        )
+    __slots__ = ("lmins", "lmaxs", "by_lmax")
 
-    def __missing__(self, mask: int) -> int:
+    def __init__(self, lmins: tuple[int, ...], lmaxs: tuple[int, ...]):
+        self.lmins, self.lmaxs = lmins, lmaxs
+        self.by_lmax = sorted(zip(lmaxs, range(len(lmins)), lmins))
+
+    def size(self, mask: int) -> int:
         count, end = 0, None
-        for lmin, lmax, idx in self.by_lmax:
+        for lmax, idx, lmin in self.by_lmax:
             if mask >> idx & 1 and (end is None or lmin > end):
                 count += 1
                 end = lmax
-        if len(self) >= _MIS_CACHE_SIZE:
-            self.clear()
-        self[mask] = count
         return count
 
     def witness(self, mask: int) -> tuple[int, ...]:
@@ -165,7 +152,7 @@ class _MisCache(dict):
         resonances to reach the maximum.
         """
         lmins, lmaxs = self.lmins, self.lmaxs
-        need, picks, end = self[mask], [], None
+        need, picks, end = self.size(mask), [], None
         for j in range(len(lmins)):
             if not need:
                 break
@@ -173,7 +160,7 @@ class _MisCache(dict):
                 continue
             lmax = lmaxs[j]
             after = sum(1 << k for k in range(j + 1, len(lmins)) if lmins[k] > lmax)
-            if 1 + self[mask & after] >= need:
+            if 1 + self.size(mask & after) >= need:
                 picks.append(j)
                 need -= 1
                 end = lmax
@@ -182,36 +169,31 @@ class _MisCache(dict):
 
 class _Workspace:
     """Per-solve tables by radius position (see `ConflictSet`): full index
-    masks, MIS caches, and ``keep[b][a] = ~block[a][b]``, the indices of
+    masks, MIS routines, and ``keep[b][a] = ~block[a][b]``, the indices of
     radius a that radius b leaves usable."""
 
     def __init__(self, instance: Instance, conflicts: ConflictSet):
         by_id = {e.id: e for e in instance.radii}
         entries = [by_id[rid] for rid in conflicts.ids]
         self.full = [(1 << len(e.lmins)) - 1 for e in entries]
-        self.mis = [_MisCache(e.lmins, e.lmaxs) for e in entries]
-        self.keep = [tuple(~m for m in col) for col in zip(*conflicts.block)]
-
-    def capacity(self, pos: int) -> int:
-        return self.mis[pos][self.full[pos]]
+        self.mis = [_Mis(e.lmins, e.lmaxs) for e in entries]
+        self.keep = [tuple(map(operator.invert, col)) for col in zip(*conflicts.block)]
 
     def search(self, order: list[int], n_radii: int, floor: int, first: bool,
                clock: _Clock) -> tuple[int, list[int] | None, bool]:
         """Depth-first search over size-`n_radii` subsets of `order`, in its order.
 
-        A branch dies as soon as a capacity on it is <= `floor`, or when the
-        colouring bound (or, near the leaves, the pool size) shows that too
-        few candidates remain.  Each leaf becomes the incumbent and raises
-        the floor to its min capacity; with `first` the search stops there.
+        A branch dies as soon as a usable-resonance count on it is <=
+        `floor`, or when the colouring bound (or, near the leaves, the pool
+        size) shows that too few candidates remain.  A leaf whose min
+        capacity beats the floor becomes the incumbent and raises the floor
+        to that capacity; with `first` the search stops there.
         Pool entries carry their mask against the chosen radii, so choosing
         a radius updates each in O(1).  Returns the floor, the incumbent's
         sorted positions and whether the time limit cut the search short.
         """
         keep, mis, tick, check = self.keep, self.mis, clock.tick, clock.check
         incumbent: list[int] | None = None
-
-        # A nonempty mask has capacity >= 1, so at floor 0 every "capacity >
-        # floor" test below is just "mask nonempty" and skips the MIS cache.
 
         def colour_limit(pool, need: int) -> int:
             """Greedy sequential colouring of the pool's compatibility graph,
@@ -223,9 +205,8 @@ class _Workspace:
             Two entries are compatible when each keeps more than `floor`
             resonances against the other.  A resonance count bounds the
             capacity from above, so this graph has every edge of the
-            capacity graph and the bound stays exact; at floor 0 the two
-            tests agree.  Counting bits is far cheaper than an MIS lookup,
-            which the colouring of every node would otherwise pay for."""
+            capacity graph and the bound stays exact.  At floor 0 a count
+            is > 0 just when its mask is nonempty, so no bits are counted."""
             check()  # a pass costs O(pool^2) bit counts, far more than a tick
             classes: list[list[tuple[int, int]]] = []
             for i in range(len(pool) - 1, -1, -1):
@@ -233,8 +214,11 @@ class _Workspace:
                 kept = keep[r]
                 for cls in classes:
                     for r2, m2 in cls:
-                        if ((m & keep[r2][r]).bit_count() > floor
-                                and (m2 & kept[r2]).bit_count() > floor):
+                        if floor:
+                            if ((m & keep[r2][r]).bit_count() > floor
+                                    and (m2 & kept[r2]).bit_count() > floor):
+                                break
+                        elif m & keep[r2][r] and m2 & kept[r2]:
                             break
                     else:
                         cls.append((r, m))
@@ -253,27 +237,27 @@ class _Workspace:
                 tick()
                 if i >= limit:
                     return False
-                if floor and mis[rid][mask_r] <= floor:
+                if mask_r.bit_count() <= floor:
                     continue
                 kept = keep[rid]
                 new_masks = []
                 for c, m in zip(chosen, masks):
                     m2 = m & kept[c]
-                    if not m2 or floor and mis[c][m2] <= floor:
+                    if m2.bit_count() <= floor:
                         break
                     new_masks.append(m2)
                 else:
                     new_masks.append(mask_r)
                     branch = chosen + [rid]
                     if need == 1:
-                        floor = min(mis[c][m] for c, m in zip(branch, new_masks))
-                        incumbent = sorted(branch)
-                        if first:
-                            return True
+                        low = min(mis[c].size(m) for c, m in zip(branch, new_masks))
+                        if low > floor:
+                            floor, incumbent = low, sorted(branch)
+                            if first:
+                                return True
                         continue
                     child = [(r2, m2) for r2, m in pool[i + 1:]
-                             if (m2 := m & kept[r2])
-                             and (not floor or mis[r2][m2] > floor)]
+                             if (m2 := m & kept[r2]).bit_count() > floor]
                     if len(child) >= need - 1 and dfs(child, branch, new_masks):
                         return True
             return False
@@ -334,12 +318,13 @@ def solve_max_parallelism(
     else:
         ws = _Workspace(instance, conflicts)
         positions = range(len(conflicts.ids))
-        by_capacity = sorted(positions, key=lambda p: (-ws.capacity(p), p))
+        caps = [mis.size(full) for mis, full in zip(ws.mis, ws.full)]
+        by_capacity = sorted(positions, key=lambda p: (-caps[p], p))
         best, subset, timed_out = ws.search(by_capacity, n_radii, 0, False, clock)
         if subset is not None and not timed_out:
             # The value is proven; the first subset in ascending id order
             # that sustains it is the canonical witness.
-            root = [p for p in positions if ws.capacity(p) >= best]
+            root = [p for p in positions if caps[p] >= best]
             _, canonical, timed_out = ws.search(root, n_radii, best - 1, True, clock)
             subset = canonical or subset
         rows = None if subset is None else ws.rows(conflicts.ids, subset)
@@ -418,7 +403,7 @@ def oracle_max_parallelism(instance: Instance, n_radii: int) -> ParallelismSolut
     Enumerates every size-``n_radii`` subset and evaluates each from the
     resonance intervals with plain loops and a longest-chain count, so it
     shares no code with the branch-and-bound path: no conflict masks, no
-    workspace, no MIS cache.
+    workspace, no MIS routine.
     """
     if n_radii < 1:
         raise ValueError("n_radii must be >= 1")

@@ -13,10 +13,6 @@ from .parallelism import OPTIMAL, ParallelismSolution
 from .spacing import BASE, REFINED, SpacingProblem, SpacingSolution
 
 
-def _intervals_intersect(a, b) -> bool:
-    return a.lmin <= b.lmax and b.lmin <= a.lmax
-
-
 def check_parallelism_solution(
     instance: Instance, solution: ParallelismSolution, n_radii: int
 ) -> list[str]:
@@ -53,9 +49,10 @@ def check_parallelism_solution(
         if solution.counts.get(rid) != len(picks):
             out.append(f"radius {rid}: count does not match selection size")
         for a_pos in range(len(picks)):
+            ra = res[picks[a_pos]]
             for b_pos in range(a_pos + 1, len(picks)):
-                ra, rb = res[picks[a_pos]], res[picks[b_pos]]
-                if _intervals_intersect(ra, rb):
+                rb = res[picks[b_pos]]
+                if ra.lmin <= rb.lmax and rb.lmin <= ra.lmax:
                     out.append(
                         f"radius {rid}: selected resonances {picks[a_pos]} and "
                         f"{picks[b_pos]} conflict within the radius"
@@ -67,12 +64,12 @@ def check_parallelism_solution(
         for j in solution.selections.get(rid, ()):
             if not 0 <= j < len(res):
                 continue
-            carrier = res[j]
+            lmin, lmax = res[j].lmin, res[j].lmax
             for other in sel:
                 if other == rid:
                     continue
                 for k, other_res in enumerate(instance.entry(other).resonances):
-                    if _intervals_intersect(carrier, other_res):
+                    if lmin <= other_res.lmax and other_res.lmin <= lmax:
                         out.append(
                             f"carrier ({rid},{j}) conflicts with resonance "
                             f"({other},{k})"

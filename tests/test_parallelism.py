@@ -66,7 +66,7 @@ class TestEvaluateSubset:
 class TestSolve:
     @pytest.mark.parametrize("half_width, n_radii, limit", [(100, 4, 0), (1000, 16, 0.001)])
     def test_a_solve_leaves_no_cyclic_garbage(self, half_width, n_radii, limit):
-        # A recursive closure is a cycle that would hold the MIS caches until
+        # A recursive closure is a cycle that would hold the search tables until
         # the next full collection; the search clears it, timed out or not.
         inst = apply_delta(generate(GenSpec(seed=1000, jitter_pm=100)), half_width)
         conflicts = conflicts_of(inst)
@@ -157,6 +157,16 @@ class TestSolve:
         sol = solve_max_parallelism(inst, cs, 550, SolveConfig(time_limit=0.5))
         assert sol.status == "incumbent-timeout"
         assert time.monotonic() - started < 2
+
+    def test_a_leaf_must_beat_the_floor_by_capacity(self):
+        # Widened so that each radius's own intervals overlap: radii 1-3
+        # have 5-6 resonances but capacity 3, radius 4 has 7 and capacity 4.
+        # Their bit counts pass every node test at floor 4, so only the
+        # exact capacity at the leaf keeps them from replacing radius 4.
+        inst = table1_instance(half_width=15_000)
+        sol = solve_max_parallelism(inst, conflicts_of(inst), 1)
+        assert (sol.status, sol.parallelism, sol.selected_radii) == ("optimal", 4, (4,))
+        assert sol == oracle_max_parallelism(inst, 1)
 
     def test_solution_passes_checker(self, table1, table1_conflicts):
         for n in (1, 2, 3, 4):
@@ -312,22 +322,43 @@ class TestSearchEffort:
         assert sol.status == "infeasible"
         assert [c.steps for c in clocks] == [1606]
 
+    def test_desk_scale_overlapping_radii(self, clocks):
+        # At delta 3000 a radius's own intervals overlap, so a node's bit
+        # count can exceed its capacity.
+        inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 3000)
+        sol = solve_max_parallelism(inst, conflicts_of(inst), 4)
+        assert (sol.status, sol.parallelism) == ("optimal", 1)
+        assert [c.steps for c in clocks] == [2559]
 
-class TestBoundedMisCache(TestPinnedDeskScale, TestSearchEffort):
-    """Every pinned answer and effort count again, with MIS caches that are
-    cleared at four entries: a size depends on its mask alone, so clearing
-    a full cache changes neither."""
+    def test_mis_runs_outside_the_node_tests(self, clocks, monkeypatch):
+        # 101 capacities for the root order, 4 per leaf at 7 leaves in the
+        # two passes, and 104 for the witnesses of the four chosen radii.
+        # An MIS in the node tests would make these counts grow with the
+        # steps.
+        calls = []
+        size = parallelism._Mis.size
 
-    @pytest.fixture(autouse=True)
-    def tiny_cache(self, monkeypatch):
-        monkeypatch.setattr(parallelism, "_MIS_CACHE_SIZE", 4)
+        def counting(self, mask):
+            calls.append(mask)
+            return size(self, mask)
 
-    def test_a_full_cache_is_cleared(self):
+        monkeypatch.setattr(parallelism._Mis, "size", counting)
+        inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 100)
+        solve_max_parallelism(inst, conflicts_of(inst), 4)
+        assert [c.steps for c in clocks] == [540]
+        assert len(calls) == 233
+
+
+class TestMis:
+    """The greedy MIS routine and its witness against a 2^n brute force."""
+
+    def test_every_mask_against_the_longest_chain(self):
         # Widened so that neighbouring resonances overlap.
         entry = table1_instance(half_width=10_000).entry(4)
         resonances = entry.resonances
-        cache = parallelism._MisCache(entry.lmins, entry.lmaxs)
+        mis = parallelism._Mis(entry.lmins, entry.lmaxs)
         for mask in range(1 << len(resonances)):
             usable = tuple(j for j in range(len(resonances)) if mask >> j & 1)
-            assert cache[mask] == len(parallelism._longest_chain(resonances, usable))
-            assert len(cache) <= 4
+            chain = parallelism._longest_chain(resonances, usable)
+            assert mis.size(mask) == len(chain)
+            assert mis.witness(mask) == chain
