@@ -1,4 +1,5 @@
 import time
+from collections import namedtuple
 
 import pytest
 
@@ -22,6 +23,8 @@ from wronoc import (
     solve_max_parallelism,
 )
 from wronoc.verify import check_parallelism_solution
+
+Interval = namedtuple("Interval", "lmin lmax")
 
 
 @pytest.fixture
@@ -347,6 +350,22 @@ class TestSearchEffort:
         solve_max_parallelism(inst, conflicts_of(inst), 4)
         assert [c.steps for c in clocks] == [540]
         assert len(calls) == 233
+
+
+class TestChainMis(TestPinnedDeskScale, TestSearchEffort):
+    """Every pinned answer and effort count again, with `_Mis.size` swapped
+    for the oracle's longest-chain count: the search reads the MIS routine
+    only through its sizes, so an exact count of another make changes
+    neither, and the greedy scan is checked at desk scale."""
+
+    @pytest.fixture(autouse=True)
+    def chain_size(self, monkeypatch):
+        def size(self, mask):
+            res = [Interval(lo, hi) for lo, hi in zip(self.lmins, self.lmaxs)]
+            usable = tuple(j for j in range(len(res)) if mask >> j & 1)
+            return len(parallelism._longest_chain(res, usable))
+
+        monkeypatch.setattr(parallelism._Mis, "size", size)
 
 
 class TestMis:
