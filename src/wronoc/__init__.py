@@ -15,7 +15,6 @@ from .model import (
     ModelError,
     ParseError,
     RadiusEntry,
-    Resonance,
     apply_delta,
     export_asp_facts,
     format_instance,
@@ -45,7 +44,6 @@ __all__ = [
     "ParallelismSolution",
     "ParseError",
     "RadiusEntry",
-    "Resonance",
     "SolveConfig",
     "SpacingProblem",
     "SpacingSolution",

@@ -25,7 +25,7 @@ import time
 from pathlib import Path
 
 from . import generator, model, verify
-from .conflict import conflicts_of
+from .conflict import CROSS, conflicts_of
 from .model import DeltaPolicy, Instance
 from .parallelism import (
     INCUMBENT_TIMEOUT,
@@ -249,18 +249,18 @@ def _cmd_conflicts(args) -> int:
             "second": endpoint_doc(p.second),
         }
 
-    cross = conflicts.cross_pairs()
-    within = conflicts.within_pairs()
+    pairs = conflicts.pairs()
+    cross_count = sum(p.kind == CROSS for p in pairs)
     document = {
         "schema_version": SCHEMA_VERSION,
         "command": _command_echo(args, ["instance"]),
         "instance_digest": model.instance_digest(instance),
-        "cross_count": len(cross),
-        "within_count": len(within),
-        "pairs": [pair_doc(p) for p in cross + within],
+        "cross_count": cross_count,
+        "within_count": len(pairs) - cross_count,
+        "pairs": [pair_doc(p) for p in pairs],
     }
     if args.table:
-        for p in cross + within:
+        for p in pairs:
             (r1, i1), (r2, i2) = p.first, p.second
             v1 = instance.entry(r1).nominals()[i1]
             v2 = instance.entry(r2).nominals()[i2]

@@ -60,11 +60,10 @@ class ConflictSet:
                 a, b = sorted(((ids[p], j), (ids[p2], j2)))
                 yield ConflictPair(WITHIN if p == p2 else CROSS, a, b)
 
-    def cross_pairs(self) -> list[ConflictPair]:
-        return sorted(p for p in self._iter_pairs() if p.kind == CROSS)
-
-    def within_pairs(self) -> list[ConflictPair]:
-        return sorted(p for p in self._iter_pairs() if p.kind == WITHIN)
+    def pairs(self) -> list[ConflictPair]:
+        """Every conflicting pair, sorted: the cross pairs, then the within
+        pairs, since pairs order by kind first."""
+        return sorted(self._iter_pairs())
 
     def __len__(self) -> int:
         return self._count

@@ -122,7 +122,7 @@ def generate(spec: GenSpec) -> Instance:
             empty.append(rid)
             continue
         exact = tuple(sorted(noms))  # lmin = nominal = lmax
-        radii.append(RadiusEntry._of_columns(rid, radius_pm, exact, exact, exact))
+        radii.append(RadiusEntry(rid, radius_pm, exact, exact, exact))
     if empty:
         raise GeneratorError(
             "band too narrow; radii with zero resonances: "

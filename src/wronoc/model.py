@@ -11,14 +11,12 @@ resonance wavelengths.  Each resonance carries an uncertainty interval
 load-time policy (taken verbatim from the file, or recomputed as
 nominal +/- half_width).
 
-A radius entry stores its resonances as three int columns, the paper's
-flat ``lambda(R,Lmin,Lnom,Lmax)`` facts: ``nominals()``, ``lmins`` and
+A radius entry is three int columns, the paper's flat
+``lambda(R,Lmin,Lnom,Lmax)`` facts: ``nominals()``, ``lmins`` and
 ``lmaxs``, index-aligned and ascending by nominal.  The parser, the
-generator, ``apply_delta``, the formatters, the conflict sweep and both
-solvers read and write only these columns, so no per-resonance object is
-built on the hot path.  ``RadiusEntry.resonances`` is a view of
-``Resonance`` objects for the callers that want them (the checkers and
-the oracles); it is built on first use and then kept.
+generator and ``apply_delta`` build entries from columns, and the
+formatters, the conflict sweep, the solvers, the checkers and the oracles
+index them.
 """
 
 from __future__ import annotations
@@ -81,56 +79,35 @@ class DeltaPolicy:
         return cls(SYMMETRIC_HALF_WIDTH, half_width_pm)
 
 
-@dataclass(frozen=True)
-class Resonance:
-    """One resonance wavelength with its uncertainty interval, in pm."""
-
-    nominal: int
-    lmin: int
-    lmax: int
-
-
 class RadiusEntry:
-    """A ring radius and its resonances, sorted ascending by nominal.
+    """A ring radius and its resonances as three index-aligned int columns.
 
-    Built from ``Resonance`` objects as ``RadiusEntry(id, radius_pm,
-    resonances)``, or from columns with ``_of_columns`` by the parser, the
-    generator and ``apply_delta``.  Either way it holds the same three
-    columns, so equality and hashing do not depend on how an entry was
-    built.  Entries are immutable.
+    ``nominals()``, ``lmins`` and ``lmaxs`` hold one value per resonance,
+    ascending by nominal (``validate`` checks the order).  Entries are
+    immutable and compare and hash by value.
     """
 
-    __slots__ = ("id", "radius_pm", "_nominals", "lmins", "lmaxs", "_resonances")
+    __slots__ = ("id", "radius_pm", "_nominals", "lmins", "lmaxs")
 
-    def __init__(self, id: int, radius_pm: int, resonances):
-        resonances = tuple(resonances)
-        _init_entry(
-            self, id, radius_pm,
-            tuple(r.nominal for r in resonances),
-            tuple(r.lmin for r in resonances),
-            tuple(r.lmax for r in resonances),
-            resonances,
-        )
-
-    @classmethod
-    def _of_columns(cls, id: int, radius_pm: int, nominals: tuple[int, ...],
-                    lmins: tuple[int, ...], lmaxs: tuple[int, ...]) -> "RadiusEntry":
-        """An entry straight from its index-aligned int columns."""
-        entry = object.__new__(cls)
-        _init_entry(entry, id, radius_pm, nominals, lmins, lmaxs, None)
-        return entry
+    def __init__(self, id: int, radius_pm: int, nominals, lmins, lmaxs):
+        nominals, lmins, lmaxs = tuple(nominals), tuple(lmins), tuple(lmaxs)
+        if not len(nominals) == len(lmins) == len(lmaxs):
+            raise ModelError(f"radius {id}: columns differ in length")
+        set_ = object.__setattr__
+        set_(self, "id", id)
+        set_(self, "radius_pm", radius_pm)
+        set_(self, "_nominals", nominals)
+        set_(self, "lmins", lmins)
+        set_(self, "lmaxs", lmaxs)
 
     def nominals(self) -> tuple[int, ...]:
         return self._nominals
 
     @property
-    def resonances(self) -> tuple[Resonance, ...]:
-        """The columns as ``Resonance`` objects, built on first use."""
-        view = self._resonances
-        if view is None:
-            view = tuple(map(Resonance, self._nominals, self.lmins, self.lmaxs))
-            object.__setattr__(self, "_resonances", view)
-        return view
+    def resonances(self) -> tuple[tuple[int, int, int], ...]:
+        """``(nominal, lmin, lmax)`` per resonance; the bench tracer's count
+        is its only reader."""
+        return tuple(zip(self._nominals, self.lmins, self.lmaxs))
 
     def _key(self) -> tuple:
         return (self.id, self.radius_pm, self._nominals, self.lmins, self.lmaxs)
@@ -145,21 +122,16 @@ class RadiusEntry:
 
     def __repr__(self) -> str:
         return (f"RadiusEntry(id={self.id!r}, radius_pm={self.radius_pm!r}, "
-                f"resonances={self.resonances!r})")
+                f"nominals={self._nominals!r}, lmins={self.lmins!r}, lmaxs={self.lmaxs!r})")
 
     def __reduce__(self):
-        return (RadiusEntry._of_columns, self._key())
+        return (RadiusEntry, self._key())
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _init_entry(entry, *values) -> None:
-    for name, value in zip(RadiusEntry.__slots__, values):
-        object.__setattr__(entry, name, value)
 
 
 @dataclass(frozen=True)
@@ -250,7 +222,7 @@ def apply_delta(instance: Instance, half_width_pm: int) -> Instance:
     radii = []
     for e in instance.radii:
         noms = e.nominals()
-        radii.append(RadiusEntry._of_columns(
+        radii.append(RadiusEntry(
             e.id,
             e.radius_pm,
             noms,
@@ -345,7 +317,7 @@ def _parse_canonical(text: str, half_width: int | None) -> Instance | None:
             else:
                 lmins = tuple([n - half_width for n in noms])
                 lmaxs = tuple([n + half_width for n in noms])
-            radii.append(RadiusEntry._of_columns(rid, pm, nominals, lmins, lmaxs))
+            radii.append(RadiusEntry(rid, pm, nominals, lmins, lmaxs))
     except (ValueError, IndexError):
         return None
     return Instance(tuple(radii), label)
@@ -450,7 +422,7 @@ def _parse_lines(text: str, half_width: int | None) -> Instance:
         # iterator it is resized, and each request then parks one tuple per
         # radius in CPython's free lists until a full collection.
         lmins, lmaxs = zip(*[spectrum[n] for n in noms]) if noms else ((), ())
-        radii.append(RadiusEntry._of_columns(rid, radius_pm[rid], noms, lmins, lmaxs))
+        radii.append(RadiusEntry(rid, radius_pm[rid], noms, lmins, lmaxs))
     instance = Instance(tuple(radii), label)
     violations = validate(instance)
     if violations:

@@ -339,7 +339,7 @@ def solve_max_parallelism(
 # --- oracle ----------------------------------------------------------------
 
 
-def _longest_chain(res, usable: tuple[int, ...]) -> tuple[int, ...]:
+def _longest_chain(lmins, lmaxs, usable: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically smallest largest set of pairwise disjoint intervals.
 
     Resonances ascend by nominal and each interval holds its nominal, so
@@ -350,12 +350,12 @@ def _longest_chain(res, usable: tuple[int, ...]) -> tuple[int, ...]:
     longest: dict[int, int] = {}
     for j in reversed(usable):
         longest[j] = 1 + max(
-            (n for k, n in longest.items() if res[j].lmax < res[k].lmin), default=0
+            (n for k, n in longest.items() if lmaxs[j] < lmins[k]), default=0
         )
     size, chain = max(longest.values(), default=0), []
     for j in usable:
         if size and longest[j] == size and (
-            not chain or res[chain[-1]].lmax < res[j].lmin
+            not chain or lmaxs[chain[-1]] < lmins[j]
         ):
             chain.append(j)
             size -= 1
@@ -365,28 +365,31 @@ def _longest_chain(res, usable: tuple[int, ...]) -> tuple[int, ...]:
 def _enumerate(instance: Instance, n_radii: int, clock: _Clock):
     """Every size-n subset in ascending id order, evaluated straight from the
     intervals with plain loops; strict improvements win."""
-    res = {e.id: e.resonances for e in instance.radii}
+    entries = {e.id: e for e in instance.radii}
     blocked: dict[tuple[int, int], set[int]] = {}  # indices of r meeting o
     chains: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
     best, best_rows, timed_out = 0, None, False
     try:
-        for subset in combinations(sorted(res), n_radii):
+        for subset in combinations(sorted(entries), n_radii):
             clock.tick()
             rows = {}
             for r in subset:
+                lmins, lmaxs = entries[r].lmins, entries[r].lmaxs
                 hit: set[int] = set()
                 for o in subset:
                     if o == r:
                         continue
                     if (r, o) not in blocked:
+                        other = entries[o]
                         blocked[r, o] = {
-                            j for j, x in enumerate(res[r])
-                            if any(x.lmin <= y.lmax and y.lmin <= x.lmax for y in res[o])
+                            j for j, (lo, hi) in enumerate(zip(lmins, lmaxs))
+                            if any(lo <= y_hi and y_lo <= hi
+                                   for y_lo, y_hi in zip(other.lmins, other.lmaxs))
                         }
                     hit |= blocked[r, o]
-                usable = tuple(j for j in range(len(res[r])) if j not in hit)
+                usable = tuple(j for j in range(len(lmins)) if j not in hit)
                 if (r, usable) not in chains:
-                    chains[r, usable] = _longest_chain(res[r], usable)
+                    chains[r, usable] = _longest_chain(lmins, lmaxs, usable)
                 rows[r] = chains[r, usable]
                 if len(rows[r]) <= best:
                     break

@@ -37,39 +37,41 @@ def check_parallelism_solution(
         out.append("selected radii not sorted")
     for rid in sel:
         picks = solution.selections.get(rid, ())
-        res = instance.entry(rid).resonances
+        entry = instance.entry(rid)
+        lmins, lmaxs = entry.lmins, entry.lmaxs
         if not picks:
             out.append(f"radius {rid}: empty selection")
             continue
         if list(picks) != sorted(set(picks)):
             out.append(f"radius {rid}: selection indices not ascending/unique")
-        if any(not 0 <= j < len(res) for j in picks):
+        if any(not 0 <= j < len(lmins) for j in picks):
             out.append(f"radius {rid}: selection index out of range")
             continue
         if solution.counts.get(rid) != len(picks):
             out.append(f"radius {rid}: count does not match selection size")
         for a_pos in range(len(picks)):
-            ra = res[picks[a_pos]]
+            a = picks[a_pos]
             for b_pos in range(a_pos + 1, len(picks)):
-                rb = res[picks[b_pos]]
-                if ra.lmin <= rb.lmax and rb.lmin <= ra.lmax:
+                b = picks[b_pos]
+                if lmins[a] <= lmaxs[b] and lmins[b] <= lmaxs[a]:
                     out.append(
-                        f"radius {rid}: selected resonances {picks[a_pos]} and "
-                        f"{picks[b_pos]} conflict within the radius"
+                        f"radius {rid}: selected resonances {a} and {b} "
+                        "conflict within the radius"
                     )
     # Cross-radius rule: a selected carrier must clear the *entire*
     # spectrum of every other selected radius, not just its carriers.
     for rid in sel:
-        res = instance.entry(rid).resonances
+        entry = instance.entry(rid)
         for j in solution.selections.get(rid, ()):
-            if not 0 <= j < len(res):
+            if not 0 <= j < len(entry.lmins):
                 continue
-            lmin, lmax = res[j].lmin, res[j].lmax
+            lmin, lmax = entry.lmins[j], entry.lmaxs[j]
             for other in sel:
                 if other == rid:
                     continue
-                for k, other_res in enumerate(instance.entry(other).resonances):
-                    if lmin <= other_res.lmax and other_res.lmin <= lmax:
+                other_entry = instance.entry(other)
+                for k, (lo, hi) in enumerate(zip(other_entry.lmins, other_entry.lmaxs)):
+                    if lmin <= hi and lo <= lmax:
                         out.append(
                             f"carrier ({rid},{j}) conflicts with resonance "
                             f"({other},{k})"

@@ -4,7 +4,7 @@ import os
 import pytest
 from hypothesis import settings
 
-from wronoc import Instance, RadiusEntry, Resonance, SplitMix64, apply_delta, parallelism, spacing
+from wronoc import Instance, RadiusEntry, SplitMix64, apply_delta, parallelism, spacing
 
 # CI sets HYPOTHESIS_PROFILE=ci: derandomised, every run draws the same
 # examples, so a property failure there replays locally under the same
@@ -21,40 +21,32 @@ TABLE1_PM = {
 }
 
 
-def widened(nominal, half_width):
-    """A resonance whose interval reaches `half_width` pm either side."""
-    return Resonance(nominal, nominal - half_width, nominal + half_width)
+def entry_of(rid, radius_pm, nominals, half_width=0):
+    """A radius entry whose intervals reach `half_width` pm either side of
+    each nominal."""
+    nominals = tuple(nominals)
+    return RadiusEntry(rid, radius_pm, nominals,
+                       tuple(n - half_width for n in nominals),
+                       tuple(n + half_width for n in nominals))
 
 
-def exact(nominal):
-    """A resonance with a point interval."""
-    return Resonance(nominal, nominal, nominal)
+def columns(entry):
+    """An entry's three columns: nominals, lmins, lmaxs."""
+    return entry.nominals(), entry.lmins, entry.lmaxs
 
 
 def build_instance(values, label="test", half_width=0, radius_pm=None):
     """Build an Instance from {radius_id: (nominal, ...)} with symmetric widths."""
-    radii = []
-    for rid in sorted(values):
-        vals = values[rid]
-        pm = (radius_pm or {}).get(rid, 0)
-        radii.append(
-            RadiusEntry(
-                rid,
-                pm,
-                tuple(widened(v, half_width) for v in sorted(vals)),
-            )
-        )
-    return Instance(tuple(radii), label)
+    radii = tuple(
+        entry_of(rid, (radius_pm or {}).get(rid, 0), sorted(values[rid]), half_width)
+        for rid in sorted(values)
+    )
+    return Instance(radii, label)
 
 
 def table1_instance(half_width=0):
     radii = tuple(
-        RadiusEntry(
-            rid,
-            pm,
-            tuple(widened(v, half_width) for v in vals),
-        )
-        for rid, (pm, vals) in TABLE1_PM.items()
+        entry_of(rid, pm, vals, half_width) for rid, (pm, vals) in TABLE1_PM.items()
     )
     return Instance(radii, "table1")
 
@@ -121,14 +113,7 @@ def generate_random_small(
             merged.discard(drop)
             merged.add(shared)
             values[b] = sorted(merged)
-    radii = tuple(
-        RadiusEntry(
-            rid,
-            0,
-            tuple(exact(v) for v in vals),
-        )
-        for rid, vals in enumerate(values, 1)
-    )
+    radii = tuple(entry_of(rid, 0, vals) for rid, vals in enumerate(values, 1))
     return Instance(radii, f"small seed={seed} n_radii={n_radii}")
 
 

@@ -302,7 +302,7 @@ def test_criterion_8_desk_scale_bench(tmp_path, capsys):
 
 def test_criterion_9_generator_shape():
     inst = generate(GenSpec())
-    counts = [len(e.resonances) for e in inst.radii]
+    counts = [len(e.nominals()) for e in inst.radii]
     failures = []
     if len(inst.radii) != 101:
         failures.append(f"{len(inst.radii)} radii, expected 101")

@@ -175,7 +175,7 @@ class TestSpacing:
             return
         assert code == 1, err
         instance = model.parse_instance(Path(gen).read_text(encoding="utf-8"))
-        eligible = [e for e in instance.radii if len(e.resonances) >= int(parallelism)]
+        eligible = [e for e in instance.radii if len(e.nominals()) >= int(parallelism)]
         assert len(eligible) == int(n_radii)
         short = []
         for entry in eligible:

@@ -11,7 +11,6 @@ from wronoc import (
     Instance,
     ParallelismSolution,
     RadiusEntry,
-    Resonance,
     SplitMix64,
     apply_delta,
     conflicts_of,
@@ -27,22 +26,22 @@ def explicit_interval_instance(seed, n_radii):
     radii = []
     for rid in range(1, n_radii + 1):
         noms = sorted({1_500_000 + 900 * rng.randint(0, 50) for _ in range(8)})
-        resonances = tuple(
-            Resonance(v, v - rng.randint(0, 2500), v + rng.randint(0, 2500))
-            for v in noms
-        )
-        radii.append(RadiusEntry(rid, 0, resonances))
+        lmins, lmaxs = [], []
+        for v in noms:
+            lmins.append(v - rng.randint(0, 2500))
+            lmaxs.append(v + rng.randint(0, 2500))
+        radii.append(RadiusEntry(rid, 0, noms, lmins, lmaxs))
     return Instance(tuple(radii), f"explicit seed={seed}")
 
 
 def brute_force_mis(entry, indices):
     """Exhaustive maximum independent set over within-radius conflicts: its
     size and its lexicographically smallest witness."""
-    res = entry.resonances
+    lmins, lmaxs = entry.lmins, entry.lmaxs
 
     def compatible(subset):
         return all(
-            res[a].lmax < res[b].lmin or res[b].lmax < res[a].lmin
+            lmaxs[a] < lmins[b] or lmaxs[b] < lmins[a]
             for a, b in combinations(subset, 2)
         )
 
@@ -64,15 +63,15 @@ def solve_one_radius(instance):
 class TestConflictsOf:
     def test_table1_delta_zero(self, table1):
         cs = conflicts_of(table1)
-        assert len(cs.within_pairs()) == 0
-        cross = {(p.first, p.second) for p in cs.cross_pairs()}
+        assert all(p.kind == "cross" for p in cs.pairs())
+        cross = {(p.first, p.second) for p in cs.pairs()}
         shared_1521 = {((a, 1), (b, 1)) for a, b in combinations((1, 2, 3, 4), 2)}
         assert cross == shared_1521 | {((2, 4), (4, 5))}
 
     def test_table1_delta_1200(self):
         cs = conflicts_of(table1_instance(half_width=1200))
         # 1503.4 nm and 1505.6 nm: 1503400+1200 >= 1505600-1200
-        assert ((3, 0), (4, 0)) in {(p.first, p.second) for p in cs.cross_pairs()}
+        assert ("cross", (3, 0), (4, 0)) in {(p.kind, p.first, p.second) for p in cs.pairs()}
 
     def test_far_apart_single_radius(self):
         inst = build_instance({1: (1500000, 1530000)}, half_width=1000)
@@ -81,14 +80,14 @@ class TestConflictsOf:
     def test_within_radius_pairs(self):
         inst = build_instance({1: (1500000, 1500500, 1510000)}, half_width=400)
         cs = conflicts_of(inst)
-        assert [(p.first, p.second) for p in cs.within_pairs()] == [((1, 0), (1, 1))]
-        assert cs.cross_pairs() == []
+        assert [(p.kind, p.first, p.second) for p in cs.pairs()] == [
+            ("within", (1, 0), (1, 1))]
 
     def test_symmetric_irreflexive(self):
         for seed in range(10):
             inst = with_delta(generate_random_small(seed, 4, 8), 700)
             cs = conflicts_of(inst)
-            for p in cs.cross_pairs() + cs.within_pairs():
+            for p in cs.pairs():
                 assert p.first < p.second
 
     def test_monotone_in_half_width(self):
@@ -97,7 +96,7 @@ class TestConflictsOf:
             prev: set = set()
             for hw in (0, 500, 1200):
                 cs = conflicts_of(with_delta(base, hw))
-                pairs = {(p.first, p.second) for p in cs.cross_pairs() + cs.within_pairs()}
+                pairs = {(p.first, p.second) for p in cs.pairs()}
                 assert prev <= pairs
                 prev = pairs
 
@@ -107,13 +106,13 @@ def brute_force_conflicts(instance):
     block = {(r, o): 0 for r in instance.ids() for o in instance.ids()}
     pairs = set()
     flat = [
-        (e.id, j, res)
+        (e.id, j, lo, hi)
         for e in instance.radii
-        for j, res in enumerate(e.resonances)
+        for j, (lo, hi) in enumerate(zip(e.lmins, e.lmaxs))
     ]
-    for a, (r, i, x) in enumerate(flat):
-        for o, j, y in flat[a + 1:]:
-            if x.lmin <= y.lmax and y.lmin <= x.lmax:
+    for a, (r, i, x_lo, x_hi) in enumerate(flat):
+        for o, j, y_lo, y_hi in flat[a + 1:]:
+            if x_lo <= y_hi and y_lo <= x_hi:
                 kind = "within" if r == o else "cross"
                 pairs.add(ConflictPair(kind, *sorted(((r, i), (o, j)))))
                 if r != o:
@@ -148,17 +147,18 @@ class TestMaskTable:
         for a, r in enumerate(cs.ids):
             for b, o in enumerate(cs.ids):
                 assert cs.block[a][b] == block[r, o], (r, o)
-        assert set(cs.cross_pairs() + cs.within_pairs()) == pairs
-        assert len(cs) == len(pairs)
-        assert cs.cross_pairs() == sorted(p for p in pairs if p.kind == "cross")
-        assert cs.within_pairs() == sorted(p for p in pairs if p.kind == "within")
+        listed = cs.pairs()
+        assert set(listed) == pairs
+        assert len(cs) == len(pairs) == len(listed)
+        assert listed == (sorted(p for p in pairs if p.kind == "cross")
+                          + sorted(p for p in pairs if p.kind == "within"))
 
 
 def usable_resonances(instance, cs, selected, radius_id):
     """Indices of `radius_id` that no other radius in `selected` blocks,
     read from the block masks the solver uses."""
     a = cs.ids.index(radius_id)
-    mask = (1 << len(instance.entry(radius_id).resonances)) - 1
+    mask = (1 << len(instance.entry(radius_id).nominals())) - 1
     for other in selected:
         mask &= ~cs.block[a][cs.ids.index(other)]
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
@@ -256,9 +256,11 @@ class TestMaxCompatibleCount:
     @settings(max_examples=60, deadline=None)
     def test_explicit_intervals_property(self, intervals):
         # Each resonance widens by its own amounts below and above.
-        res = tuple(Resonance(v, v - lo, v + hi) for v, lo, hi in sorted(intervals))
-        inst = Instance((RadiusEntry(1, 0, res),), "explicit")
-        assert solve_one_radius(inst) == brute_force_mis(inst.entry(1), range(len(res)))
+        noms, below, above = zip(*sorted(intervals))
+        lmins = [v - lo for v, lo in zip(noms, below)]
+        lmaxs = [v + hi for v, hi in zip(noms, above)]
+        inst = Instance((RadiusEntry(1, 0, noms, lmins, lmaxs),), "explicit")
+        assert solve_one_radius(inst) == brute_force_mis(inst.entry(1), range(len(noms)))
 
     @pytest.mark.parametrize("seed", range(25))
     def test_explicit_nested_intervals(self, seed):
@@ -267,5 +269,5 @@ class TestMaxCompatibleCount:
         inst = explicit_interval_instance(seed, n_radii=1)
         entry = inst.entry(1)
         assert solve_one_radius(inst) == brute_force_mis(
-            entry, range(len(entry.resonances))
+            entry, range(len(entry.nominals()))
         )

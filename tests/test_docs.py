@@ -1,13 +1,13 @@
 """The README's "Performance envelope" must match the latest BENCH file,
-its instance-file example must parse, and the test dependencies are
-pinned alike in CI, pyproject and the README."""
+its instance-file example must parse, its library example must run, and
+the test dependencies are pinned alike in CI, pyproject and the README."""
 
 import json
 import re
 from pathlib import Path
 
-from conftest import exact
-from wronoc import Resonance, parse_instance
+from wronoc import (SpacingProblem, check_parallelism_solution, check_spacing_solution,
+                    parse_instance)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,8 +34,23 @@ def test_instance_file_example_parses():
     inst = parse_instance(example)
     assert inst.label == "table1"
     assert [(e.id, e.radius_pm) for e in inst.radii] == [(1, 5000000)]
-    assert inst.radii[0].resonances == (
-        exact(1496400), Resonance(1521300, 1520300, 1522300))
+    entry = inst.radii[0]
+    assert entry.nominals() == (1496400, 1521300)
+    assert entry.lmins == (1496400, 1520300)
+    assert entry.lmaxs == (1496400, 1522300)
+
+
+def test_library_example_runs(tmp_path, monkeypatch, table1_text):
+    code = readme_section("Library use").split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "table1.txt").write_text(table1_text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(code, names)
+    instance, phase1, phase2 = names["instance"], names["phase1"], names["phase2"]
+    assert (phase1.status, phase2.status) == ("optimal", "optimal")
+    assert check_parallelism_solution(instance, phase1, 3) == []
+    problem = SpacingProblem(3, phase1.parallelism, "refined")
+    assert check_spacing_solution(instance, problem, phase2) == []
 
 
 def test_dependency_pins_agree():

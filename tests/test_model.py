@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_instance, exact, generate_random_small, table1_instance
+from conftest import build_instance, columns, entry_of, generate_random_small, table1_instance
 from wronoc import cli, model
 from wronoc import (
     DeltaPolicy,
@@ -18,14 +18,15 @@ from wronoc import (
     ModelError,
     ParseError,
     RadiusEntry,
-    Resonance,
     SpacingProblem,
     apply_delta,
+    check_parallelism_solution,
     conflicts_of,
     export_asp_facts,
     format_instance,
     generate,
     instance_digest,
+    oracle_max_parallelism,
     parse_instance,
     solve_max_parallelism,
     solve_spacing,
@@ -37,20 +38,20 @@ class TestParse:
     def test_table1_symmetric_zero(self, table1_text):
         inst = parse_instance(table1_text, DeltaPolicy.symmetric(0))
         assert [e.id for e in inst.radii] == [1, 2, 3, 4]
-        assert [len(e.resonances) for e in inst.radii] == [5, 6, 6, 7]
+        assert [len(e.nominals()) for e in inst.radii] == [5, 6, 6, 7]
         assert inst.label == "table1"
-        assert inst.entry(1).resonances[0] == Resonance(1496400, 1496400, 1496400)
+        assert [col[0] for col in columns(inst.entry(1))] == [1496400, 1496400, 1496400]
 
     def test_symmetric_recomputes_intervals(self):
         text = "radius 1 0\nresonance 1 1500000 1490000 1510000\n"
         inst = parse_instance(text, DeltaPolicy.symmetric(250))
-        res = inst.entry(1).resonances[0]
-        assert (res.lmin, res.lmax) == (1499750, 1500250)
+        entry = inst.entry(1)
+        assert (entry.lmins, entry.lmaxs) == ((1499750,), (1500250,))
 
     def test_explicit_keeps_intervals(self):
         text = "radius 1 0\nresonance 1 1500000 1499000 1501000\n"
-        res = parse_instance(text).entry(1).resonances[0]
-        assert (res.lmin, res.lmax) == (1499000, 1501000)
+        entry = parse_instance(text).entry(1)
+        assert (entry.lmins, entry.lmaxs) == ((1499000,), (1501000,))
 
     def test_empty_is_no_radii(self):
         with pytest.raises(ModelError, match="no radii"):
@@ -64,7 +65,7 @@ class TestParse:
     def test_inverted_interval_ignored_in_symmetric_mode(self):
         text = "radius 1 0\nresonance 1 1500000 1501000 1499000\n"
         inst = parse_instance(text, DeltaPolicy.symmetric(0))
-        assert inst.entry(1).resonances[0] == exact(1500000)
+        assert columns(inst.entry(1)) == ((1500000,),) * 3
 
     def test_duplicate_radius_id(self):
         text = "radius 1 0\nradius 1 0\n"
@@ -106,42 +107,43 @@ class TestValidate:
         assert validate(table1) == []
 
     def test_unsorted_resonances(self):
-        entry = RadiusEntry(1, 0, (exact(1600000), exact(1500000)))
+        entry = entry_of(1, 0, (1600000, 1500000))
         violations = validate(Instance((entry,)))
         assert len(violations) == 1
         assert "ascending" in violations[0]
 
     def test_duplicate_ids(self):
-        entry = RadiusEntry(1, 0, (exact(1500000),))
+        entry = entry_of(1, 0, (1500000,))
         violations = validate(Instance((entry, entry)))
         assert violations == ["duplicate radius id 1"]
 
     def test_bad_interval_and_nonpositive(self):
-        entry = RadiusEntry(2, 0, (Resonance(100, 200, 50),))
+        entry = RadiusEntry(2, 0, (100,), (200,), (50,))
         violations = validate(Instance((entry,)))
         assert any("interval" in v for v in violations)
-        entry = RadiusEntry(2, 0, (Resonance(1, 0, 2),))
+        entry = RadiusEntry(2, 0, (1,), (0,), (2,))
         assert any("non-positive" in v for v in validate(Instance((entry,))))
 
     def test_empty_radius(self):
-        violations = validate(Instance((RadiusEntry(1, 0, ()),)))
+        violations = validate(Instance((RadiusEntry(1, 0, (), (), ()),)))
         assert violations == ["radius 1: no resonances"]
 
-    @pytest.mark.parametrize("bad", [Resonance(1600000, 1600001, 1600002),
-                                     Resonance(1600000, 1599999, 1599999)])
+    @pytest.mark.parametrize("bad", [(1600000, 1600001, 1600002),
+                                     (1600000, 1599999, 1599999)])
     def test_each_interval_bound_is_checked(self, bad):
         # Only one side of lmin <= nominal <= lmax fails, after a valid
         # resonance.
-        entry = RadiusEntry(1, 0, (exact(1500000), bad))
+        nominal, lmin, lmax = bad
+        entry = RadiusEntry(1, 0, (1500000, nominal), (1500000, lmin), (1500000, lmax))
         assert validate(Instance((entry,))) == [
             "radius 1, resonance 1: interval violates lmin <= nominal <= lmax"]
 
 
 class TestEntry:
     def test_first_of_duplicate_ids_wins(self):
-        first = RadiusEntry(1, 0, (exact(1500000),))
-        second = RadiusEntry(1, 7, (exact(1600000),))
-        inst = Instance((RadiusEntry(2, 0, (exact(1550000),)), first, second))
+        first = entry_of(1, 0, (1500000,))
+        second = entry_of(1, 7, (1600000,))
+        inst = Instance((entry_of(2, 0, (1550000,)), first, second))
         assert inst.entry(1) is first
         assert inst.entry(2) is inst.radii[0]
 
@@ -156,16 +158,8 @@ class TestEntry:
         assert hash(table1) == hash(table1_instance())
 
 
-def from_objects(entry):
-    """The same entry built through the public ``Resonance`` constructor."""
-    resonances = tuple(
-        Resonance(nom, lo, hi) for nom, lo, hi in zip(entry.nominals(), entry.lmins, entry.lmaxs)
-    )
-    return RadiusEntry(entry.id, entry.radius_pm, resonances)
-
-
 class TestColumns:
-    """An entry holds three int columns; ``resonances`` is a view of them."""
+    """An entry is its three int columns, and nothing reads it any other way."""
 
     DESK = GenSpec(seed=1000, jitter_pm=100)
 
@@ -181,24 +175,31 @@ class TestColumns:
             *apply_delta(desk, 1000).radii,
         ]
 
-    def test_columnar_entries_equal_object_entries(self, table1_text):
+    def test_equality_and_hash_are_by_value(self, table1_text):
         for entry in self.built_entries(table1_text):
-            twin = from_objects(entry)
+            twin = RadiusEntry(entry.id, entry.radius_pm, *map(list, columns(entry)))
             assert entry == twin and twin == entry
             assert hash(entry) == hash(twin)
-            assert entry != RadiusEntry(entry.id, entry.radius_pm + 1, twin.resonances)
+            assert entry != RadiusEntry(entry.id, entry.radius_pm + 1, *columns(entry))
 
-    def test_resonances_round_trip(self, table1_text):
+    def test_repr_round_trip(self, table1_text):
         for entry in self.built_entries(table1_text):
-            view = entry.resonances
-            assert view is entry.resonances
-            assert [(r.nominal, r.lmin, r.lmax) for r in view] == list(
-                zip(entry.nominals(), entry.lmins, entry.lmaxs))
-            assert RadiusEntry(entry.id, entry.radius_pm, view) == entry
+            assert eval(repr(entry), {"RadiusEntry": RadiusEntry}) == entry
             assert copy.deepcopy(entry) == entry == pickle.loads(pickle.dumps(entry))
-        entry = RadiusEntry(3, 5, [Resonance(1500000, 1499000, 1501000)])
+            assert entry.resonances == tuple(zip(*columns(entry)))
+        entry = RadiusEntry(3, 5, [1500000], [1499000], [1501000])
         assert entry.nominals() == (1500000,)
         assert (entry.lmins, entry.lmaxs) == ((1499000,), (1501000,))
+        assert repr(entry) == ("RadiusEntry(id=3, radius_pm=5, nominals=(1500000,), "
+                               "lmins=(1499000,), lmaxs=(1501000,))")
+        nominals = (1500000, 1510000)
+        assert entry_of(1, 0, nominals).nominals() is nominals
+
+    @pytest.mark.parametrize("lengths", [(2, 1, 1), (1, 2, 1), (1, 1, 2), (0, 0, 1)])
+    def test_columns_must_align(self, lengths):
+        cols = [tuple(range(1500000, 1500000 + n)) for n in lengths]
+        with pytest.raises(ModelError, match="radius 4: columns differ in length"):
+            RadiusEntry(4, 0, *cols)
 
     @pytest.mark.parametrize("name", ["id", "radius_pm", "lmins", "lmaxs", "resonances", "other"])
     def test_entries_are_immutable(self, table1, name):
@@ -209,15 +210,15 @@ class TestColumns:
             delattr(entry, name)
         assert entry == table1_instance().entry(1)
 
-    def test_the_hot_path_builds_no_resonance(self, monkeypatch, tmp_path):
+    def test_no_solver_or_checker_reads_resonances(self, monkeypatch, tmp_path):
         path = tmp_path / "desk.txt"
         path.write_text(format_instance(generate(self.DESK)), encoding="utf-8")
         out = tmp_path / "out.json"
 
-        def refuse(self, *args):
-            raise AssertionError("a Resonance was built")
+        def refuse(self):
+            raise AssertionError("resonances was read")
 
-        monkeypatch.setattr(Resonance, "__init__", refuse)
+        monkeypatch.setattr(RadiusEntry, "resonances", property(refuse))
         desk = generate(self.DESK)
         inst = parse_instance(path.read_text(encoding="utf-8"))
         assert inst == desk
@@ -226,12 +227,19 @@ class TestColumns:
         assert parse_instance(export_asp_facts(wide)) == wide
         instance_digest(wide)
         assert len(conflicts_of(wide)) > 0
-        assert solve_max_parallelism(wide, conflicts_of(wide), 4).status == "optimal"
+        phase1 = solve_max_parallelism(wide, conflicts_of(wide), 4)
+        assert phase1.status == "optimal"
+        assert check_parallelism_solution(wide, phase1, 4) == []
+        table1 = table1_instance(half_width=1000)
+        assert oracle_max_parallelism(table1, 3) == solve_max_parallelism(
+            table1, conflicts_of(table1), 3)
         assert solve_spacing(inst, SpacingProblem(2, 2)).status == "optimal"
-        argv = ["spacing", "--instance", str(path), "--n-radii", "2", "--parallelism", "2",
-                "--out", str(out)]
-        assert cli.main(argv) == 0
-        with pytest.raises(AssertionError, match="a Resonance was built"):
+        common = ["--instance", str(path), "--n-radii", "2", "--out", str(out)]
+        for argv in (["spacing", "--parallelism", "2"],
+                     ["max-parallelism", "--delta", "100"],
+                     ["pipeline"]):
+            assert cli.main(argv + common) == 0
+        with pytest.raises(AssertionError, match="resonances was read"):
             inst.radii[0].resonances
 
 
@@ -284,9 +292,9 @@ class TestPolicy:
         for hw in (0, 500, 1200):
             widened = apply_delta(table1, hw)
             for entry in widened.radii:
-                for res in entry.resonances:
-                    assert res.lmax - res.nominal == hw
-                    assert res.nominal - res.lmin == hw
+                for nominal, lmin, lmax in zip(*columns(entry)):
+                    assert lmax - nominal == hw
+                    assert nominal - lmin == hw
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ModelError):
@@ -315,12 +323,12 @@ def instances(draw):
     for rid in sorted(ids):
         nominals = draw(st.lists(st.integers(251, 2_000_000), min_size=1, max_size=8,
                                  unique=True))
-        resonances = []
-        for nom in sorted(nominals):
-            lo = draw(st.integers(1, nom))
-            hi = draw(st.integers(nom, nom + 5_000))
-            resonances.append(Resonance(nom, lo, hi))
-        radii.append(RadiusEntry(rid, draw(st.integers(0, 40_000_000)), tuple(resonances)))
+        nominals.sort()
+        lmins, lmaxs = [], []
+        for nom in nominals:
+            lmins.append(draw(st.integers(1, nom)))
+            lmaxs.append(draw(st.integers(nom, nom + 5_000)))
+        radii.append(RadiusEntry(rid, draw(st.integers(0, 40_000_000)), nominals, lmins, lmaxs))
     label = draw(st.text(string.ascii_letters + string.digits + " #%:()-_.", max_size=20))
     return Instance(tuple(radii), label.strip())
 
@@ -417,7 +425,7 @@ class TestParseContract:
     ])
     def test_bad_interval_ignored_under_symmetric_policy(self, text):
         inst = parse_instance(text, SYMMETRIC_0)
-        assert inst.radii[0].resonances == (exact(1500000),)
+        assert columns(inst.radii[0]) == ((1500000,),) * 3
 
     def test_symmetric_policy_keeps_the_other_checks(self):
         text = R1 + "resonance 1 1500000 1500001 1500002\nresonance 1 1500000\n"
@@ -436,7 +444,7 @@ class TestParseContract:
     ])
     def test_whitespace_and_line_endings(self, text):
         inst = parse_instance(text)
-        assert inst == Instance((RadiusEntry(1, 0, (Resonance(1500000, 1499000, 1501000),)),), "t")
+        assert inst == Instance((RadiusEntry(1, 0, (1500000,), (1499000,), (1501000,)),), "t")
 
     @pytest.mark.parametrize("text, line_no", [
         ("radius 1 0\r\n\r\nbogus\r\n", 3),

@@ -1,5 +1,4 @@
 import time
-from collections import namedtuple
 
 import pytest
 
@@ -23,8 +22,6 @@ from wronoc import (
     solve_max_parallelism,
 )
 from wronoc.verify import check_parallelism_solution
-
-Interval = namedtuple("Interval", "lmin lmax")
 
 
 @pytest.fixture
@@ -361,9 +358,8 @@ class TestChainMis(TestPinnedDeskScale, TestSearchEffort):
     @pytest.fixture(autouse=True)
     def chain_size(self, monkeypatch):
         def size(self, mask):
-            res = [Interval(lo, hi) for lo, hi in zip(self.lmins, self.lmaxs)]
-            usable = tuple(j for j in range(len(res)) if mask >> j & 1)
-            return len(parallelism._longest_chain(res, usable))
+            usable = tuple(j for j in range(len(self.lmins)) if mask >> j & 1)
+            return len(parallelism._longest_chain(self.lmins, self.lmaxs, usable))
 
         monkeypatch.setattr(parallelism._Mis, "size", size)
 
@@ -374,10 +370,10 @@ class TestMis:
     def test_every_mask_against_the_longest_chain(self):
         # Widened so that neighbouring resonances overlap.
         entry = table1_instance(half_width=10_000).entry(4)
-        resonances = entry.resonances
+        n = len(entry.nominals())
         mis = parallelism._Mis(entry.lmins, entry.lmaxs)
-        for mask in range(1 << len(resonances)):
-            usable = tuple(j for j in range(len(resonances)) if mask >> j & 1)
-            chain = parallelism._longest_chain(resonances, usable)
+        for mask in range(1 << n):
+            usable = tuple(j for j in range(n) if mask >> j & 1)
+            chain = parallelism._longest_chain(entry.lmins, entry.lmaxs, usable)
             assert mis.size(mask) == len(chain)
             assert mis.witness(mask) == chain
