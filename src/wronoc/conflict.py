@@ -14,6 +14,7 @@ the half width.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -33,31 +34,43 @@ class ConflictPair:
 
 
 class ConflictSet:
-    """Cross-radius block masks of an instance; conflict pairs on demand.
+    """Cross-radius keep masks of an instance; conflict pairs on demand.
 
     ``ids`` lists the radius ids in ascending order, and a radius's
-    position is its place in that list.  ``block[a][b]`` is the bitmask over
-    resonance indices of the radius at position ``a`` that some resonance
-    of the radius at position ``b`` conflicts with; the diagonal is 0.  The
-    solvers read only these masks.  The pairs themselves are rebuilt from
-    the sorted intervals each time they are asked for, so nothing is ever
-    written after construction and a set can be shared across solves.
+    position is its place in that list.  ``keep[b][a]`` is the bitmask over
+    resonance indices of the radius at position ``a`` that the radius at
+    position ``b`` leaves usable: every bit is set except those of the
+    resonances that some resonance of radius ``b`` conflicts with, and the
+    diagonal is ``-1``.  The solver reads this table as it is.  ``block``
+    is its complement, transposed.  The pairs are rebuilt from the sorted
+    intervals each time they are asked for, so nothing is ever written
+    after construction and a set can be shared across solves.
     """
 
-    __slots__ = ("ids", "block", "_items", "_count")
+    __slots__ = ("ids", "keep", "_sweep", "_count")
 
-    def __init__(self, ids, block, items, count: int):
+    def __init__(self, ids, keep, sweep, count: int):
         self.ids: tuple[int, ...] = tuple(ids)
-        self.block: tuple[tuple[int, ...], ...] = tuple(map(tuple, block))
-        self._items = tuple(items)  # (lmin, lmax, position, index), sorted
+        self.keep: tuple[tuple[int, ...], ...] = tuple(map(tuple, keep))
+        self._sweep = sweep  # (lmins, lmaxs, positions, indices), sorted by lmin
         self._count = count
 
+    @property
+    def block(self) -> tuple[tuple[int, ...], ...]:
+        """``block[a][b]``: the resonance indices of the radius at position
+        ``a`` that some resonance of the radius at position ``b``
+        conflicts with, ``~keep[b][a]``; the diagonal is 0.  Built from
+        ``keep`` on each access; no solver reads it."""
+        return tuple(tuple(map(operator.invert, col)) for col in zip(*self.keep))
+
     def _iter_pairs(self):
-        ids, items = self.ids, self._items
-        for i, end in _overlaps(items):
-            _, _, p, j = items[i]
-            for _, _, p2, j2 in items[i + 1:end]:
-                a, b = sorted(((ids[p], j), (ids[p2], j2)))
+        ids = self.ids
+        lmins, lmaxs, positions, indices = self._sweep
+        for i, end in _overlaps(lmins, lmaxs):
+            p, j = positions[i], indices[i]
+            for k in range(i + 1, end):
+                p2 = positions[k]
+                a, b = sorted(((ids[p], j), (ids[p2], indices[k])))
                 yield ConflictPair(WITHIN if p == p2 else CROSS, a, b)
 
     def pairs(self) -> list[ConflictPair]:
@@ -69,15 +82,14 @@ class ConflictSet:
         return self._count
 
 
-def _overlaps(items):
-    """For each item i of a list sorted by lmin, the end of the run of later
-    items whose intervals meet it: they start no later than item i ends."""
-    lmins = [t[0] for t in items]
-    return [(i, bisect_right(lmins, t[1], i + 1)) for i, t in enumerate(items)]
+def _overlaps(lmins, lmaxs):
+    """For each interval i of columns sorted by lmin, the end of the run of
+    later intervals that meet it: they start no later than interval i ends."""
+    return [(i, bisect_right(lmins, hi, i + 1)) for i, hi in enumerate(lmaxs)]
 
 
 def conflicts_of(instance: Instance) -> ConflictSet:
-    """Compute the conflict relation of an instance as block masks.
+    """Compute the conflict relation of an instance as keep masks.
 
     Two resonances conflict iff their closed intervals intersect; equal
     nominals always conflict since both intervals contain the nominal.
@@ -86,20 +98,28 @@ def conflicts_of(instance: Instance) -> ConflictSet:
     """
     ids = sorted(instance.ids())
     pos = {rid: p for p, rid in enumerate(ids)}
-    items = sorted(
-        (lo, hi, pos[e.id], j)
-        for e in instance.radii
-        for j, (lo, hi) in enumerate(zip(e.lmins, e.lmaxs))
-    )
-    block = [[0] * len(ids) for _ in ids]
+    flat_pos, flat_idx, flat_lo, flat_hi = [], [], [], []
+    for e in instance.radii:
+        n = len(e.lmins)
+        flat_pos += [pos[e.id]] * n
+        flat_idx += range(n)
+        flat_lo += e.lmins
+        flat_hi += e.lmaxs
+    order = sorted(range(len(flat_lo)), key=flat_lo.__getitem__)
+    lmins = [flat_lo[f] for f in order]
+    lmaxs = [flat_hi[f] for f in order]
+    positions = [flat_pos[f] for f in order]
+    indices = [flat_idx[f] for f in order]
+    cleared = [~(1 << j) for j in indices]
+    keep = [[-1] * len(ids) for _ in ids]
     count = 0
-    for i, end in _overlaps(items):
-        _, _, p, j = items[i]
+    for i, end in _overlaps(lmins, lmaxs):
         count += end - i - 1
-        row, bit = block[p], 1 << j
-        for _, _, p2, j2 in items[i + 1:end]:
+        p, bit = positions[i], cleared[i]
+        row = keep[p]
+        for k in range(i + 1, end):
+            p2 = positions[k]
             if p2 != p:
-                row[p2] |= bit
-                block[p2][p] |= 1 << j2
-    return ConflictSet(ids, block, items, count)
-
+                row[p2] &= cleared[k]
+                keep[p2][p] &= bit
+    return ConflictSet(ids, keep, (lmins, lmaxs, positions, indices), count)

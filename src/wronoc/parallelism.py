@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 import operator
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -125,59 +126,76 @@ class _Mis:
     """Maximum independent sets of one radius's usable-index masks.
 
     Within one radius the conflict graph is an interval graph (each
-    resonance is its interval [lmin, lmax]), so the greedy activity
-    selection scan in ascending lmax order finds a maximum independent set
-    exactly; the brute-force tests guard that claim.
+    resonance is its interval [lmin, lmax]).  Resonances ascend by nominal
+    and each interval holds its nominal, so compatible resonances lie in
+    index order: a compatible subset is a chain of indices, each interval
+    ending before the next begins.  When no two of the radius's intervals
+    meet, each interval ends before the next begins and every mask is a
+    chain, so its size is its bit count.  Otherwise one longest-chain pass
+    over the mask gives both the size and the witness; the brute-force
+    tests guard both paths.
     """
 
-    __slots__ = ("lmins", "lmaxs", "by_lmax")
+    __slots__ = ("lmins", "lmaxs", "disjoint")
 
     def __init__(self, lmins: tuple[int, ...], lmaxs: tuple[int, ...]):
         self.lmins, self.lmaxs = lmins, lmaxs
-        self.by_lmax = sorted(zip(lmaxs, range(len(lmins)), lmins))
+        # Closed intervals: touching endpoints conflict.
+        self.disjoint = all(map(operator.lt, lmaxs, lmins[1:]))
+
+    def _chains(self, mask: int) -> tuple[list[int], int]:
+        """``longest[j]``, the length of the longest chain in `mask` that
+        starts at j, and the longest chain's length, in one right-to-left
+        pass: ``reach[c]`` is minus the largest lmin that starts a chain
+        of c + 1 among the indices passed, which never decreases with c."""
+        lmins, lmaxs = self.lmins, self.lmaxs
+        longest, reach = [0] * len(lmins), []
+        for j in range(len(lmins) - 1, -1, -1):
+            if mask >> j & 1:
+                c = bisect_left(reach, -lmaxs[j])  # chains starting after lmax
+                longest[j] = c + 1
+                if c == len(reach):
+                    reach.append(-lmins[j])
+                elif -lmins[j] < reach[c]:
+                    reach[c] = -lmins[j]
+        return longest, len(reach)
 
     def size(self, mask: int) -> int:
-        count, end = 0, None
-        for lmax, idx, lmin in self.by_lmax:
-            if mask >> idx & 1 and (end is None or lmin > end):
-                count += 1
-                end = lmax
-        return count
+        if self.disjoint:
+            return mask.bit_count()
+        return self._chains(mask)[1]
 
     def witness(self, mask: int) -> tuple[int, ...]:
         """The lexicographically smallest maximum compatible subset of `mask`.
 
-        Walks the indices upward and takes j when it clears the last pick
-        and the indices after j that clear it still hold enough compatible
-        resonances to reach the maximum.
+        On overlapping radii the upward pass takes each j that clears the
+        last pick and still starts a chain long enough to reach the
+        maximum.
         """
+        n = len(self.lmins)
+        if self.disjoint:
+            return tuple(j for j in range(n) if mask >> j & 1)
         lmins, lmaxs = self.lmins, self.lmaxs
-        need, picks, end = self.size(mask), [], None
-        for j in range(len(lmins)):
-            if not need:
-                break
-            if not mask >> j & 1 or (end is not None and lmins[j] <= end):
-                continue
-            lmax = lmaxs[j]
-            after = sum(1 << k for k in range(j + 1, len(lmins)) if lmins[k] > lmax)
-            if 1 + self.size(mask & after) >= need:
+        longest, need = self._chains(mask)
+        picks, end = [], None
+        for j in range(n):
+            if need and longest[j] == need and (end is None or lmins[j] > end):
                 picks.append(j)
                 need -= 1
-                end = lmax
+                end = lmaxs[j]
         return tuple(picks)
 
 
 class _Workspace:
     """Per-solve tables by radius position (see `ConflictSet`): full index
-    masks, MIS routines, and ``keep[b][a] = ~block[a][b]``, the indices of
-    radius a that radius b leaves usable."""
+    masks, MIS routines, and the conflict set's ``keep`` table."""
 
     def __init__(self, instance: Instance, conflicts: ConflictSet):
         by_id = {e.id: e for e in instance.radii}
         entries = [by_id[rid] for rid in conflicts.ids]
         self.full = [(1 << len(e.lmins)) - 1 for e in entries]
         self.mis = [_Mis(e.lmins, e.lmaxs) for e in entries]
-        self.keep = [tuple(map(operator.invert, col)) for col in zip(*conflicts.block)]
+        self.keep = conflicts.keep
 
     def search(self, order: list[int], n_radii: int, floor: int, first: bool,
                clock: _Clock) -> tuple[int, list[int] | None, bool]:

@@ -144,23 +144,34 @@ class TestMaskTable:
         block, pairs = brute_force_conflicts(instance)
         cs = conflicts_of(instance)
         assert cs.ids == tuple(sorted(instance.ids()))
+        view = cs.block  # derived from keep on each access
         for a, r in enumerate(cs.ids):
             for b, o in enumerate(cs.ids):
-                assert cs.block[a][b] == block[r, o], (r, o)
+                assert cs.keep[b][a] == ~block[r, o], (r, o)  # -1 on the diagonal
+                assert view[a][b] == block[r, o], (r, o)
         listed = cs.pairs()
         assert set(listed) == pairs
         assert len(cs) == len(pairs) == len(listed)
         assert listed == (sorted(p for p in pairs if p.kind == "cross")
                           + sorted(p for p in pairs if p.kind == "within"))
 
+    def test_a_set_is_shared_unchanged_across_solves(self):
+        inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 1000)
+        cs = conflicts_of(inst)
+        keep = cs.keep
+        assert isinstance(keep, tuple) and all(isinstance(row, tuple) for row in keep)
+        first = solve_max_parallelism(inst, cs, 8)
+        assert solve_max_parallelism(inst, cs, 8) == first
+        assert cs.keep is keep and cs.keep == conflicts_of(inst).keep
+
 
 def usable_resonances(instance, cs, selected, radius_id):
     """Indices of `radius_id` that no other radius in `selected` blocks,
-    read from the block masks the solver uses."""
+    read from the keep masks the solver uses."""
     a = cs.ids.index(radius_id)
     mask = (1 << len(instance.entry(radius_id).nominals())) - 1
     for other in selected:
-        mask &= ~cs.block[a][cs.ids.index(other)]
+        mask &= cs.keep[cs.ids.index(other)][a]
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
@@ -265,7 +276,7 @@ class TestMaxCompatibleCount:
     @pytest.mark.parametrize("seed", range(25))
     def test_explicit_nested_intervals(self, seed):
         # Asymmetric, possibly nested uncertainty intervals still form an
-        # interval graph, so the greedy scan must stay exact.
+        # interval graph, so the MIS must stay exact.
         inst = explicit_interval_instance(seed, n_radii=1)
         entry = inst.entry(1)
         assert solve_one_radius(inst) == brute_force_mis(

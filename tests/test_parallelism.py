@@ -1,6 +1,9 @@
 import time
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     build_instance,
@@ -10,9 +13,11 @@ from conftest import (
     table1_instance,
     with_delta,
 )
+from test_conflict import brute_force_mis
 from wronoc import (
     GenSpec,
     ParallelismSolution,
+    RadiusEntry,
     SolveConfig,
     apply_delta,
     conflicts_of,
@@ -330,30 +335,43 @@ class TestSearchEffort:
         assert (sol.status, sol.parallelism) == ("optimal", 1)
         assert [c.steps for c in clocks] == [2559]
 
-    def test_mis_runs_outside_the_node_tests(self, clocks, monkeypatch):
-        # 101 capacities for the root order, 4 per leaf at 7 leaves in the
-        # two passes, and 104 for the witnesses of the four chosen radii.
-        # An MIS in the node tests would make these counts grow with the
-        # steps.
+    @pytest.fixture
+    def mis_calls(self, monkeypatch):
+        """Every `_Mis.size` call, as whether that radius's intervals overlap."""
         calls = []
         size = parallelism._Mis.size
 
         def counting(self, mask):
-            calls.append(mask)
+            calls.append(not self.disjoint)
             return size(self, mask)
 
         monkeypatch.setattr(parallelism._Mis, "size", counting)
+        return calls
+
+    def test_mis_runs_outside_the_node_tests(self, clocks, mis_calls):
+        # 101 capacities for the root order and 4 per leaf at 7 leaves in
+        # the two passes; the witnesses run no size.  An MIS in the node
+        # tests would make these counts grow with the steps.  Every desk
+        # radius is disjoint at delta 100, so every call is a bit count.
         inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 100)
         solve_max_parallelism(inst, conflicts_of(inst), 4)
         assert [c.steps for c in clocks] == [540]
-        assert len(calls) == 233
+        assert (len(mis_calls), sum(mis_calls)) == (129, 0)
+
+    def test_overlapping_radii_take_the_chain_pass(self, clocks, mis_calls):
+        # 101 root capacities and 4 per leaf at 2 leaves; 41 of the 109
+        # calls are on radii whose own intervals overlap at delta 3000.
+        inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 3000)
+        solve_max_parallelism(inst, conflicts_of(inst), 4)
+        assert [c.steps for c in clocks] == [2559]
+        assert (len(mis_calls), sum(mis_calls)) == (109, 41)
 
 
 class TestChainMis(TestPinnedDeskScale, TestSearchEffort):
     """Every pinned answer and effort count again, with `_Mis.size` swapped
     for the oracle's longest-chain count: the search reads the MIS routine
     only through its sizes, so an exact count of another make changes
-    neither, and the greedy scan is checked at desk scale."""
+    neither, and `_Mis`'s own count is checked at desk scale."""
 
     @pytest.fixture(autouse=True)
     def chain_size(self, monkeypatch):
@@ -365,7 +383,7 @@ class TestChainMis(TestPinnedDeskScale, TestSearchEffort):
 
 
 class TestMis:
-    """The greedy MIS routine and its witness against a 2^n brute force."""
+    """The MIS routine and its witness against a 2^n brute force."""
 
     def test_every_mask_against_the_longest_chain(self):
         # Widened so that neighbouring resonances overlap.
@@ -377,3 +395,38 @@ class TestMis:
             chain = parallelism._longest_chain(entry.lmins, entry.lmaxs, usable)
             assert mis.size(mask) == len(chain)
             assert mis.witness(mask) == chain
+
+
+# One radius's columns, nominals strictly ascending: each resonance is
+# (gap to the previous nominal, width below, width above).  Small values
+# make touching (lmins[j+1] == lmaxs[j]) and nested intervals common.
+_COLUMNS = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(0, 5), st.integers(0, 5)),
+    min_size=1, max_size=7,
+)
+
+
+class TestMisFastPath:
+    """`_Mis` takes bit counts exactly when no two of its radius's intervals
+    meet, and its size and witness stay exact on both paths."""
+
+    @given(columns=_COLUMNS)
+    # Intervals as offsets from 1,500,000 pm:
+    @example(columns=[(1, 0, 0)])  # a single resonance
+    @example(columns=[(1, 0, 2), (3, 1, 0), (5, 0, 0)])  # 1..3 touches 3..4
+    @example(columns=[(1, 0, 1), (3, 1, 0), (5, 0, 0)])  # 1..2 and 3..4 do not
+    @example(columns=[(5, 0, 5), (1, 0, 0), (1, 0, 0)])  # 5..10 holds 6 and 7
+    @settings(max_examples=100, deadline=None)
+    def test_against_brute_force_and_the_oracle(self, columns):
+        gaps, below, above = zip(*columns)
+        nominals = tuple(accumulate(gaps, initial=1_500_000))[1:]
+        entry = RadiusEntry(1, 0, nominals, [v - lo for v, lo in zip(nominals, below)],
+                            [v + hi for v, hi in zip(nominals, above)])
+        lmins, lmaxs, n = entry.lmins, entry.lmaxs, len(nominals)
+        mis = parallelism._Mis(lmins, lmaxs)
+        assert mis.disjoint == (brute_force_mis(entry, range(n))[0] == n)
+        for mask in range(1 << n):
+            usable = tuple(j for j in range(n) if mask >> j & 1)
+            size, best = brute_force_mis(entry, usable)
+            assert (mis.size(mask), mis.witness(mask)) == (size, best)
+            assert parallelism._longest_chain(lmins, lmaxs, usable) == best
