@@ -62,7 +62,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, chain, combinations, product
 
 from .model import Instance
 from .parallelism import (
@@ -531,9 +531,14 @@ def solve_spacing(
     every co-selected radius, so the distance cannot exceed the
     n_lambda-th deepest spectral hole of either radius of a pair in the
     other.  A leaf also caps it by its span over its carrier gaps, a
-    pre-filter and the top of its ladder.  The exact leaf test packs
-    every carrier pairwise apart, so span or comb caps above the leaves
-    would only move effort.
+    pre-filter and the top of its ladder.  Above the leaves, one span
+    bound ends a node's loop: at position p, every subset completed from
+    `order[p:]` spans at most the extent of the chosen radii and that
+    suffix, so once that extent over the carrier gaps is below `best`,
+    no later position can win or tie.  The suffix extents only shrink as
+    p grows, in either mode's order, so the loop breaks there.  The
+    exact leaf test would reject each leaf it cuts; what the break saves
+    is the roots' last-level span filters, not probes.
 
     A pair hole costs a scan per direction, so the DFS tests a cheaper
     bound first: `_hole_bounds` gives one number per radius, `far[i]`, the
@@ -684,6 +689,15 @@ def solve_spacing(
                 improve(chosen + [i], min(top, cheap), not (refined or shared >> i & 1))
             return
         for p in range(start, len(order) - need + 1):
+            # Every subset completed from order[p:] spans at most high - low,
+            # and the suffix extents only shrink as p grows, in any order.
+            # The chosen radii can only widen the suffix's own extent, so a
+            # suffix cap at or above the incumbent settles the test.
+            if suf_cap[p] < best:
+                high = hi if hi > suf_hi[p] else suf_hi[p]
+                low = lo if lo < suf_lo[p] else suf_lo[p]
+                if (high - low) // gaps < best:
+                    break
             i = order[p]
             clock.tick()
             # far[i] bounds the optimum of every subset holding i and
@@ -707,17 +721,28 @@ def solve_spacing(
     # The pair caps of the candidates that pass `far`, by (c, i), on demand.
     pair_cap: dict[tuple[int, int], int] = {}
     # shares[i]: the radii, as bits, that hold one of i's nominals (base).
+    # Only a nominal that occurs twice can be shared, and few do.
     shares = [0] * len(eligible)
     if not refined:
+        flat = sorted(chain.from_iterable(spectra))
+        dups = {v for v, w in zip(flat, flat[1:]) if v == w}
+        holding = []  # (i, the duplicated nominals i holds)
         holders: dict[int, int] = {}
         for i, s in enumerate(spectra):
-            for v in s:
-                holders[v] = holders.get(v, 0) | 1 << i
-        for i, s in enumerate(spectra):
-            for v in s:
+            held = dups.intersection(s)
+            if held:
+                holding.append((i, held))
+                for v in held:
+                    holders[v] = holders.get(v, 0) | 1 << i
+        for i, held in holding:
+            for v in held:
                 shares[i] |= holders[v]
             shares[i] &= ~(1 << i)
     order = sorted(range(len(eligible)), key=lambda i: (-far[i], lows[i], i))
+    # The extent of order[p:], and its span over the carrier gaps.
+    suf_hi = list(accumulate((highs[i] for i in reversed(order)), max))[::-1]
+    suf_lo = list(accumulate((lows[i] for i in reversed(order)), min))[::-1]
+    suf_cap = [(h - l) // gaps for h, l in zip(suf_hi, suf_lo)]
 
     try:
         dfs(0, [], math.inf, -math.inf, math.inf, 0)

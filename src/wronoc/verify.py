@@ -3,14 +3,56 @@
 These re-verify returned solutions straight from the instance data with
 plain loops: no conflict sets, no bitmasks, no solver bookkeeping.  The
 CLI refuses to emit any payload these reject, and the property suite runs
-them over every solver and oracle result.
+them over every solver and oracle result.  The Phase-1 interval rules
+first run one sort-and-bisect pass each, which only decides whether
+their pairwise loops, the source of every message, run at all.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
+from itertools import accumulate
+
 from .model import Instance
 from .parallelism import OPTIMAL, ParallelismSolution
 from .spacing import BASE, REFINED, SpacingProblem, SpacingSolution
+
+
+def _disjoint(intervals) -> bool:
+    """Whether no two of the closed (lmin, lmax) `intervals` meet: taken by
+    lmin, each starts above the furthest end before it."""
+    reach = -math.inf
+    for lo, hi in sorted(intervals):
+        if lo <= reach:
+            return False
+        if hi > reach:
+            reach = hi
+    return True
+
+
+def _cross_clear(instance: Instance, sel, selections) -> bool:
+    """Whether no selected carrier's interval meets an interval of another
+    selected radius.  Per radius, the others' intervals are sorted by lmin
+    with a running max of lmax, and one bisect per carrier finds those that
+    start at or below its lmax; it is clear when they all end below its
+    lmin."""
+    for rid in sel:
+        others = sorted(
+            interval
+            for other in sel
+            if other != rid
+            for interval in zip(instance.entry(other).lmins, instance.entry(other).lmaxs)
+        )
+        starts = [lo for lo, _ in others]
+        reach = list(accumulate((hi for _, hi in others), max))
+        entry = instance.entry(rid)
+        for j in selections.get(rid, ()):
+            if 0 <= j < len(entry.lmins):
+                k = bisect_right(starts, entry.lmaxs[j])
+                if k and reach[k - 1] >= entry.lmins[j]:
+                    return False
+    return True
 
 
 def check_parallelism_solution(
@@ -49,6 +91,8 @@ def check_parallelism_solution(
             continue
         if solution.counts.get(rid) != len(picks):
             out.append(f"radius {rid}: count does not match selection size")
+        if _disjoint([(lmins[j], lmaxs[j]) for j in picks]):
+            continue
         for a_pos in range(len(picks)):
             a = picks[a_pos]
             for b_pos in range(a_pos + 1, len(picks)):
@@ -60,22 +104,23 @@ def check_parallelism_solution(
                     )
     # Cross-radius rule: a selected carrier must clear the *entire*
     # spectrum of every other selected radius, not just its carriers.
-    for rid in sel:
-        entry = instance.entry(rid)
-        for j in solution.selections.get(rid, ()):
-            if not 0 <= j < len(entry.lmins):
-                continue
-            lmin, lmax = entry.lmins[j], entry.lmaxs[j]
-            for other in sel:
-                if other == rid:
+    if not _cross_clear(instance, sel, solution.selections):
+        for rid in sel:
+            entry = instance.entry(rid)
+            for j in solution.selections.get(rid, ()):
+                if not 0 <= j < len(entry.lmins):
                     continue
-                other_entry = instance.entry(other)
-                for k, (lo, hi) in enumerate(zip(other_entry.lmins, other_entry.lmaxs)):
-                    if lmin <= hi and lo <= lmax:
-                        out.append(
-                            f"carrier ({rid},{j}) conflicts with resonance "
-                            f"({other},{k})"
-                        )
+                lmin, lmax = entry.lmins[j], entry.lmaxs[j]
+                for other in sel:
+                    if other == rid:
+                        continue
+                    other_entry = instance.entry(other)
+                    for k, (lo, hi) in enumerate(zip(other_entry.lmins, other_entry.lmaxs)):
+                        if lmin <= hi and lo <= lmax:
+                            out.append(
+                                f"carrier ({rid},{j}) conflicts with resonance "
+                                f"({other},{k})"
+                            )
     if solution.counts and solution.parallelism != min(solution.counts.values()):
         out.append("parallelism does not equal the minimum per-radius count")
     return out

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 import tracemalloc
 from bisect import insort
@@ -792,8 +793,10 @@ LOW_OUTLIER = {  # radius 1 sets the band's low end 100 nm below the rest
     4: (1_500_050, 1_500_950),
 }
 
-# Inner-node caps the subset search does not carry would prune here; the
-# exact leaf test must reject every leaf they would cut.
+# Inner-node caps would prune here, and the exact leaf test must reject
+# every leaf they cut.  The subset search carries no row-comb cap
+# (NARROW_COMB); the suffix extent ends its loops (NARROW_SUFFIX, whose
+# steps `NARROW_SUFFIX_STEPS` pins).
 NARROW_COMB = {  # radius 3 cannot host two carriers the incumbent apart
     1: (1_500_000, 1_501_000),
     2: (1_500_500, 1_501_500),
@@ -808,6 +811,12 @@ NARROW_SUFFIX = {  # radii 4-7 together span less than the incumbent
     6: (1_505_020,),
     7: (1_505_030,),
 }
+# `_Clock` steps of NARROW_SUFFIX 3x1 by mode.  In base mode the root loop
+# stops at radius 3: radii 3-7 span 3,030 pm, 1,515 over the two carrier
+# gaps, below the optimum of 2,000.  In refined mode, in `far` order, the
+# loop under root 1 stops at radius 2: radii 1-3 span 2,000 pm, 1,000 over
+# the gaps.  A search without the break takes 48 and 41 steps.
+NARROW_SUFFIX_STEPS = {"base": 39, "refined": 40}
 
 # Instances on which the subset search, visiting radii best-first, raises
 # its incumbent to the optimum with a later subset in id order than the
@@ -858,6 +867,22 @@ TIES = {
         {1: (1_503_900,), 2: (1_500_000, 1_503_900), 3: (1_500_400,)},
         (2, 3), (1, 3),
     ),
+    # From the second root on, radii 1, 2 and 4 span 400 pm, 200 over the
+    # two carrier gaps, the optimum: the suffix-extent break must keep that
+    # root once (2, 3, 4) has raised the incumbent there.
+    "base-3x1-suffix": (
+        "base", (3, 1),
+        {1: (1_500_300,), 2: (1_500_700,), 3: (1_500_200,), 4: (1_500_500, 1_500_600)},
+        (2, 3, 4), (1, 2, 4),
+    ),
+    # One level down: under root 3, radius 3 with radii 2 and 1 spans 600
+    # pm, 300 over the gaps, the optimum, so the break must keep radius 2
+    # once (1, 3, 4) has raised the incumbent there.
+    "refined-3x1-suffix": (
+        "refined", (3, 1),
+        {1: (1_500_300,), 2: (1_500_600,), 3: (1_500_000,), 4: (1_500_700,)},
+        (1, 3, 4), (1, 2, 3),
+    ),
 }
 
 # Base 2x1: the first subset in id order, (1, 2), reaches 17 pm, one below
@@ -867,6 +892,28 @@ ONE_BELOW = {
     2: (1_500_011,),
     3: (1_500_010, 1_500_011, 1_500_026),
 }
+
+
+def copy_nominals(values, seed):
+    """`values` ({radius id: nominals}) with, for two pairs of radii in
+    three, one nominal of one radius copied into the other, chosen by
+    `seed`."""
+    rng = random.Random(seed)
+    out = {rid: set(noms) for rid, noms in values.items()}
+    for a, b in combinations(sorted(values), 2):
+        if rng.random() < 2 / 3:
+            src, dst = rng.sample((a, b), 2)
+            out[dst].add(rng.choice(sorted(out[src])))
+    return {rid: tuple(sorted(noms)) for rid, noms in out.items()}
+
+
+# Spectra for `copy_nominals`: the base `TIES` instances and small random
+# ones, by name.
+SHARED = {f"ties-{name}": TIES[name][2] for name in TIES if TIES[name][0] == "base"}
+SHARED.update(
+    (f"small-{seed}", {e.id: e.nominals() for e in generate_random_small(seed, 5, 6).radii})
+    for seed in range(12)
+)
 
 
 class TestOracleAgreement:
@@ -949,6 +996,29 @@ class TestOracleAgreement:
         sol = solve_spacing(inst, problem)
         assert sol == oracle_spacing(inst, problem)
         assert sol.status == "optimal"
+
+    @pytest.mark.parametrize("mode", sorted(NARROW_SUFFIX_STEPS))
+    def test_suffix_extent_ends_the_loop(self, mode, clocks):
+        inst = build_instance(NARROW_SUFFIX)
+        problem = SpacingProblem(3, 1, mode)
+        sol = solve_spacing(inst, problem)
+        assert (sol.dist_pm, sol.selected_radii) == (2000, (1, 3, 4))
+        assert [c.steps for c in clocks] == [NARROW_SUFFIX_STEPS[mode]]
+
+    @pytest.mark.parametrize("case", sorted(SHARED))
+    def test_many_shared_nominals(self, case):
+        # The base search tracks shared nominals only through the ones that
+        # occur twice; here half the pairs of radii or more share one, some
+        # nominals held by three radii at once.
+        inst = build_instance(copy_nominals(SHARED[case], case))
+        shared = sum(
+            bool(set(inst.entry(a).nominals()) & set(inst.entry(b).nominals()))
+            for a, b in combinations(inst.ids(), 2)
+        )
+        assert 2 * shared >= math.comb(len(inst.radii), 2)
+        for shape in [(2, 1), (2, 2), (3, 1)]:
+            problem = SpacingProblem(*shape, "base")
+            assert solve_spacing(inst, problem) == oracle_spacing(inst, problem), shape
 
     @pytest.mark.parametrize("mode", ["base", "refined"])
     def test_table1_small_grid(self, table1, mode):
@@ -1037,9 +1107,9 @@ class TestProperties:
 # `TestSearchEffort`: a change that alters it on purpose updates it here
 # and says so in CHANGES.md with the old and new counts.
 PINNED = {
-    (1000, 2, 2, "base"): (43154, (72, 96), ((0, 8), (19, 28)), 287),
-    (1001, 2, 2, "base"): (43122, (72, 96), ((0, 8), (19, 28)), 288),
-    (1000, 3, 1, "base"): (64883, (63, 81, 24), ((0,), (12,), (10,)), 6154),
+    (1000, 2, 2, "base"): (43154, (72, 96), ((0, 8), (19, 28)), 193),
+    (1001, 2, 2, "base"): (43122, (72, 96), ((0, 8), (19, 28)), 197),
+    (1000, 3, 1, "base"): (64883, (63, 81, 24), ((0,), (12,), (10,)), 1280),
     (1000, 3, 3, "refined"): (4932, (6, 14, 1), ((0, 3, 4), (1, 4, 5), (1, 3, 4)), 2938),
     (1001, 3, 3, "refined"): (4970, (8, 14, 1), ((0, 4, 5), (1, 5, 6), (1, 3, 4)), 2658),
 }

@@ -2,12 +2,17 @@
 of a valid table1 solution and expects exactly the messages that causes."""
 
 import dataclasses
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wronoc import Instance, RadiusEntry, verify
 from wronoc.parallelism import ParallelismSolution
 from wronoc.spacing import SpacingProblem, SpacingSolution
-from wronoc.verify import check_parallelism_solution, check_spacing_solution
+from wronoc.verify import (_cross_clear, _disjoint, check_parallelism_solution,
+                           check_spacing_solution)
 
 # The Phase-1 optimum of table1 at two radii: P = 5.
 PHASE1 = ParallelismSolution(
@@ -119,3 +124,60 @@ class TestCheckSpacing:
         sol = dataclasses.replace(PHASE2, **changes)
         problem = SpacingProblem(n_radii, 2, "base")
         assert check_spacing_solution(table1, problem, sol) == want
+
+
+@st.composite
+def interval_solutions(draw):
+    """2-4 radii of closed intervals of random widths on a narrow band, so
+    they often meet within a radius and across radii, and a Phase-1
+    solution over some of them whose picks may also repeat an index or
+    overrun the spectrum."""
+    n = draw(st.integers(2, 4))
+    radii = []
+    for rid in range(1, n + 1):
+        size = draw(st.integers(1, 6))
+        nominals = sorted(draw(st.sets(st.integers(1, 60), min_size=size, max_size=size)))
+        lmins = [v - draw(st.integers(0, 4)) for v in nominals]
+        lmaxs = [v + draw(st.integers(0, 4)) for v in nominals]
+        radii.append(RadiusEntry(rid, 0, nominals, lmins, lmaxs))
+    inst = Instance(tuple(radii), "intervals")
+    sel = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=1, max_size=n))))
+    selections = {}
+    for rid in sel:
+        size = len(inst.entry(rid).lmins)
+        selections[rid] = tuple(draw(st.lists(st.integers(0, size), min_size=1, max_size=4)))
+    counts = {rid: len(picks) for rid, picks in selections.items()}
+    return inst, ParallelismSolution(sel, selections, counts, min(counts.values()))
+
+
+class TestIntervalFastPaths:
+    """The Phase-1 checker's sort-and-bisect passes only decide whether the
+    pairwise loops run; with them forced to say "run", the loops alone
+    give the reference messages."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(interval_solutions())
+    def test_fast_paths_agree_with_the_loops(self, case):
+        inst, sol = case
+        k = len(sol.selected_radii)
+        with mock.patch.object(verify, "_disjoint", lambda intervals: False), \
+                mock.patch.object(verify, "_cross_clear", lambda *args: False):
+            loops = check_parallelism_solution(inst, sol, k)
+        assert check_parallelism_solution(inst, sol, k) == loops
+        for rid in sol.selected_radii:
+            entry, picks = inst.entry(rid), sol.selections[rid]
+            if all(0 <= j < len(entry.lmins) for j in picks):
+                within = any(m.startswith(f"radius {rid}: selected resonances") for m in loops)
+                intervals = [(entry.lmins[j], entry.lmaxs[j]) for j in picks]
+                assert _disjoint(intervals) is not within
+        cross = any(m.startswith("carrier (") for m in loops)
+        assert _cross_clear(inst, sol.selected_radii, sol.selections) is not cross
+
+    def test_touching_intervals_meet(self):
+        # Closed intervals: [1, 3] and [3, 5] share 3, in either rule.
+        assert not _disjoint([(3, 5), (1, 3)])
+        assert _disjoint([(1, 2), (3, 5)])
+        inst = Instance((RadiusEntry(1, 0, (2,), (1,), (3,)),
+                         RadiusEntry(2, 0, (4,), (3,), (5,))), "touching")
+        assert not _cross_clear(inst, (1, 2), {1: (0,), 2: ()})
+        assert not _cross_clear(inst, (1, 2), {1: (), 2: (0,)})
