@@ -23,12 +23,17 @@ nonempty"); the exact MIS runs only at a leaf, which is skipped when its
 min capacity does not beat the floor.  And at every node that still
 needs three or more radii, a greedy colouring of the candidate pool
 bounds how many of them can still be chosen together (the MCQ/BBMC
-colouring bound of Tomita & Seki 2003 and San Segundo et al. 2011):
-two candidates are compatible when each keeps more than `floor`
-resonances against the other (a count that bounds its capacity), a
-completion needs that many pairwise compatible candidates, and a pool
-suffix coloured with fewer colours holds none.  Both rules cut
-only subtrees without a leaf above the floor, so the incumbents, and the
+colouring bound of Tomita & Seki 2003 and San Segundo et al. 2011): a
+completion is a clique of that many candidates in a compatibility graph,
+and a pool suffix coloured with fewer colours holds none.  Above floor 0
+the vertices are radii, compatible when each keeps more than `floor`
+resonances against the other (a count that bounds its capacity), so the
+graph has every edge of the capacity graph.  At floor 0 the vertices are
+the pool's resonances, two of different radii compatible when neither
+meets an interval of the other's radius.  A leaf above floor 0 keeps one
+resonance per radius, pairwise compatible, so there the clique question
+is exact; the radius graph only relaxes it.  Both rules cut only
+subtrees without a leaf above the floor, so the incumbents, and the
 answer, are those of the plain search.
 
 Among equally good optima the solver returns the lexicographically
@@ -203,9 +208,11 @@ class _Workspace:
 
         A branch dies as soon as a usable-resonance count on it is <=
         `floor`, or when the colouring bound (or, near the leaves, the pool
-        size) shows that too few candidates remain.  A leaf whose min
-        capacity beats the floor becomes the incumbent and raises the floor
-        to that capacity; with `first` the search stops there.
+        size) shows that too few candidates remain.  The colouring works on
+        the pool's resonances at floor 0, where it is exact, and on its
+        radii above (see `colour_limit`).  A leaf whose min capacity beats
+        the floor becomes the incumbent and raises the floor to that
+        capacity; with `first` the search stops there.
         Pool entries carry their mask against the chosen radii, so choosing
         a radius updates each in O(1).  Returns the floor, the incumbent's
         sorted positions and whether the time limit cut the search short.
@@ -214,29 +221,63 @@ class _Workspace:
         incumbent: list[int] | None = None
 
         def colour_limit(pool, need: int) -> int:
-            """Greedy sequential colouring of the pool's compatibility graph,
-            from its tail forward.  A leaf above the floor picks `need`
-            pairwise compatible entries, one per colour, so no candidate
-            whose pool suffix takes fewer than `need` colours can reach one.
-            Returns the index after the last candidate that can.
+            """Greedy sequential colouring of the pool from its tail forward.
+            A leaf above the floor picks `need` pairwise compatible entries,
+            one per colour, so no candidate whose pool suffix takes fewer
+            than `need` colours can reach one.  Returns the index after the
+            last candidate that can, or 0.
 
-            Two entries are compatible when each keeps more than `floor`
-            resonances against the other.  A resonance count bounds the
-            capacity from above, so this graph has every edge of the
-            capacity graph and the bound stays exact.  At floor 0 a count
-            is > 0 just when its mask is nonempty, so no bits are counted."""
-            check()  # a pass costs O(pool^2) bit counts, far more than a tick
-            classes: list[list[tuple[int, int]]] = []
+            At floor 0 the vertices are the pool's resonances: (r, j) and
+            (u, i) can both be kept just when u != r, j is in ``keep[u][r]``
+            and i in ``keep[r][u]``.  A completion above floor 0 keeps one
+            resonance per radius, pairwise compatible, so it needs a
+            `need`-clique of this graph; among the pool's radii that test is
+            exact, where the radius graph only relaxes it.  A class holds,
+            per radius u, the bits of u's resonances in it.  One radius's
+            own resonances are never adjacent, so an entry passes through
+            the classes with its whole mask at once: the bits compatible
+            with no member join a class, and whatever is left opens one new
+            class, as the greedy taking one resonance at a time would colour
+            them.
+
+            Above floor 0 the vertices are radii, compatible when each keeps
+            more than `floor` resonances against the other.  A resonance
+            count bounds the capacity from above, so this graph has every
+            edge of the capacity graph and the bound stays exact.  One
+            resonance per radius cannot ask for more than `floor`, and
+            colouring resonances at every floor tripled the steps of a
+            delta-100, 10-radius desk solve."""
+            check()  # a pass costs O(pool^2) mask tests, far more than a tick
+            if not floor:
+                classes: list[list[tuple[int, int]]] = []
+                for i in range(len(pool) - 1, -1, -1):
+                    r, rem = pool[i]
+                    kept = keep[r]
+                    for cls in classes:
+                        join = rem  # the bits compatible with no member yet
+                        for u, b in cls:
+                            if b & kept[u]:
+                                join &= ~keep[u][r]
+                                if not join:
+                                    break
+                        else:
+                            cls.append((r, join))
+                            rem ^= join
+                            if not rem:
+                                break
+                    if rem:
+                        classes.append([(r, rem)])
+                        if len(classes) == need:
+                            return i + 1
+                return 0
+            classes = []
             for i in range(len(pool) - 1, -1, -1):
                 r, m = pool[i]
                 kept = keep[r]
                 for cls in classes:
                     for r2, m2 in cls:
-                        if floor:
-                            if ((m & keep[r2][r]).bit_count() > floor
-                                    and (m2 & kept[r2]).bit_count() > floor):
-                                break
-                        elif m & keep[r2][r] and m2 & kept[r2]:
+                        if ((m & keep[r2][r]).bit_count() > floor
+                                and (m2 & kept[r2]).bit_count() > floor):
                             break
                     else:
                         cls.append((r, m))

@@ -154,8 +154,10 @@ class TestSolve:
         assert sol.status == "incumbent-timeout"
 
     def test_time_limit_bounds_the_colouring(self):
-        # 600 conflict-free radii, 550 to choose: each node colours a pool
-        # of ~600 candidates, O(pool^2) work between two ticks.
+        # 600 conflict-free one-resonance radii, 550 to choose: no leaf is
+        # found, so the floor stays 0 and each node colours the ~600
+        # resonances of its pool, each adjacent to all the others: O(pool^2)
+        # work between two ticks.
         inst = build_instance({r: (1_500_000 + 100 * r,) for r in range(1, 601)})
         cs = conflicts_of(inst)
         started = time.monotonic()
@@ -214,6 +216,21 @@ class TestOracleAgreement:
             assert sol == oracle_max_parallelism(inst, n), (seed, n)
             if sol.status == "optimal":
                 assert check_parallelism_solution(inst, sol, n) == []
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_small_proofs(self, seed):
+        # Intervals wide enough that most answers are infeasible or 1, so
+        # the floor-0 colouring of resonances decides most nodes.
+        n_radii = 3 + seed % 4
+        base = generate_random_small(seed, n_radii, 12)
+        for hw in (1500, 2500, 4000):
+            inst = with_delta(base, hw)
+            cs = conflicts_of(inst)
+            for n in range(3, n_radii + 1):
+                sol = solve_max_parallelism(inst, cs, n)
+                assert sol == oracle_max_parallelism(inst, n), (seed, hw, n)
+                if sol.status == "optimal":
+                    assert check_parallelism_solution(inst, sol, n) == []
 
 
 class TestMonotonicity:
@@ -325,7 +342,7 @@ class TestSearchEffort:
         inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 1000)
         sol = solve_max_parallelism(inst, conflicts_of(inst), 16)
         assert sol.status == "infeasible"
-        assert [c.steps for c in clocks] == [1606]
+        assert [c.steps for c in clocks] == [207]
 
     def test_desk_scale_overlapping_radii(self, clocks):
         # At delta 3000 a radius's own intervals overlap, so a node's bit
@@ -333,7 +350,19 @@ class TestSearchEffort:
         inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 3000)
         sol = solve_max_parallelism(inst, conflicts_of(inst), 4)
         assert (sol.status, sol.parallelism) == ("optimal", 1)
-        assert [c.steps for c in clocks] == [2559]
+        assert [c.steps for c in clocks] == [2563]
+
+    def test_floor_zero_colours_resonances(self, clocks):
+        # Every pair of radii keeps a resonance each against the other, so
+        # the radius graph is a triangle; but no three resonances, one per
+        # radius, are pairwise compatible, and two colours cover them.
+        b = 1_500_000
+        inst = build_instance({1: (b + 10_000, b + 20_000), 2: (b + 10_000, b + 30_000),
+                               3: (b + 20_000, b + 40_000)})
+        sol = solve_max_parallelism(inst, conflicts_of(inst), 3)
+        assert sol.status == "infeasible"
+        assert [c.steps for c in clocks] == [1]
+        assert sol == oracle_max_parallelism(inst, 3)
 
     @pytest.fixture
     def mis_calls(self, monkeypatch):
@@ -363,7 +392,7 @@ class TestSearchEffort:
         # calls are on radii whose own intervals overlap at delta 3000.
         inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 3000)
         solve_max_parallelism(inst, conflicts_of(inst), 4)
-        assert [c.steps for c in clocks] == [2559]
+        assert [c.steps for c in clocks] == [2563]
         assert (len(mis_calls), sum(mis_calls)) == (109, 41)
 
 
