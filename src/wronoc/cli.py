@@ -278,7 +278,7 @@ def _cmd_solve(args) -> int:
     instance = _read_instance(args.instance, args.delta)
     parallelism = getattr(args, "parallelism", None)
     conflicts = conflicts_of(instance) if parallelism is None else None
-    config = SolveConfig(args.time_limit, args.method, getattr(args, "trim", False))
+    config = SolveConfig(args.time_limit, trim_to_p=getattr(args, "trim", False))
     status, phase1, problem, phase2, ms = _solve(
         instance, conflicts, args.n_radii, parallelism, getattr(args, "mode", None),
         config,
@@ -395,12 +395,9 @@ def _add_instance_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--method",
-        choices=["bnb", "exhaustive"],
-        default="bnb",
-        help="search strategy (exhaustive is the oracle-grade enumeration)",
-    )
+    # No flag sets it: the command echo keeps its "method" key so payloads
+    # stay byte-identical, and every solve runs the branch and bound.
+    parser.set_defaults(method="bnb")
     parser.add_argument(
         "--time-limit",
         type=float,

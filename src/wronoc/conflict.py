@@ -14,7 +14,6 @@ the half width.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -41,10 +40,10 @@ class ConflictSet:
     resonance indices of the radius at position ``a`` that the radius at
     position ``b`` leaves usable: every bit is set except those of the
     resonances that some resonance of radius ``b`` conflicts with, and the
-    diagonal is ``-1``.  The solver reads this table as it is.  ``block``
-    is its complement, transposed.  The pairs are rebuilt from the sorted
-    intervals each time they are asked for, so nothing is ever written
-    after construction and a set can be shared across solves.
+    diagonal is ``-1``.  The solver reads this table as it is.  The pairs
+    are rebuilt from the sorted intervals each time they are asked for, so
+    nothing is ever written after construction and a set can be shared
+    across solves.
     """
 
     __slots__ = ("ids", "keep", "_sweep", "_count")
@@ -54,14 +53,6 @@ class ConflictSet:
         self.keep: tuple[tuple[int, ...], ...] = tuple(map(tuple, keep))
         self._sweep = sweep  # (lmins, lmaxs, positions, indices), sorted by lmin
         self._count = count
-
-    @property
-    def block(self) -> tuple[tuple[int, ...], ...]:
-        """``block[a][b]``: the resonance indices of the radius at position
-        ``a`` that some resonance of the radius at position ``b``
-        conflicts with, ``~keep[b][a]``; the diagonal is 0.  Built from
-        ``keep`` on each access; no solver reads it."""
-        return tuple(tuple(map(operator.invert, col)) for col in zip(*self.keep))
 
     def _iter_pairs(self):
         ids = self.ids

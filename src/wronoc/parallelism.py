@@ -69,23 +69,16 @@ def _status(found: bool, timed_out: bool) -> str:
     return OPTIMAL if found else INFEASIBLE
 
 
-METHOD_BNB = "bnb"
-METHOD_EXHAUSTIVE = "exhaustive"
-
-
 @dataclass(frozen=True)
 class SolveConfig:
     """Knobs shared by both solve phases."""
 
     time_limit: float = 0.0  # seconds of wall time; 0 disables the limit
-    method: str = METHOD_BNB
     trim_to_p: bool = False
 
     def __post_init__(self):
         if not self.time_limit >= 0:  # NaN fails every comparison
             raise ValueError("time_limit must be >= 0")
-        if self.method not in (METHOD_BNB, METHOD_EXHAUSTIVE):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -362,19 +355,16 @@ def solve_max_parallelism(
     optimal solution, ``infeasible`` when no size-``n_radii`` subset keeps
     every chosen radius at capacity >= 1 (this covers ``n_radii`` larger
     than the instance), or ``incumbent-timeout`` with the best incumbent
-    (possibly empty) when the time limit expires.  The ``exhaustive``
-    method runs the oracle's enumeration under the same time limit.
+    (possibly empty) when the time limit expires.
     """
     if config is None:
         config = SolveConfig()
     if n_radii < 1:
         raise ValueError("n_radii must be >= 1")
-    clock = _Clock(config.time_limit)
-    if config.method == METHOD_EXHAUSTIVE:
-        sol = _enumerate(instance, n_radii, clock)
-    elif n_radii > len(instance.radii):
+    if n_radii > len(instance.radii):
         sol = _solution(None, False)
     else:
+        clock = _Clock(config.time_limit)
         ws = _Workspace(instance, conflicts)
         positions = range(len(conflicts.ids))
         caps = [mis.size(full) for mis, full in zip(ws.mis, ws.full)]
@@ -421,52 +411,43 @@ def _longest_chain(lmins, lmaxs, usable: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(chain)
 
 
-def _enumerate(instance: Instance, n_radii: int, clock: _Clock):
-    """Every size-n subset in ascending id order, evaluated straight from the
-    intervals with plain loops; strict improvements win."""
-    entries = {e.id: e for e in instance.radii}
-    blocked: dict[tuple[int, int], set[int]] = {}  # indices of r meeting o
-    chains: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-    best, best_rows, timed_out = 0, None, False
-    try:
-        for subset in combinations(sorted(entries), n_radii):
-            clock.tick()
-            rows = {}
-            for r in subset:
-                lmins, lmaxs = entries[r].lmins, entries[r].lmaxs
-                hit: set[int] = set()
-                for o in subset:
-                    if o == r:
-                        continue
-                    if (r, o) not in blocked:
-                        other = entries[o]
-                        blocked[r, o] = {
-                            j for j, (lo, hi) in enumerate(zip(lmins, lmaxs))
-                            if any(lo <= y_hi and y_lo <= hi
-                                   for y_lo, y_hi in zip(other.lmins, other.lmaxs))
-                        }
-                    hit |= blocked[r, o]
-                usable = tuple(j for j in range(len(lmins)) if j not in hit)
-                if (r, usable) not in chains:
-                    chains[r, usable] = _longest_chain(lmins, lmaxs, usable)
-                rows[r] = chains[r, usable]
-                if len(rows[r]) <= best:
-                    break
-            else:
-                best, best_rows = min(map(len, rows.values())), rows
-    except _Timeout:
-        timed_out = True
-    return _solution(best_rows, timed_out)
-
-
 def oracle_max_parallelism(instance: Instance, n_radii: int) -> ParallelismSolution:
     """Exhaustive reference solver; intended for small instances.
 
-    Enumerates every size-``n_radii`` subset and evaluates each from the
-    resonance intervals with plain loops and a longest-chain count, so it
-    shares no code with the branch-and-bound path: no conflict masks, no
-    workspace, no MIS routine.
+    Enumerates every size-``n_radii`` subset in ascending id order and
+    evaluates each from the resonance intervals with plain loops and a
+    longest-chain count; strict improvements win.  Apart from result
+    packaging (`_solution`) it shares no code with the branch-and-bound
+    path: no conflict masks, no workspace, no MIS routine, no clock.
     """
     if n_radii < 1:
         raise ValueError("n_radii must be >= 1")
-    return _enumerate(instance, n_radii, _Clock(0))
+    entries = {e.id: e for e in instance.radii}
+    blocked: dict[tuple[int, int], set[int]] = {}  # indices of r meeting o
+    chains: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+    best, best_rows = 0, None
+    for subset in combinations(sorted(entries), n_radii):
+        rows = {}
+        for r in subset:
+            lmins, lmaxs = entries[r].lmins, entries[r].lmaxs
+            hit: set[int] = set()
+            for o in subset:
+                if o == r:
+                    continue
+                if (r, o) not in blocked:
+                    other = entries[o]
+                    blocked[r, o] = {
+                        j for j, (lo, hi) in enumerate(zip(lmins, lmaxs))
+                        if any(lo <= y_hi and y_lo <= hi
+                               for y_lo, y_hi in zip(other.lmins, other.lmaxs))
+                    }
+                hit |= blocked[r, o]
+            usable = tuple(j for j in range(len(lmins)) if j not in hit)
+            if (r, usable) not in chains:
+                chains[r, usable] = _longest_chain(lmins, lmaxs, usable)
+            rows[r] = chains[r, usable]
+            if len(rows[r]) <= best:
+                break
+        else:
+            best, best_rows = min(map(len, rows.values())), rows
+    return _solution(best_rows, False)

@@ -67,7 +67,6 @@ from itertools import accumulate, chain, combinations, product
 from .model import Instance
 from .parallelism import (
     INFEASIBLE,
-    METHOD_EXHAUSTIVE,
     OPTIMAL,
     SolveConfig,
     _Clock,
@@ -557,10 +556,6 @@ def solve_spacing(
     if config is None:
         config = SolveConfig()
     clock = _Clock(config.time_limit)
-    if config.method == METHOD_EXHAUSTIVE:
-        # The oracle's enumeration: exact and identically tie-broken, but
-        # only suits small inputs.
-        return _enumerate(instance, problem, clock)
     if problem.n_radii * problem.n_lambda == 1:
         # A single carrier has no pairwise distance; report the instance span
         # and the canonical witness (lowest radius id, its lowest resonance).
@@ -779,10 +774,18 @@ def _matrix_key(rows_ordered, vals):
     return tuple(key)
 
 
-def _enumerate(instance: Instance, problem: SpacingProblem, clock: _Clock):
-    """Every radius subset in ascending id order and every carrier matrix,
-    each scored straight from the definitions; on timeout, the best matrix
-    of the subsets finished so far."""
+def oracle_spacing(instance: Instance, problem: SpacingProblem) -> SpacingSolution:
+    """Brute-force reference solver: enumerate every radius subset in
+    ascending id order and every carrier matrix, score each directly from
+    the definitions.
+
+    Intended for small inputs (a handful of radii, n_radii * n_lambda up
+    to about 8).  Apart from `_solution` (status and payload) it shares no
+    code with `solve_spacing`, which is what it checks: it scores the
+    single-carrier shape from the definitions too, and it runs with no
+    clock.  Ties break identically (first subset in ascending-id order,
+    then the canonical matrix key).
+    """
     if problem.n_radii > len(instance.radii):
         return SpacingSolution((), (), None, INFEASIBLE)
     vals = {e.id: list(e.nominals()) for e in instance.radii}
@@ -793,68 +796,48 @@ def _enumerate(instance: Instance, problem: SpacingProblem, clock: _Clock):
     eligible = sorted(r for r in instance.ids() if len(vals[r]) >= problem.n_lambda)
     best_d: int | None = None
     best_rows = None
-    try:
-        for subset in combinations(eligible, problem.n_radii):
-            sub_best: int | None = None
-            sub_key = None
-            sub_rows = None
-            others = {
-                r: [v for o in subset if o != r for v in vals[o]] for r in subset
-            }
-            others_set = {r: set(lst) for r, lst in others.items()}
-            index_choices = [
-                list(combinations(range(len(vals[r])), problem.n_lambda)) for r in subset
-            ]
-            for pick in product(*index_choices):
-                clock.tick()
-                rows = list(zip(subset, pick))
-                carriers = [(vals[r][j], r) for r, idxs in rows for j in idxs]
-                if problem.mode == BASE and any(
-                    v in others_set[r] for v, r in carriers
-                ):
-                    continue
-                # Binding gap: min pairwise carrier distance, plus in refined
-                # mode the distance from each carrier to every resonance of
-                # the other selected radii.  The scan aborts as soon as the
-                # running minimum falls below the subset incumbent, since the
-                # final gap can then no longer win or tie.
-                values = sorted(v for v, _ in carriers)
-                gap = min((b - a for a, b in zip(values, values[1:])), default=span)
+    for subset in combinations(eligible, problem.n_radii):
+        sub_best: int | None = None
+        sub_key = None
+        sub_rows = None
+        others = {
+            r: [v for o in subset if o != r for v in vals[o]] for r in subset
+        }
+        others_set = {r: set(lst) for r, lst in others.items()}
+        index_choices = [
+            list(combinations(range(len(vals[r])), problem.n_lambda)) for r in subset
+        ]
+        for pick in product(*index_choices):
+            rows = list(zip(subset, pick))
+            carriers = [(vals[r][j], r) for r, idxs in rows for j in idxs]
+            if problem.mode == BASE and any(
+                v in others_set[r] for v, r in carriers
+            ):
+                continue
+            # Binding gap: min pairwise carrier distance, plus in refined
+            # mode the distance from each carrier to every resonance of
+            # the other selected radii.  The scan aborts as soon as the
+            # running minimum falls below the subset incumbent, since the
+            # final gap can then no longer win or tie.
+            values = sorted(v for v, _ in carriers)
+            gap = min((b - a for a, b in zip(values, values[1:])), default=span)
+            if sub_best is not None and gap < sub_best:
+                continue
+            if problem.mode == REFINED:
+                for v, r in carriers:
+                    for w in others[r]:
+                        d = abs(v - w)
+                        if d < gap:
+                            gap = d
+                    if sub_best is not None and gap < sub_best:
+                        break
                 if sub_best is not None and gap < sub_best:
                     continue
-                if problem.mode == REFINED:
-                    for v, r in carriers:
-                        for w in others[r]:
-                            d = abs(v - w)
-                            if d < gap:
-                                gap = d
-                        if sub_best is not None and gap < sub_best:
-                            break
-                    if sub_best is not None and gap < sub_best:
-                        continue
-                ordered = sorted(rows, key=lambda row: (vals[row[0]][row[1][0]], row[0]))
-                key = _matrix_key(ordered, vals)
-                if sub_best is None or gap > sub_best or (gap == sub_best and key < sub_key):
-                    sub_best, sub_key, sub_rows = gap, key, ordered
-            if sub_best is not None and (best_d is None or sub_best > best_d):
-                best_d = sub_best
-                best_rows = sub_rows
-    except _Timeout:
-        return _solution(best_rows, best_d, True)
+            ordered = sorted(rows, key=lambda row: (vals[row[0]][row[1][0]], row[0]))
+            key = _matrix_key(ordered, vals)
+            if sub_best is None or gap > sub_best or (gap == sub_best and key < sub_key):
+                sub_best, sub_key, sub_rows = gap, key, ordered
+        if sub_best is not None and (best_d is None or sub_best > best_d):
+            best_d = sub_best
+            best_rows = sub_rows
     return _solution(best_rows, best_d, False)
-
-
-def oracle_spacing(instance: Instance, problem: SpacingProblem) -> SpacingSolution:
-    """Brute-force reference solver: enumerate every radius subset and every
-    carrier matrix, score each directly from the definitions.
-
-    Intended for small inputs (a handful of radii, n_radii * n_lambda up
-    to about 8).  It shares no search code with the branch and bound of
-    `solve_spacing` (method ``bnb``), which is what it checks, and scores
-    the single-carrier shape from the definitions too.  It is the same
-    `_enumerate` that ``--method exhaustive`` runs, so comparing the two
-    proves nothing, and it shares `_solution` (status and payload) and
-    `_Clock` with the solver.  Ties break identically (first subset in
-    ascending-id order, then the canonical matrix key).
-    """
-    return _enumerate(instance, problem, _Clock(0))

@@ -1,5 +1,6 @@
 import gc
 import os
+import types
 
 import pytest
 from hypothesis import settings
@@ -149,6 +150,33 @@ def clocks(monkeypatch):
     monkeypatch.setattr(parallelism, "_Clock", RecordingClock)
     monkeypatch.setattr(spacing, "_Clock", RecordingClock)
     return made
+
+
+# What the solvers own: their clock, search tables, probes and entry points.
+# An oracle that named one of them would share code with what it checks.
+SOLVER_NAMES = {
+    "_Clock", "_Timeout", "tick", "_Mis", "_Workspace", "conflicts_of", "_admissible",
+    "_packing", "_packs", "_greedy", "_witness", "_completes", "_ladder",
+    "_deepest_hole", "_hole_bounds",
+}
+
+
+def solver_names_reached(func):
+    """The solver names (`SOLVER_NAMES`, ``solve_*``) that `func` uses, in
+    its nested code objects (comprehensions, closures) too, and in every
+    package function it reaches through them."""
+    names, funcs = set(), [func]
+    for f in funcs:
+        codes = [f.__code__]
+        for code in codes:
+            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            names.update(code.co_names)
+            for name in code.co_names:
+                g = f.__globals__.get(name)
+                if (isinstance(g, types.FunctionType) and g.__module__.startswith("wronoc")
+                        and g not in funcs):
+                    funcs.append(g)
+    return {n for n in names if n in SOLVER_NAMES or n.startswith("solve_")}
 
 
 @pytest.fixture

@@ -451,12 +451,39 @@ class TestBench:
         ]
 
 
+class TestCommandEcho:
+    """The `command` echo of each solve subcommand, whole: keys, their order
+    and their values."""
+
+    @pytest.mark.parametrize("argv, echo", [
+        (["max-parallelism", "--delta", "0", "--n-radii", "3"],
+         [("n_radii", 3), ("method", "bnb"), ("time_limit", 0.0), ("trim", False),
+          ("delta_policy", {"mode": "symmetric-half-width", "half_width_pm": 0})]),
+        (["spacing", "--n-radii", "2", "--parallelism", "2", "--mode", "refined",
+          "--time-limit", "5"],
+         [("n_radii", 2), ("parallelism", 2), ("mode", "refined"), ("method", "bnb"),
+          ("time_limit", 5.0),
+          ("delta_policy", {"mode": "explicit-intervals"})]),
+        (["pipeline", "--delta", "1000", "--n-radii", "2", "--mode", "base", "--trim"],
+         [("n_radii", 2), ("mode", "base"), ("method", "bnb"), ("time_limit", 0.0),
+          ("trim", True),
+          ("delta_policy", {"mode": "symmetric-half-width", "half_width_pm": 1000})]),
+    ], ids=["max-parallelism", "spacing", "pipeline"])
+    def test_keys_order_and_values(self, capsys, table1_file, argv, echo):
+        code, doc, _ = run_json(capsys, argv + ["--instance", table1_file])
+        assert code == 0
+        head = [("subcommand", argv[0]), ("instance", table1_file)]
+        assert list(doc["command"].items()) == head + echo
+
+
 class TestErrors:
-    def test_unknown_flag_exits_2(self, capsys, table1_file):
-        code, _, _ = run_cli(
-            capsys, ["max-parallelism", "--instance", table1_file, "--frobnicate"]
+    @pytest.mark.parametrize("flag", [["--frobnicate"], ["--method", "bnb"]],
+                             ids=["frobnicate", "method"])
+    def test_unknown_flag_exits_2(self, capsys, table1_file, flag):
+        code, out, _ = run_cli(
+            capsys, ["max-parallelism", "--instance", table1_file, "--n-radii", "2", *flag]
         )
-        assert code == 2
+        assert (code, out) == (2, "")
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -593,16 +620,6 @@ class TestErrors:
         assert proc.stdout == ""
         assert proc.stderr == "error: search too deep (recursion limit exceeded)\n"
 
-    def test_exhaustive_spacing_honours_time_limit(self, tmp_path):
-        gen = tmp_path / "gen.txt"
-        assert cli.main(["generate", "--seed", "1", "--out", str(gen)]) == 0
-        proc, elapsed = self.run_timed(
-            ["spacing", "--instance", str(gen), "--n-radii", "2", "--parallelism", "2",
-             "--method", "exhaustive", "--time-limit", "1"])
-        assert proc.returncode == 3, proc.stderr
-        assert elapsed < 8
-        assert json.loads(proc.stdout)["status"] == "incumbent-timeout"
-
     def test_packing_dp_honours_time_limit(self, tmp_path):
         # 4 radii x 13 carriers: 38,416 DP states a probe, over ~4.1M subsets;
         # the solve runs past 40 s on a 2-vCPU VM.
@@ -653,10 +670,6 @@ def solve_requests(draw):
         argv += ["--parallelism", str(draw(st.integers(-1, 8)))]
     if command == "bench":
         argv += ["--phases", "1,2"]
-    else:
-        # The enumerations only finish fast under a finite positive limit.
-        methods = ["bnb", "exhaustive"] if time_limit in ("1e-9", "0.5") else ["bnb"]
-        argv += ["--method", draw(st.sampled_from(methods))]
     return argv
 
 

@@ -1,13 +1,14 @@
 """The README's "Performance envelope" must match the latest BENCH file,
-its instance-file example must parse, its library example must run, and
-the test dependencies are pinned alike in CI, pyproject and the README."""
+its instance-file example must parse, its library example must run, every
+flag it shows must exist, and the test dependencies are pinned alike in
+CI, pyproject and the README."""
 
 import json
 import re
 from pathlib import Path
 
 from wronoc import (SpacingProblem, check_parallelism_solution, check_spacing_solution,
-                    parse_instance)
+                    cli, parse_instance)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,6 +52,17 @@ def test_library_example_runs(tmp_path, monkeypatch, table1_text):
     assert check_parallelism_solution(instance, phase1, 3) == []
     problem = SpacingProblem(3, phase1.parallelism, "refined")
     assert check_spacing_solution(instance, problem, phase2) == []
+
+
+def test_cli_flags_exist():
+    section = readme_section("Command line")
+    examples = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    common = section.split("Common flags:", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", examples + common))
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices.values()
+    accepted = {flag for sub in subparsers for flag in sub._option_string_actions}
+    assert len(named) > 10
+    assert named - accepted == set()
 
 
 def test_dependency_pins_agree():

@@ -10,6 +10,7 @@ from conftest import (
     cyclic_garbage_of,
     generate_random_small,
     restrict,
+    solver_names_reached,
     table1_instance,
     with_delta,
 )
@@ -110,10 +111,6 @@ class TestSolve:
         with pytest.raises(ValueError, match="n_radii must be >= 1"):
             oracle_max_parallelism(table1, 0)
 
-    def test_unknown_method_raises(self):
-        with pytest.raises(ValueError, match="unknown method 'x'"):
-            SolveConfig(method="x")
-
     def test_all_shared_is_infeasible(self):
         inst = build_instance({1: (1500000, 1510000), 2: (1500000, 1510000)})
         cs = conflicts_of(inst)
@@ -134,13 +131,10 @@ class TestSolve:
             # trimming keeps the leading entries of the untrimmed witness
             assert sol.selections[rid] == untrimmed.selections[rid][:4]
 
-    def test_exhaustive_method_agrees(self, table1, table1_conflicts):
+    def test_oracle_agrees(self, table1, table1_conflicts):
         for n in (1, 2, 3, 4):
-            bnb = solve_max_parallelism(table1, table1_conflicts, n)
-            exh = solve_max_parallelism(
-                table1, table1_conflicts, n, SolveConfig(method="exhaustive")
-            )
-            assert bnb == exh
+            sol = solve_max_parallelism(table1, table1_conflicts, n)
+            assert sol == oracle_max_parallelism(table1, n)
 
     def test_determinism(self, table1, table1_conflicts):
         a = solve_max_parallelism(table1, table1_conflicts, 3)
@@ -182,6 +176,9 @@ class TestSolve:
 
 
 class TestOracleAgreement:
+    def test_oracle_shares_no_solver_code(self):
+        assert solver_names_reached(oracle_max_parallelism) == set()
+
     def test_table1_both_deltas(self):
         for hw in (0, 1000):
             inst = table1_instance(half_width=hw)

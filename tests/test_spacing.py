@@ -17,6 +17,7 @@ from conftest import (
     generate_random_small,
     radius1_instance,
     restrict,
+    solver_names_reached,
 )
 from wronoc import (
     GenSpec,
@@ -757,11 +758,9 @@ class TestSolve:
         p = SpacingProblem(2, 2, "refined")
         assert solve_spacing(table1, p) == solve_spacing(table1, p)
 
-    def test_exhaustive_method_routes_to_oracle(self, table1):
+    def test_oracle_agrees(self, table1):
         p = SpacingProblem(2, 2, "base")
-        exhaustive = solve_spacing(table1, p, SolveConfig(method="exhaustive"))
-        assert exhaustive == solve_spacing(table1, p)
-        assert exhaustive == oracle_spacing(table1, p)
+        assert solve_spacing(table1, p) == oracle_spacing(table1, p)
 
 
 # Hand-built instances where a pair cap is set by how the spectra sit
@@ -917,12 +916,15 @@ SHARED.update(
 
 
 class TestOracleAgreement:
+    def test_oracle_shares_no_solver_code(self):
+        assert solver_names_reached(oracle_spacing) == set()
+
     @pytest.mark.parametrize("shape", [(2, 1), (2, 2), (3, 1)], ids=str)
     @pytest.mark.parametrize("values", [ABOVE, IN_A_GAP], ids=["above", "in-a-gap"])
     def test_spectra_apart(self, values, shape):
         inst = build_instance(values)
         problem = SpacingProblem(*shape, "refined")
-        sol = solve_spacing(inst, problem, SolveConfig(method="bnb"))
+        sol = solve_spacing(inst, problem)
         assert sol == oracle_spacing(inst, problem)
         assert sol.status == "optimal"
 
