@@ -152,7 +152,7 @@ class _InternalError(Exception):
     """A solution failed the independent checker; maps to exit code 4."""
 
 
-def _solve(instance, conflicts, n_radii, parallelism, mode, config):
+def _solve(instance, n_radii, parallelism, mode, config):
     """Run Phase 1 unless `parallelism` is given, then Phase 2 when there is
     a `mode` and a P, and pass each solution through the checker.
 
@@ -165,7 +165,7 @@ def _solve(instance, conflicts, n_radii, parallelism, mode, config):
     phase1 = problem = phase2 = None
     ms = [0, 0]
     if parallelism is None:
-        phase1 = solve_max_parallelism(instance, conflicts, n_radii, config)
+        phase1 = solve_max_parallelism(instance, n_radii, config)
         if problems := verify.check_parallelism_solution(instance, phase1, n_radii):
             raise _InternalError("; ".join(problems))
         ms[0] = int((time.monotonic() - started) * 1000)
@@ -276,12 +276,10 @@ def _cmd_conflicts(args) -> int:
 def _cmd_solve(args) -> int:
     """`max-parallelism`, `spacing` and `pipeline`: one solve, one document."""
     instance = _read_instance(args.instance, args.delta)
-    parallelism = getattr(args, "parallelism", None)
-    conflicts = conflicts_of(instance) if parallelism is None else None
     config = SolveConfig(args.time_limit, trim_to_p=getattr(args, "trim", False))
     status, phase1, problem, phase2, ms = _solve(
-        instance, conflicts, args.n_radii, parallelism, getattr(args, "mode", None),
-        config,
+        instance, args.n_radii, getattr(args, "parallelism", None),
+        getattr(args, "mode", None), config,
     )
     if args.command == "pipeline":
         result = {
@@ -354,11 +352,8 @@ def _cmd_bench(args) -> int:
             for delta in delta_grid:
                 instance = _read_instance(path, delta)
                 label = instance.label or Path(path).stem
-                conflicts = conflicts_of(instance)
                 for n_radii in n_radii_grid:
-                    _, phase1, _, phase2, ms = _solve(
-                        instance, conflicts, n_radii, None, mode, config
-                    )
+                    _, phase1, _, phase2, ms = _solve(instance, n_radii, None, mode, config)
                     # csv writes a None objective as an empty field.
                     if 1 in phases:
                         writer.writerow([label, n_radii, delta, 1, phase1.status,

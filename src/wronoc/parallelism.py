@@ -36,6 +36,18 @@ is exact; the radius graph only relaxes it.  Both rules cut only
 subtrees without a leaf above the floor, so the incumbents, and the
 answer, are those of the plain search.
 
+Only radii that can matter get a conflict table.  A solution of value V
+uses only radii whose standalone capacity is at least V, so a proven
+lower bound L lets the table skip every radius of capacity below L (the
+core-number pruning of maximum-clique solvers; Rossi, Gleich &
+Gebremedhin 2015).  L comes from a seed: the first ``n_radii`` radii in
+capacity order, chosen together, are worth the least capacity their
+masks keep against each other.  The seed's own masks come from the
+intervals, radius by radius, and its evaluation stops as soon as its
+value falls to the least capacity of the instance, where it could drop
+no radius; the table is then built over every radius.  The search starts
+at floor L - 1 with the seed as its incumbent.
+
 Among equally good optima the solver returns the lexicographically
 smallest solution (by sorted radius ids, then per-radius selections).
 Branch and bound in capacity order cannot promise that on its own, so a
@@ -49,11 +61,11 @@ from __future__ import annotations
 import math
 import operator
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .conflict import ConflictSet
+from .conflict import conflicts_of
 from .model import Instance
 
 OPTIMAL = "optimal"
@@ -185,15 +197,11 @@ class _Mis:
 
 
 class _Workspace:
-    """Per-solve tables by radius position (see `ConflictSet`): full index
-    masks, MIS routines, and the conflict set's ``keep`` table."""
+    """Per-solve tables by radius position (see `ConflictSet`): the ids,
+    full index masks, MIS routines, and the conflict set's ``keep`` table."""
 
-    def __init__(self, instance: Instance, conflicts: ConflictSet):
-        by_id = {e.id: e for e in instance.radii}
-        entries = [by_id[rid] for rid in conflicts.ids]
-        self.full = [(1 << len(e.lmins)) - 1 for e in entries]
-        self.mis = [_Mis(e.lmins, e.lmaxs) for e in entries]
-        self.keep = conflicts.keep
+    def __init__(self, ids, full, mis, keep):
+        self.ids, self.full, self.mis, self.keep = ids, full, mis, keep
 
     def search(self, order: list[int], n_radii: int, floor: int, first: bool,
                clock: _Clock) -> tuple[int, list[int] | None, bool]:
@@ -322,14 +330,14 @@ class _Workspace:
             del dfs  # a reference cycle through its own cell, as in solve_spacing
         return floor, incumbent, False
 
-    def rows(self, ids: tuple[int, ...], subset: list[int]) -> dict[int, tuple[int, ...]]:
+    def rows(self, subset: list[int]) -> dict[int, tuple[int, ...]]:
         """Radius id -> canonical witness for the sorted positions `subset`."""
         rows = {}
         for c in subset:
             mask = self.full[c]
             for o in subset:
                 mask &= self.keep[o][c]  # keep[c][c] is ~0
-            rows[ids[c]] = self.mis[c].witness(mask)
+            rows[self.ids[c]] = self.mis[c].witness(mask)
         return rows
 
 
@@ -343,9 +351,91 @@ def _solution(rows: dict[int, tuple[int, ...]] | None, timed_out: bool):
     return ParallelismSolution(tuple(sorted(rows)), rows, counts, p, status)
 
 
+def _spans(entry) -> tuple[list[int], list[int]]:
+    """A radius's interval starts in ascending order, and the running
+    maximum of the interval ends in that order."""
+    spans = sorted(zip(entry.lmins, entry.lmaxs))
+    return [lo for lo, _ in spans], list(accumulate((hi for _, hi in spans), max))
+
+
+def _clear_of(entry, spans) -> int:
+    """The index mask of `entry`'s resonances that meet no interval of the
+    radius with `spans`: of the intervals starting no later than one ends,
+    none reaches back to its start."""
+    starts, reach = spans
+    mask = 0
+    for j, (lo, hi) in enumerate(zip(entry.lmins, entry.lmaxs)):
+        i = bisect_right(starts, hi)
+        if not i or reach[i - 1] < lo:
+            mask |= 1 << j
+    return mask
+
+
+def _seed(entries, mis, full, caps, seed: list[int], clock: _Clock) -> int:
+    """The value of the radii `seed` chosen together: the least capacity
+    among their masks against each other, or 0 for no seed.
+
+    The radii are added one at a time, and each addition can only shrink
+    the masks, so the running minimum only falls.  Once it is at most the
+    least capacity of the instance, a bound that low would drop no radius,
+    and the evaluation stops with no seed.
+    """
+    least = min(caps)
+    spans: dict[int, tuple[list[int], list[int]]] = {}
+    masks: dict[int, int] = {}
+    sizes: dict[int, int] = {}
+    for p in seed:
+        clock.check()
+        spans[p] = _spans(entries[p])
+        mask = full[p]
+        for c in masks:
+            mask &= _clear_of(entries[p], spans[c])
+            if (m := masks[c] & _clear_of(entries[c], spans[p])) != masks[c]:
+                masks[c], sizes[c] = m, mis[c].size(m)
+        masks[p] = mask
+        sizes[p] = caps[p] if mask == full[p] else mis[p].size(mask)
+        if min(sizes.values()) <= least:
+            return 0
+    return min(sizes.values())
+
+
+def _solve(instance: Instance, n_radii: int, clock: _Clock):
+    """The rows of the solve (radius id -> indices), or None, and whether
+    the time limit cut it short."""
+    entries = sorted(instance.radii, key=operator.attrgetter("id"))
+    mis = [_Mis(e.lmins, e.lmaxs) for e in entries]
+    full = [(1 << len(e.lmins)) - 1 for e in entries]
+    caps = [m.size(f) for m, f in zip(mis, full)]
+    by_capacity = sorted(range(len(entries)), key=lambda p: (-caps[p], p))
+    try:
+        low = _seed(entries, mis, full, caps, by_capacity[:n_radii], clock)
+    except _Timeout:
+        return None, True
+    # A solution worth `low` or more uses only radii of capacity >= low,
+    # the seed's among them: a prefix of the capacity order.  Positions
+    # from here on are those of the restricted table.
+    kept = sorted(by_capacity[:sum(cap >= low for cap in caps)])
+    table = conflicts_of(Instance([entries[p] for p in kept]))
+    ws = _Workspace(table.ids, [full[p] for p in kept], [mis[p] for p in kept],
+                    table.keep)
+    caps = [caps[p] for p in kept]
+    positions = range(len(kept))
+    by_capacity = sorted(positions, key=lambda p: (-caps[p], p))
+    best, subset, timed_out = ws.search(by_capacity, n_radii, max(low - 1, 0), False,
+                                        clock)
+    if subset is None and low:  # cut short before a leaf reached the seed's value
+        subset = sorted(by_capacity[:n_radii])
+    if subset is not None and not timed_out:
+        # The value is proven; the first subset in ascending id order
+        # that sustains it is the canonical witness.
+        root = [p for p in positions if caps[p] >= best]
+        _, canonical, timed_out = ws.search(root, n_radii, best - 1, True, clock)
+        subset = canonical or subset
+    return (None if subset is None else ws.rows(subset)), timed_out
+
+
 def solve_max_parallelism(
     instance: Instance,
-    conflicts: ConflictSet,
     n_radii: int,
     config: SolveConfig | None = None,
 ) -> ParallelismSolution:
@@ -355,7 +445,8 @@ def solve_max_parallelism(
     optimal solution, ``infeasible`` when no size-``n_radii`` subset keeps
     every chosen radius at capacity >= 1 (this covers ``n_radii`` larger
     than the instance), or ``incumbent-timeout`` with the best incumbent
-    (possibly empty) when the time limit expires.
+    (possibly empty) when the time limit expires.  The limit covers the
+    whole solve, the conflict table's build included.
     """
     if config is None:
         config = SolveConfig()
@@ -364,20 +455,7 @@ def solve_max_parallelism(
     if n_radii > len(instance.radii):
         sol = _solution(None, False)
     else:
-        clock = _Clock(config.time_limit)
-        ws = _Workspace(instance, conflicts)
-        positions = range(len(conflicts.ids))
-        caps = [mis.size(full) for mis, full in zip(ws.mis, ws.full)]
-        by_capacity = sorted(positions, key=lambda p: (-caps[p], p))
-        best, subset, timed_out = ws.search(by_capacity, n_radii, 0, False, clock)
-        if subset is not None and not timed_out:
-            # The value is proven; the first subset in ascending id order
-            # that sustains it is the canonical witness.
-            root = [p for p in positions if caps[p] >= best]
-            _, canonical, timed_out = ws.search(root, n_radii, best - 1, True, clock)
-            subset = canonical or subset
-        rows = None if subset is None else ws.rows(conflicts.ids, subset)
-        sol = _solution(rows, timed_out)
+        sol = _solution(*_solve(instance, n_radii, _Clock(config.time_limit)))
     if config.trim_to_p and sol.parallelism is not None:
         p = sol.parallelism
         trimmed = {rid: picks[:p] for rid, picks in sol.selections.items()}

@@ -19,7 +19,6 @@ from wronoc import (
     GenSpec,
     SpacingProblem,
     cli,
-    conflicts_of,
     export_asp_facts,
     generate,
     apply_delta,
@@ -42,9 +41,8 @@ def report(num: int, detail: str, failures=()):
 
 def test_criterion_1_table1_phase1_golden():
     inst = table1_instance()
-    cs = conflicts_of(inst)
     started = time.monotonic()
-    sol = solve_max_parallelism(inst, cs, 3)
+    sol = solve_max_parallelism(inst, 3)
     elapsed = time.monotonic() - started
     failures = []
     if sol.parallelism != 4:
@@ -58,13 +56,12 @@ def test_criterion_1_table1_phase1_golden():
 
 def test_criterion_2_table1_phase1_derived_goldens():
     inst = table1_instance()
-    cs = conflicts_of(inst)
     failures = []
     for n_radii, expected in ((2, 5), (4, 4)):
         oracle = oracle_max_parallelism(inst, n_radii)
         if oracle.parallelism != expected:
             failures.append(f"oracle n_radii={n_radii}: {oracle.parallelism} != {expected}")
-        sol = solve_max_parallelism(inst, cs, n_radii)
+        sol = solve_max_parallelism(inst, n_radii)
         if sol != oracle:
             failures.append(f"solver diverges from oracle at n_radii={n_radii}")
     report(2, "Table 1 n_radii=2 -> P=5, n_radii=4 -> P=4 (oracle-fixed)", failures)
@@ -79,9 +76,8 @@ def test_criterion_3_phase1_oracle_equivalence():
         base = generate_random_small(seed, n_radii, max_resonances=10)
         for half_width in (0, 500, 1200):
             inst = with_delta(base, half_width)
-            cs = conflicts_of(inst)
             for n in range(1, n_radii + 1):
-                sol = solve_max_parallelism(inst, cs, n)
+                sol = solve_max_parallelism(inst, n)
                 oracle = oracle_max_parallelism(inst, n)
                 compared += 1
                 if sol != oracle:
@@ -159,7 +155,7 @@ def test_criterion_6_property_suite(tmp_path, table1_file, capsys):
         prev = None
         for half_width in (0, 500, 1200):
             inst = with_delta(base, half_width)
-            sol = solve_max_parallelism(inst, conflicts_of(inst), 2)
+            sol = solve_max_parallelism(inst, 2)
             p = sol.parallelism if sol.status == "optimal" else 0
             if prev is not None and p > prev:
                 failures.append(f"P grew with delta (seed={seed})")
@@ -212,10 +208,9 @@ def test_criterion_6_property_suite(tmp_path, table1_file, capsys):
 
     # Phase-1 determinism and checker validation.
     inst = table1_instance()
-    cs = conflicts_of(inst)
     for n in (1, 2, 3, 4):
-        a = solve_max_parallelism(inst, cs, n)
-        b = solve_max_parallelism(inst, cs, n)
+        a = solve_max_parallelism(inst, n)
+        b = solve_max_parallelism(inst, n)
         if a != b:
             failures.append(f"nondeterministic phase 1 (n={n})")
         if check_parallelism_solution(inst, a, n):

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -253,7 +254,36 @@ class TestTracedNames:
             ["pipeline", "--instance", table1_file, "--delta", "0", "--n-radii", "2"],
         )
         assert code == 0
-        assert called == {name for _, name in TRACED}
+        # A solve builds its own conflict table inside Phase 1; only the
+        # `conflicts` subcommand calls the CLI's `conflicts_of`.
+        assert called == {name for _, name in TRACED} - {"conflicts_of"}
+        code, _, _ = run_json(capsys, ["conflicts", "--instance", table1_file])
+        assert code == 0
+        assert "conflicts_of" in called
+
+
+    def test_the_bench_tracer_wraps_a_request(self, capsys, table1_file):
+        # The tracer resolves each name with getattr when a request starts,
+        # so a renamed or dropped name breaks every traced benchmark run.
+        path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        originals = [getattr(owner, name) for owner, name in TRACED]
+        tracer = tracing.Tracer(cli, model, verify)
+        with tracer.request():
+            code, doc, _ = run_json(
+                capsys,
+                ["max-parallelism", "--instance", table1_file, "--delta", "0",
+                 "--n-radii", "3"],
+            )
+        assert (code, doc["result"]["P"]) == (0, 4)
+        assert {span[1] for span in tracer.spans} == {
+            "cli.request", "model.parse", "model.digest", "parallelism.solve",
+            "verify.check",
+        }
+        assert tracer.counts == {"parallelism.optimal": 1}
+        assert [getattr(owner, name) for owner, name in TRACED] == originals
 
 
 class TestConflicts:

@@ -227,12 +227,11 @@ class TestColumns:
         assert parse_instance(export_asp_facts(wide)) == wide
         instance_digest(wide)
         assert len(conflicts_of(wide)) > 0
-        phase1 = solve_max_parallelism(wide, conflicts_of(wide), 4)
+        phase1 = solve_max_parallelism(wide, 4)
         assert phase1.status == "optimal"
         assert check_parallelism_solution(wide, phase1, 4) == []
         table1 = table1_instance(half_width=1000)
-        assert oracle_max_parallelism(table1, 3) == solve_max_parallelism(
-            table1, conflicts_of(table1), 3)
+        assert oracle_max_parallelism(table1, 3) == solve_max_parallelism(table1, 3)
         assert solve_spacing(inst, SpacingProblem(2, 2)).status == "optimal"
         common = ["--instance", str(path), "--n-radii", "2", "--out", str(out)]
         for argv in (["spacing", "--parallelism", "2"],
