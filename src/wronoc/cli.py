@@ -60,7 +60,7 @@ def _read_instance(path: str, delta_pm: int | None) -> Instance:
         raise CliError(f"invalid --delta {delta_pm}: {exc}") from None
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read instance file {path}: {exc}") from None
     try:
         return model.parse_instance(text, policy)

@@ -38,7 +38,9 @@ every chosen radius needs ``n_lambda`` carriers clear of the others'
 spectra, so the subset search bounds a pair by the ``n_lambda``-th
 deepest hole of either radius in the other (`_deepest_hole`), and a
 radius by the largest distance at which its own holes still hold
-``n_lambda`` carriers of another radius (`_hole_bounds`).
+``n_lambda`` carriers of another radius (`_hole_bounds`).  As the CLP(FD)
+model prunes domains before labelling, the search carries its candidates
+down the tree with their pair bounds (forward checking).
 
 Solutions are canonical: of the radius subsets at the optimum the
 lexicographically smallest (by sorted ids) is reported, found by the same
@@ -62,7 +64,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, product
+from itertools import chain, combinations, product
 
 from .model import Instance
 from .parallelism import (
@@ -529,15 +531,21 @@ def solve_spacing(
     n_lambda carriers of one radius must clear the whole spectrum of
     every co-selected radius, so the distance cannot exceed the
     n_lambda-th deepest spectral hole of either radius of a pair in the
-    other.  A leaf also caps it by its span over its carrier gaps, a
-    pre-filter and the top of its ladder.  Above the leaves, one span
-    bound ends a node's loop: at position p, every subset completed from
-    `order[p:]` spans at most the extent of the chosen radii and that
-    suffix, so once that extent over the carrier gaps is below `best`,
-    no later position can win or tie.  The suffix extents only shrink as
-    p grows, in either mode's order, so the loop breaks there.  The
-    exact leaf test would reject each leaf it cuts; what the break saves
-    is the roots' last-level span filters, not probes.
+    other.  It rides in a pool, as Phase 1's masks do: the candidates
+    open to a node, in `order`, each with its least pair cap against
+    every chosen radius but the last (infinite in base mode).  An inner
+    node takes its last radius's caps once, dropping what falls below
+    `best` from its children's pool; the last level takes them per
+    sibling, so a raise of `best` still saves later scans.  A leaf also
+    caps the distance by its span over its carrier gaps, a pre-filter and
+    the top of its ladder.  Above the leaves, one span bound ends a
+    node's loop: at position p, every subset completed from the pool
+    spans at most the extent of the chosen radii and `order[p:]`, so once
+    that extent over the carrier gaps is below `best`, no later position
+    can win or tie.  The suffix extents only shrink as p grows, in either
+    mode's order, so the loop breaks there.  The exact leaf test would
+    reject each leaf it cuts; what the break saves is the roots'
+    last-level span filters, not probes.
 
     A pair hole costs a scan per direction, so the DFS tests a cheaper
     bound first: `_hole_bounds` gives one number per radius, `far[i]`, the
@@ -546,12 +554,12 @@ def solve_spacing(
     every subset holding i has an optimum of at most `far[i]`, so a
     candidate with `far[i] < best` is dropped at any depth, the root
     included.  (One radius meets no cross rule, so the bound does not
-    apply to it.)  The holes of a survivor are scanned once and memoised
-    by pair, the second direction only when the first leaves the pair at
-    or above the incumbent: a cap below it prunes the pair for good, since
-    the incumbent only rises.  (Skipping it at a cap equal to the incumbent
-    is as sound.)  Both bounds are sound on their own, and neither
-    dominates the other, so each only moves effort.
+    apply to it.)  An entry's cap with a new radius is scanned only while
+    the entry is at or above the incumbent, and memoised by pair, the
+    second direction only when the first leaves the pair at or above it:
+    a cap below the incumbent prunes for good, since the incumbent only
+    rises.  Both bounds are sound on their own, and neither dominates the
+    other, so each only moves effort.
     """
     if config is None:
         config = SolveConfig()
@@ -636,78 +644,93 @@ def solve_spacing(
             else:
                 hi = mid - 1
 
-    def cap(chosen: list[int], i: int, bound):
-        """`bound` cut by the refined pair caps of `i` with each of `chosen`."""
-        for c in chosen:
-            hole = pair_cap.get((c, i))
-            if hole is None:
-                hole = _deepest_hole(spectra[c], spectra[i], n_lambda)
-                if hole >= best:
-                    hole = min(hole, _deepest_hole(spectra[i], spectra[c], n_lambda))
-                pair_cap[c, i] = hole
-            if hole < bound:
-                bound = hole
-        return bound
+    def cap(c: int, i: int, bound):
+        """`bound` cut by the refined pair cap of `c` and `i`."""
+        hole = pair_cap.get((c, i))
+        if hole is None:
+            hole = _deepest_hole(spectra[c], spectra[i], n_lambda)
+            if hole >= best:
+                hole = min(hole, _deepest_hole(spectra[i], spectra[c], n_lambda))
+            pair_cap[c, i] = hole
+        return hole if hole < bound else bound
 
-    def dfs(start: int, chosen: list[int], lo, hi, bound, shared: int) -> None:
-        """Depth-first over the subsets of `order[start:]` that extend
-        `chosen`, in `order`; `improve` takes each that survives the bounds.
-        `shared` is the union of the chosen radii's `shares`, or -1 once two
-        of them share a nominal."""
+    def dfs(pool, caps, chosen: list[int], lo, hi, bound, shared: int) -> None:
+        """Depth-first over the subsets that extend `chosen` from `pool`, the
+        radii open to it in `order`; `improve` takes each that survives the
+        bounds.  `caps[i]` is the least refined pair cap of pool radius i
+        with every chosen radius but the last (inf in base mode), and
+        `bound` the least among the chosen.  `shared` is the union of the
+        chosen radii's `shares`, or -1 once two of them share a nominal."""
         need = n_radii - len(chosen)
+        last = chosen[-1] if refined and chosen else None
         if need == 1:
-            sibs = order[start:]
-            if far[sibs[0]] * gaps > hi - lo:
+            if far[pool[0]] * gaps > hi - lo:
                 # A span may cap a sibling below its `far`: drop those whose
                 # span is below the incumbent, as part of the step that
                 # opened this node.  (Otherwise, as every span covers
                 # hi - lo, the first sibling's cheap cap is its `far`, and
                 # in `order`, descending by `far`, so is every sibling's.)
-                sibs = [
-                    i for i in sibs
+                pool = [
+                    i for i in pool
                     if ((hi if hi > highs[i] else highs[i])
                         - (lo if lo < lows[i] else lows[i])) // gaps >= best
                 ]
-            for i in sibs:
+            for i in pool:
                 clock.tick()
-                if far[i] < best:
-                    break  # and so is every later sibling's cheap cap
+                if far[i] < best or bound < best:
+                    break  # and so is every later sibling's cheap cap or top
                 top = bound
-                if refined:
-                    top = cap(chosen, i, bound)
+                if last is not None:
+                    top = caps[i]
+                    if top < best:
+                        continue
+                    top = cap(last, i, top)
                     if top < best:
                         continue
                 span = (hi if hi > highs[i] else highs[i]) - (lo if lo < lows[i] else lows[i])
                 cheap = min(far[i], span // gaps)
                 if cheap < best:
                     continue
-                improve(chosen + [i], min(top, cheap), not (refined or shared >> i & 1))
+                improve(chosen + [i], min(top, cheap, bound), not (refined or shared >> i & 1))
             return
-        for p in range(start, len(order) - need + 1):
-            # Every subset completed from order[p:] spans at most high - low,
-            # and the suffix extents only shrink as p grows, in any order.
-            # The chosen radii can only widen the suffix's own extent, so a
+        if last is not None:
+            # The children's pool.  Its scan reads the clock once and ticks
+            # no step, so steps still count the nodes visited.
+            clock.check()
+            kids, kid_caps = [], {}
+            for i in pool:
+                if far[i] < best:
+                    break
+                c = caps[i]
+                if c >= best:
+                    c = cap(last, i, c)
+                    if c >= best:
+                        kids.append(i)
+                        kid_caps[i] = c
+            pool, caps = kids, kid_caps
+        for k in range(len(pool) - need + 1):
+            i = pool[k]
+            # Every subset completed from here spans at most high - low,
+            # and the suffix extents only shrink along `order`.  The
+            # chosen radii can only widen the suffix's own extent, so a
             # suffix cap at or above the incumbent settles the test.
-            if suf_cap[p] < best:
-                high = hi if hi > suf_hi[p] else suf_hi[p]
-                low = lo if lo < suf_lo[p] else suf_lo[p]
+            if suf_cap[i] < best:
+                high = hi if hi > suf_hi[i] else suf_hi[i]
+                low = lo if lo < suf_lo[i] else suf_lo[i]
                 if (high - low) // gaps < best:
                     break
-            i = order[p]
             clock.tick()
             # far[i] bounds the optimum of every subset holding i and
             # another radius, so this prunes no subset that could win or
             # tie, and no later radius of `order` has a larger one.
-            if far[i] < best:
+            if far[i] < best or bound < best:
                 break
-            new_bound = bound
-            if refined:
-                new_bound = cap(chosen, i, bound)
-                if new_bound < best:
-                    continue
+            c = caps[i]
+            if c < best:
+                continue
             dfs(
-                p + 1, chosen + [i], min(lo, lows[i]), max(hi, highs[i]), new_bound,
-                -1 if shared >> i & 1 else shared | shares[i],
+                pool[k + 1:], caps, chosen + [i], min(lo, lows[i]), max(hi, highs[i]),
+                min(bound, c), -1 if shared >> i & 1 else shared | shares[i],
             )
 
     far = [math.inf] * len(eligible)
@@ -734,13 +757,15 @@ def solve_spacing(
                 shares[i] |= holders[v]
             shares[i] &= ~(1 << i)
     order = sorted(range(len(eligible)), key=lambda i: (-far[i], lows[i], i))
-    # The extent of order[p:], and its span over the carrier gaps.
-    suf_hi = list(accumulate((highs[i] for i in reversed(order)), max))[::-1]
-    suf_lo = list(accumulate((lows[i] for i in reversed(order)), min))[::-1]
+    # By radius: the extent of it and the radii after it in `order`, and
+    # that extent's span over the carrier gaps (j follows i).
+    suf_hi, suf_lo = highs[:], lows[:]
+    for i, j in zip(order[-2::-1], order[::-1]):
+        suf_hi[i], suf_lo[i] = max(highs[i], suf_hi[j]), min(lows[i], suf_lo[j])
     suf_cap = [(h - l) // gaps for h, l in zip(suf_hi, suf_lo)]
 
     try:
-        dfs(0, [], math.inf, -math.inf, math.inf, 0)
+        dfs(order, [math.inf] * len(eligible), [], math.inf, -math.inf, math.inf, 0)
         if tie is None:
             return SpacingSolution((), (), None, INFEASIBLE)
         allowed = _admissible([spectra[c] for c in tie], n_lambda, mode, best)

@@ -522,6 +522,23 @@ class TestErrors:
         assert code == 2
         assert "/nope.txt" in err
 
+    @pytest.mark.parametrize("argv", [["validate"], ["max-parallelism", "--n-radii", "2"]],
+                             ids=lambda argv: argv[0])
+    def test_undecodable_file_exits_2(self, capsys, tmp_path, argv):
+        # Not UTF-8: reported as an unreadable file, as a missing one is.
+        bad = tmp_path / "bytes.txt"
+        bad.write_bytes(b"radius 1 \xff\xfe\x80 1500000\n")
+        code, out, err = run_cli(capsys, argv + ["--instance", str(bad)])
+        assert code == 2
+        assert f"cannot read instance file {bad}: " in err
+        assert "Traceback" not in err
+        if argv[0] == "validate":
+            doc = json.loads(out)
+            assert list(doc) == ["schema_version", "violations"]
+            assert doc["violations"] == [err.strip()]
+        else:
+            assert out == ""
+
     def test_malformed_instance_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("what even is this\n", encoding="utf-8")

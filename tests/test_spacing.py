@@ -814,8 +814,8 @@ NARROW_SUFFIX = {  # radii 4-7 together span less than the incumbent
 # stops at radius 3: radii 3-7 span 3,030 pm, 1,515 over the two carrier
 # gaps, below the optimum of 2,000.  In refined mode, in `far` order, the
 # loop under root 1 stops at radius 2: radii 1-3 span 2,000 pm, 1,000 over
-# the gaps.  A search without the break takes 48 and 41 steps.
-NARROW_SUFFIX_STEPS = {"base": 39, "refined": 40}
+# the gaps.  A search without the break takes 48 and 35 steps.
+NARROW_SUFFIX_STEPS = {"base": 39, "refined": 34}
 
 # Instances on which the subset search, visiting radii best-first, raises
 # its incumbent to the optimum with a later subset in id order than the
@@ -1044,6 +1044,19 @@ class TestOracleAgreement:
         oracle = oracle_spacing(inst, problem)
         assert sol == oracle, (seed, mode)
 
+    @pytest.mark.parametrize("mode", ["base", "refined"])
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize(
+        "n_radii,n_lambda,max_res", [(4, 1, 5), (4, 2, 5), (5, 1, 4), (5, 2, 4), (6, 1, 4)],
+        ids=["4x1", "4x2", "5x1", "5x2", "6x1"],
+    )
+    def test_random_small_at_depth(self, n_radii, n_lambda, max_res, seed, mode):
+        # Four to six of six radii: the subset search carries pair caps
+        # over two or more chosen radii before a leaf.
+        inst = generate_random_small(seed, 6, max_res)
+        problem = SpacingProblem(n_radii, n_lambda, mode)
+        assert solve_spacing(inst, problem) == oracle_spacing(inst, problem), (seed, mode)
+
 
 class TestProperties:
     def test_refined_never_beats_base(self, table1):
@@ -1112,8 +1125,8 @@ PINNED = {
     (1000, 2, 2, "base"): (43154, (72, 96), ((0, 8), (19, 28)), 193),
     (1001, 2, 2, "base"): (43122, (72, 96), ((0, 8), (19, 28)), 197),
     (1000, 3, 1, "base"): (64883, (63, 81, 24), ((0,), (12,), (10,)), 1280),
-    (1000, 3, 3, "refined"): (4932, (6, 14, 1), ((0, 3, 4), (1, 4, 5), (1, 3, 4)), 2938),
-    (1001, 3, 3, "refined"): (4970, (8, 14, 1), ((0, 4, 5), (1, 5, 6), (1, 3, 4)), 2658),
+    (1000, 3, 3, "refined"): (4932, (6, 14, 1), ((0, 3, 4), (1, 4, 5), (1, 3, 4)), 774),
+    (1001, 3, 3, "refined"): (4970, (8, 14, 1), ((0, 4, 5), (1, 5, 6), (1, 3, 4)), 761),
 }
 
 
@@ -1138,8 +1151,8 @@ class TestPinnedDeskScale:
 # of the 5,050 pairs of 101 radii); a change that moves these counts says so
 # in CHANGES.md.
 HOLE_SCANS = {
-    (1000, 3, 3, "refined"): 1103,
-    (1001, 3, 3, "refined"): 1066,
+    (1000, 3, 3, "refined"): 965,
+    (1001, 3, 3, "refined"): 907,
 }
 
 
@@ -1162,14 +1175,14 @@ class TestPairHoleEffort:
 
 # Refined shapes the n_lambda-aware bounds bring within test time (solve
 # only, 2-vCPU VM): desk 4x5 took ~7 s and small-ring 6x7 10-15 s before,
-# and now take ~0.1 s and ~0.01 s.  name -> (GenSpec fields beside
+# and now take ~0.04 s and ~0.01 s.  name -> (GenSpec fields beside
 # jitter_pm=100, n_radii, n_lambda, dist_pm, selected_radii, matrix, steps),
 # with steps pinned as in `PINNED`.
 LARGE = {
     "desk-4x5": (
         {"seed": 1000}, 4, 5, 2650, (10, 13, 16, 6),
         ((0, 1, 5, 6, 7), (0, 1, 5, 6, 7), (0, 1, 5, 6, 7), (0, 1, 3, 4, 5)),
-        85675,
+        6904,
     ),
     "small-ring-6x7": (
         {"seed": 3, "r_max_pm": 12_000_000}, 6, 7, 1031, (18, 10, 21, 23, 14, 26),
@@ -1181,7 +1194,7 @@ LARGE = {
             (0, 1, 2, 4, 5, 6, 7),
             (0, 1, 2, 6, 7, 8, 9),
         ),
-        6026,
+        2038,
     ),
 }
 
