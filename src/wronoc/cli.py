@@ -336,6 +336,10 @@ def _cmd_bench(args) -> int:
     phases = _parse_int_list(args.phases, "--phases")
     if any(p not in (1, 2) for p in phases):
         raise CliError("--phases entries must be 1 or 2")
+    if any(n < 1 for n in n_radii_grid):
+        raise CliError("--n-radii entries must be >= 1")
+    if any(d < 0 for d in delta_grid):
+        raise CliError("--delta entries must be >= 0")
     config = SolveConfig(time_limit=args.time_limit)
     mode = args.mode if 2 in phases else None
     out_path = Path(args.out) if args.out else None

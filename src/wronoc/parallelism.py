@@ -42,11 +42,11 @@ lower bound L lets the table skip every radius of capacity below L (the
 core-number pruning of maximum-clique solvers; Rossi, Gleich &
 Gebremedhin 2015).  L comes from a seed: the first ``n_radii`` radii in
 capacity order, chosen together, are worth the least capacity their
-masks keep against each other.  The seed's own masks come from the
-intervals, radius by radius, and its evaluation stops as soon as its
-value falls to the least capacity of the instance, where it could drop
-no radius; the table is then built over every radius.  The search starts
-at floor L - 1 with the seed as its incumbent.
+masks keep against each other.  The seed reads them from a table like
+the search's, built over its first 2, 4, 8, ... radii in turn, and stops
+as soon as its value falls to the least capacity of the instance, where
+it could drop no radius; the table is then built over every radius.  The
+search starts at floor L - 1 with the seed as its incumbent.
 
 Among equally good optima the solver returns the lexicographically
 smallest solution (by sorted radius ids, then per-radius selections).
@@ -61,9 +61,9 @@ from __future__ import annotations
 import math
 import operator
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import combinations
 
 from .conflict import conflicts_of
 from .model import Instance
@@ -197,11 +197,14 @@ class _Mis:
 
 
 class _Workspace:
-    """Per-solve tables by radius position (see `ConflictSet`): the ids,
-    full index masks, MIS routines, and the conflict set's ``keep`` table."""
+    """Per-solve tables of the radii at the ascending positions `kept`, by
+    place in `kept` (see `ConflictSet`): the ids, full index masks, MIS
+    routines, and the ``keep`` table, the one source of Phase-1 masks."""
 
-    def __init__(self, ids, full, mis, keep):
-        self.ids, self.full, self.mis, self.keep = ids, full, mis, keep
+    def __init__(self, entries, full, mis, kept: list[int]):
+        table = conflicts_of(Instance([entries[p] for p in kept]))
+        self.ids, self.keep = table.ids, table.keep
+        self.full, self.mis = [full[p] for p in kept], [mis[p] for p in kept]
 
     def search(self, order: list[int], n_radii: int, floor: int, first: bool,
                clock: _Clock) -> tuple[int, list[int] | None, bool]:
@@ -351,52 +354,26 @@ def _solution(rows: dict[int, tuple[int, ...]] | None, timed_out: bool):
     return ParallelismSolution(tuple(sorted(rows)), rows, counts, p, status)
 
 
-def _spans(entry) -> tuple[list[int], list[int]]:
-    """A radius's interval starts in ascending order, and the running
-    maximum of the interval ends in that order."""
-    spans = sorted(zip(entry.lmins, entry.lmaxs))
-    return [lo for lo, _ in spans], list(accumulate((hi for _, hi in spans), max))
-
-
-def _clear_of(entry, spans) -> int:
-    """The index mask of `entry`'s resonances that meet no interval of the
-    radius with `spans`: of the intervals starting no later than one ends,
-    none reaches back to its start."""
-    starts, reach = spans
-    mask = 0
-    for j, (lo, hi) in enumerate(zip(entry.lmins, entry.lmaxs)):
-        i = bisect_right(starts, hi)
-        if not i or reach[i - 1] < lo:
-            mask |= 1 << j
-    return mask
-
-
 def _seed(entries, mis, full, caps, seed: list[int], clock: _Clock) -> int:
     """The value of the radii `seed` chosen together: the least capacity
     among their masks against each other, or 0 for no seed.
 
-    The radii are added one at a time, and each addition can only shrink
-    the masks, so the running minimum only falls.  Once it is at most the
-    least capacity of the instance, a bound that low would drop no radius,
-    and the evaluation stops with no seed.
+    It is read from the workspaces of the first 2, 4, 8, ... radii of
+    `seed`, then of all of them.  A longer prefix can only shrink the masks,
+    so the value only falls.  Once it is at most the least capacity of the
+    instance, a bound that low would drop no radius, and the evaluation
+    stops with no seed.  Doubling keeps an early stop cheap.
     """
-    least = min(caps)
-    spans: dict[int, tuple[list[int], list[int]]] = {}
-    masks: dict[int, int] = {}
-    sizes: dict[int, int] = {}
-    for p in seed:
+    least, k = min(caps), min(2, len(seed))
+    while True:
         clock.check()
-        spans[p] = _spans(entries[p])
-        mask = full[p]
-        for c in masks:
-            mask &= _clear_of(entries[p], spans[c])
-            if (m := masks[c] & _clear_of(entries[c], spans[p])) != masks[c]:
-                masks[c], sizes[c] = m, mis[c].size(m)
-        masks[p] = mask
-        sizes[p] = caps[p] if mask == full[p] else mis[p].size(mask)
-        if min(sizes.values()) <= least:
+        ws = _Workspace(entries, full, mis, sorted(seed[:k]))
+        low = min(map(len, ws.rows(range(k)).values()))
+        if low <= least:
             return 0
-    return min(sizes.values())
+        if k == len(seed):
+            return low
+        k = min(2 * k, len(seed))
 
 
 def _solve(instance: Instance, n_radii: int, clock: _Clock):
@@ -415,9 +392,7 @@ def _solve(instance: Instance, n_radii: int, clock: _Clock):
     # the seed's among them: a prefix of the capacity order.  Positions
     # from here on are those of the restricted table.
     kept = sorted(by_capacity[:sum(cap >= low for cap in caps)])
-    table = conflicts_of(Instance([entries[p] for p in kept]))
-    ws = _Workspace(table.ids, [full[p] for p in kept], [mis[p] for p in kept],
-                    table.keep)
+    ws = _Workspace(entries, full, mis, kept)
     caps = [caps[p] for p in kept]
     positions = range(len(kept))
     by_capacity = sorted(positions, key=lambda p: (-caps[p], p))

@@ -155,9 +155,9 @@ def clocks(monkeypatch):
 # What the solvers own: their clock, search tables, probes and entry points.
 # An oracle that named one of them would share code with what it checks.
 SOLVER_NAMES = {
-    "_Clock", "_Timeout", "tick", "_Mis", "_Workspace", "_seed", "_spans", "_clear_of",
-    "conflicts_of", "_admissible", "_packing", "_packs", "_greedy", "_witness",
-    "_completes", "_ladder", "_deepest_hole", "_hole_bounds",
+    "_Clock", "_Timeout", "tick", "_Mis", "_Workspace", "_seed", "conflicts_of",
+    "_admissible", "_packing", "_packs", "_greedy", "_witness", "_completes", "_ladder",
+    "_deepest_hole", "_hole_bounds",
 }
 
 

@@ -611,11 +611,14 @@ class TestErrors:
         [
             (["bench", "--n-radii", "2,x"], "--n-radii expects a comma-separated integer list"),
             (["bench", "--n-radii", "2", "--phases", "3"], "--phases entries must be 1 or 2"),
+            (["bench", "--n-radii", "2,0"], "--n-radii entries must be >= 1"),
+            (["bench", "--n-radii", "2", "--delta", "0,-3"], "--delta entries must be >= 0"),
             (["generate", "--band-lo-pm", "1600000", "--band-hi-pm", "1500000"],
              "band_lo_pm must be <= band_hi_pm"),
             (["generate", "--n-eff-milli", "0"], "n_eff_milli must be positive"),
         ],
-        ids=["bench-n-radii", "bench-phases", "generate-band", "generate-n-eff"],
+        ids=["bench-n-radii", "bench-phases", "bench-n-radii-range", "bench-delta-range",
+             "generate-band", "generate-n-eff"],
     )
     def test_bad_grid_or_spec_exits_2(self, capsys, table1_file, tmp_path, argv, message):
         if argv[0] == "bench":

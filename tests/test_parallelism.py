@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import time
 from itertools import accumulate
 
@@ -5,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wronoc
 from conftest import (
+    SOLVER_NAMES,
     build_instance,
     columns,
     cyclic_garbage_of,
@@ -153,7 +157,8 @@ class TestSolve:
         build = parallelism.conflicts_of
 
         def slow_build(instance):
-            time.sleep(0.1)
+            if len(instance.radii) > 4:  # the restricted table, not the seed's
+                time.sleep(0.1)
             return build(instance)
 
         monkeypatch.setattr(parallelism, "conflicts_of", slow_build)
@@ -167,8 +172,9 @@ class TestSolve:
     def test_time_limit_bounds_the_seed(self):
         # 600 conflict-free two-resonance radii and one with a single
         # resonance: the seed of 550 keeps capacity 2 above the least, 1,
-        # so it never stops early, and runs for ~0.2 s unless the clock
-        # it reads once per radius stops it.
+        # so it never stops early.  Unless the clock it reads before each
+        # prefix's table stops it, it runs for ~0.05 s and a cut search
+        # reports it as the incumbent.
         values = {r: (1_500_000 + 100 * r, 1_600_000 + 100 * r) for r in range(1, 601)}
         inst = build_instance({**values, 601: (1_400_000,)})
         started = time.monotonic()
@@ -206,6 +212,19 @@ class TestSolve:
 class TestOracleAgreement:
     def test_oracle_shares_no_solver_code(self):
         assert solver_names_reached(oracle_max_parallelism) == set()
+
+    def test_every_guarded_name_is_solver_code(self):
+        # A name the package no longer defines guards nothing: the guard
+        # above would pass whatever the oracles did under it.
+        defined = set()
+        for info in pkgutil.iter_modules(wronoc.__path__, "wronoc."):
+            module = importlib.import_module(info.name)
+            for name, obj in vars(module).items():
+                if getattr(obj, "__module__", None) == module.__name__:
+                    defined.add(name)
+                    if isinstance(obj, type):
+                        defined.update(vars(obj))
+        assert SOLVER_NAMES - defined == set()
 
     def test_table1_both_deltas(self):
         for hw in (0, 1000):
@@ -286,15 +305,18 @@ class TestRestrictedTable:
 
     def test_a_seed_restricts_the_table(self, built):
         inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 100)
+        # The seed's tables over its first 2 and all 4 radii, then the
+        # table over the 56 radii of capacity at least the seed's value.
         assert solve_max_parallelism(inst, 4).parallelism == 24
-        assert built == [56]
+        assert built == [2, 4, 56]
 
-    def test_no_seed_builds_one_full_table(self, built):
-        # Infeasible: the seed's value falls to the least capacity, so it
-        # drops no radius, and it builds no table of its own.
+    def test_no_seed_stops_at_its_first_prefix(self, built):
+        # Infeasible: the seed's value falls to the least capacity at its
+        # second radius, so its 2-radius table is its only one, it drops no
+        # radius, and the search's table holds every radius.
         inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 1000)
         assert solve_max_parallelism(inst, 16).status == "infeasible"
-        assert built == [101]
+        assert built == [2, 101]
 
     def test_oracle_agrees_on_spread_capacities(self, built):
         restricted = tied = 0
@@ -306,7 +328,7 @@ class TestRestrictedTable:
                 assert sol == oracle_max_parallelism(inst, n), (seed, n)
                 if sol.status == "optimal":
                     assert check_parallelism_solution(inst, sol, n) == []
-                restricted += built[0] < 6
+                restricted += built[-1] < 6
                 tied += 5 in sol.selected_radii
         # Of the 200 cells, 52 build a restricted table and 84 break the
         # tie between radii 5 and 6.
@@ -455,24 +477,24 @@ class TestSearchEffort:
         return calls
 
     def test_mis_runs_outside_the_node_tests(self, clocks, mis_calls):
-        # 101 capacities for the root order, 5 for the seed's masks that
-        # its other radii cut, and 4 per leaf at 7 leaves in the two
-        # passes; the witnesses run no size.  An MIS in the node tests
+        # 101 capacities for the root order and 4 per leaf at 7 leaves in
+        # the two passes; the seed reads its value from witnesses, which
+        # run no size, as the final rows do.  An MIS in the node tests
         # would make these counts grow with the steps.  Every desk radius
         # is disjoint at delta 100, so every call is a bit count.
         inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 100)
         solve_max_parallelism(inst, 4)
         assert [c.steps for c in clocks] == [308]
-        assert (len(mis_calls), sum(mis_calls)) == (134, 0)
+        assert (len(mis_calls), sum(mis_calls)) == (129, 0)
 
     def test_overlapping_radii_take_the_chain_pass(self, clocks, mis_calls):
-        # 101 root capacities, 2 for the seed, which stops at its second
-        # radius, and 4 per leaf at 2 leaves; 41 of the 111 calls are on
-        # radii whose own intervals overlap at delta 3000.
+        # 101 root capacities and 4 per leaf at 2 leaves, the seed's
+        # witnesses running none; 41 of the 109 calls are on radii whose
+        # own intervals overlap at delta 3000.
         inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 3000)
         solve_max_parallelism(inst, 4)
         assert [c.steps for c in clocks] == [2563]
-        assert (len(mis_calls), sum(mis_calls)) == (111, 41)
+        assert (len(mis_calls), sum(mis_calls)) == (109, 41)
 
 
 class TestChainMis(TestPinnedDeskScale, TestSearchEffort):

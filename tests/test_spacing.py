@@ -1176,13 +1176,13 @@ class TestPairHoleEffort:
 # Refined shapes the n_lambda-aware bounds bring within test time (solve
 # only, 2-vCPU VM): desk 4x5 took ~7 s and small-ring 6x7 10-15 s before,
 # and now take ~0.04 s and ~0.01 s.  name -> (GenSpec fields beside
-# jitter_pm=100, n_radii, n_lambda, dist_pm, selected_radii, matrix, steps),
-# with steps pinned as in `PINNED`.
+# jitter_pm=100, n_radii, n_lambda, dist_pm, selected_radii, matrix, steps,
+# ladder rungs), with steps pinned as in `PINNED`.
 LARGE = {
     "desk-4x5": (
         {"seed": 1000}, 4, 5, 2650, (10, 13, 16, 6),
         ((0, 1, 5, 6, 7), (0, 1, 5, 6, 7), (0, 1, 5, 6, 7), (0, 1, 3, 4, 5)),
-        6904,
+        6904, 36,
     ),
     "small-ring-6x7": (
         {"seed": 3, "r_max_pm": 12_000_000}, 6, 7, 1031, (18, 10, 21, 23, 14, 26),
@@ -1194,19 +1194,32 @@ LARGE = {
             (0, 1, 2, 4, 5, 6, 7),
             (0, 1, 2, 6, 7, 8, 9),
         ),
-        2038,
+        2038, 30,
     ),
 }
 
 
 class TestLargeRefined:
     @pytest.mark.parametrize("name", sorted(LARGE))
-    def test_matches_pinned(self, name, clocks):
-        fields, n_radii, n_lambda, dist, radii, matrix, steps = LARGE[name]
+    def test_matches_pinned(self, name, clocks, monkeypatch):
+        # The rungs of every ladder the leaves walk, summed: a leaf's ladder
+        # tops out at the least pair cap among its radii, so a looser top
+        # would lengthen the ladders with every answer still right.
+        rungs = []
+        ladder = spacing._ladder
+
+        def counting(noms, floor, top):
+            out = ladder(noms, floor, top)
+            rungs.append(len(out))
+            return out
+
+        fields, n_radii, n_lambda, dist, radii, matrix, steps, ladder_rungs = LARGE[name]
+        monkeypatch.setattr(spacing, "_ladder", counting)
         inst = generate(GenSpec(jitter_pm=100, **fields))
         problem = SpacingProblem(n_radii, n_lambda, "refined")
         sol = solve_spacing(inst, problem)
         assert sol.status == "optimal"
         assert (sol.dist_pm, sol.selected_radii, sol.matrix) == (dist, radii, matrix)
         assert [c.steps for c in clocks] == [steps]
+        assert sum(rungs) == ladder_rungs
         assert check_spacing_solution(inst, problem, sol) == []
