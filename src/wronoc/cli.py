@@ -5,8 +5,7 @@ to stderr) with a fixed key order, so repeated runs are diffable; the
 only field that varies between identical runs is ``wall_time_ms``.  Exit
 codes: 0 success, 1 infeasible, 2 usage or data error, 3 time limit hit
 (best incumbent reported), 4 internal error (a solution failed the
-independent checker and was refused, or the run ran out of memory or of
-recursion depth, as a search choosing ~1,000 radii does).
+independent checker and was refused, or the run ran out of memory).
 
 ``main`` builds its argument parser once per process and reuses it, so
 repeated in-process calls pay for argparse set-up only once;
@@ -506,9 +505,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
-        return EXIT_INTERNAL
-    except RecursionError:
-        print("error: search too deep (recursion limit exceeded)", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -13,7 +13,8 @@ other chosen radii; adding a radius can only shrink these masks, so the
 running minimum of the per-radius capacities is a valid upper bound for
 every completion of the branch.  A branch dies when that bound cannot
 beat the incumbent, when a chosen radius drops to zero capacity, or when
-too few viable candidates remain.
+too few viable candidates remain.  Each node is a frame of `_walk`, the
+explicit stack every search of the package runs on.
 
 Two exact rules keep the tree small.  A radius's capacity never exceeds
 the count of its usable resonances, and equals it when no two of them
@@ -130,6 +131,24 @@ class _Clock:
         if not self.steps & 255:
             self.check()
         self.steps += 1
+
+
+def _walk(frame, *args) -> bool:
+    """Depth-first search on an explicit stack, so no depth meets Python's
+    recursion limit.  `frame(*args)` is the root frame: a generator that
+    yields each child frame's arguments (not the frame: a frame function
+    naming itself is a reference cycle), or None to end the whole walk.
+    Returns whether a frame ended it."""
+    stack = [frame(*args)]
+    while stack:
+        for child in stack[-1]:
+            if child is None:
+                return True
+            stack.append(frame(*child))
+            break
+        else:
+            stack.pop()
+    return False
 
 
 class _Mis:
@@ -292,14 +311,15 @@ class _Workspace:
                         return i + 1
             return 0
 
-        def dfs(pool, chosen: list[int], masks: list[int]) -> bool:
+        def dfs(pool, chosen: list[int], masks: list[int]):
+            """Frame of `_walk` over the completions of `chosen` from `pool`."""
             nonlocal floor, incumbent
             need = n_radii - len(chosen)
             limit = colour_limit(pool, need) if need >= 3 else len(pool) - need + 1
             for i, (rid, mask_r) in enumerate(pool):
                 tick()
                 if i >= limit:
-                    return False
+                    return
                 if mask_r.bit_count() <= floor:
                     continue
                 kept = keep[rid]
@@ -317,20 +337,17 @@ class _Workspace:
                         if low > floor:
                             floor, incumbent = low, sorted(branch)
                             if first:
-                                return True
+                                yield None
                         continue
                     child = [(r2, m2) for r2, m in pool[i + 1:]
                              if (m2 := m & kept[r2]).bit_count() > floor]
-                    if len(child) >= need - 1 and dfs(child, branch, new_masks):
-                        return True
-            return False
+                    if len(child) >= need - 1:
+                        yield child, branch, new_masks
 
         try:
-            dfs([(p, self.full[p]) for p in order], [], [])
+            _walk(dfs, [(p, self.full[p]) for p in order], [], [])
         except _Timeout:
             return floor, incumbent, True
-        finally:
-            del dfs  # a reference cycle through its own cell, as in solve_spacing
         return floor, incumbent, False
 
     def rows(self, subset: list[int]) -> dict[int, tuple[int, ...]]:

@@ -31,7 +31,8 @@ count vectors (`_packs`) decides the rest and walks its packing back from
 its table; beyond the DP's state budget the row search (`_witness`)
 decides by backtracking.  The row search builds the witness slot by
 slot; within the budget each slot takes the first candidate after which
-the rest still packs, so it never backtracks.
+the rest still packs, so it never backtracks.  It and the subset search
+keep their frames on Phase 1's explicit stack, `_walk`.
 
 Above the probes, refined mode propagates each radius's cardinality:
 every chosen radius needs ``n_lambda`` carriers clear of the others'
@@ -74,6 +75,7 @@ from .parallelism import (
     _Clock,
     _Timeout,
     _status,
+    _walk,
 )
 
 BASE = "base"
@@ -216,11 +218,9 @@ def _witness(allowed, n_lambda: int, dist: int, clock: _Clock):
     clears the cross rules, so a slot only tests the carriers placed so
     far.  Returns (radius position, carrier values) rows in row order.
 
-    One loop over an explicit stack of frames, one per carrier placed, so
-    a matrix of any size needs no recursion.  A frame places each of its
-    candidates in turn and yields; the loop then pushes the frame for the
-    next carrier, or pops a spent one, whose parent then takes its own
-    carrier back and tries the next.
+    One `_walk` frame per carrier placed: it places each candidate in turn,
+    yields the next carrier's frame arguments (`after`), and once that frame
+    is spent takes its carrier back and tries the next.
 
     Within `_PACK_STATES`, a frame yields a candidate only when the
     carriers still to place pack (`_completes`), so nothing is taken back,
@@ -240,60 +240,49 @@ def _witness(allowed, n_lambda: int, dist: int, clock: _Clock):
     rows: list[tuple[int, list[int]]] = []
     used: set[int] = set()
 
-    def open_row(min_first: int | None):
-        """Frame that opens the next row with each candidate in turn: the
-        openers from `min_first` up whose radius has no row yet."""
-        start = 0 if min_first is None else bisect_left(openers, (min_first,))
-        for v, r, j in openers[start:]:
-            if r in used:
-                continue
-            tick()
-            if not _clear(placed, v, dist):
-                continue
-            insort(placed, v)
-            rows.append((r, [j]))
-            used.add(r)
-            if not complete or _completes(allowed, n_lambda, dist, rows, placed, clock):
-                yield
-            used.remove(r)
-            rows.pop()
-            placed.pop(bisect_left(placed, v))
-
-    def fill_row(r: int, last_j: int, count: int):
-        """Frame that places carrier `count` of the open row, `r`'s, with
-        each candidate in turn."""
+    def after():
+        """The next carrier's frame arguments, or None once the matrix is
+        full: the open row's next carrier, `dist` past its last, or else a
+        new row's opener, `dist` past the open row's first."""
+        r, idxs = rows[-1]
         lst = allowed[r]
-        left = n_lambda - count - 1
-        start = bisect_left(lst, lst[last_j] + dist, last_j + 1)
-        for j in range(start, len(lst) - left):
-            v = lst[j]
-            if lst[-1] - v < left * dist:
-                break
+        if len(idxs) < n_lambda:
+            return r, bisect_left(lst, lst[idxs[-1]] + dist, idxs[-1] + 1)
+        if len(rows) < len(allowed):
+            return None, bisect_left(openers, (lst[idxs[0]] + dist,))
+        return None
+
+    def place(r: int | None, start: int):
+        """Frame that places the next carrier: with `r` None a new row's, from
+        ``openers[start:]`` of radii with no row, else open row `r`'s, from
+        ``allowed[r][start:]`` with room for the rest of the row."""
+        if r is None:
+            candidates = ((r2, j, v) for v, r2, j in openers[start:] if r2 not in used)
+        else:
+            lst = allowed[r]
+            left = n_lambda - len(rows[-1][1]) - 1
+            stop = min(len(lst) - left, bisect_right(lst, lst[-1] - left * dist))
+            candidates = ((r, j, lst[j]) for j in range(start, stop))
+        for r2, j, v in candidates:
             tick()
             if not _clear(placed, v, dist):
                 continue
             insort(placed, v)
+            if r is None:
+                rows.append((r2, []))
+                used.add(r2)
             rows[-1][1].append(j)
             if not complete or _completes(allowed, n_lambda, dist, rows, placed, clock):
-                yield
+                yield after()
             rows[-1][1].pop()
+            if r is None:
+                used.remove(r2)
+                rows.pop()
             placed.pop(bisect_left(placed, v))
 
     complete = (n_lambda + 1) ** len(allowed) <= _PACK_STATES
-    stack = [open_row(None)]
-    while stack:
-        for _ in stack[-1]:
-            break
-        else:
-            stack.pop()
-            continue
-        r, idxs = rows[-1]
-        if len(idxs) < n_lambda:
-            stack.append(fill_row(r, idxs[-1], len(idxs)))
-        elif len(rows) < len(allowed):
-            stack.append(open_row(allowed[r][idxs[0]] + dist))
-        else:
-            return [(r, [allowed[r][j] for j in idxs]) for r, idxs in rows]
+    if _walk(place, None, 0):
+        return [(r, [allowed[r][j] for j in idxs]) for r, idxs in rows]
     return None
 
 
@@ -654,10 +643,10 @@ def solve_spacing(
             pair_cap[c, i] = hole
         return hole if hole < bound else bound
 
-    def dfs(pool, caps, chosen: list[int], lo, hi, bound, shared: int) -> None:
-        """Depth-first over the subsets that extend `chosen` from `pool`, the
-        radii open to it in `order`; `improve` takes each that survives the
-        bounds.  `caps[i]` is the least refined pair cap of pool radius i
+    def dfs(pool, caps, chosen: list[int], lo, hi, bound, shared: int):
+        """Frame of `_walk` over the subsets that extend `chosen` from `pool`,
+        the radii open to it in `order`; `improve` takes each that survives
+        the bounds.  `caps[i]` is the least refined pair cap of pool radius i
         with every chosen radius but the last (inf in base mode), and
         `bound` the least among the chosen.  `shared` is the union of the
         chosen radii's `shares`, or -1 once two of them share a nominal."""
@@ -728,7 +717,7 @@ def solve_spacing(
             c = caps[i]
             if c < best:
                 continue
-            dfs(
+            yield (
                 pool[k + 1:], caps, chosen + [i], min(lo, lows[i]), max(hi, highs[i]),
                 min(bound, c), -1 if shared >> i & 1 else shared | shares[i],
             )
@@ -765,7 +754,7 @@ def solve_spacing(
     suf_cap = [(h - l) // gaps for h, l in zip(suf_hi, suf_lo)]
 
     try:
-        dfs(order, [math.inf] * len(eligible), [], math.inf, -math.inf, math.inf, 0)
+        _walk(dfs, order, [math.inf] * len(eligible), [], math.inf, -math.inf, math.inf, 0)
         if tie is None:
             return SpacingSolution((), (), None, INFEASIBLE)
         allowed = _admissible([spectra[c] for c in tie], n_lambda, mode, best)
@@ -781,11 +770,6 @@ def solve_spacing(
         for v, r in sorted(picks):
             rows.setdefault(r, []).append(v)
         return _solution(payload(chosen, rows.items()), dist, True)
-    finally:
-        # The recursive closure is a reference cycle through its own cell;
-        # clearing the cell frees the search's tables now, not at the next
-        # garbage collection.
-        del dfs
 
 
 def _matrix_key(rows_ordered, vals):

@@ -1,10 +1,12 @@
 import gc
 import os
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import wronoc
 from wronoc import Instance, RadiusEntry, SplitMix64, apply_delta, parallelism, spacing
 
 # CI sets HYPOTHESIS_PROFILE=ci: derandomised, every run draws the same
@@ -20,6 +22,14 @@ TABLE1_PM = {
     3: (7_000_000, (1503400, 1521300, 1539600, 1558400, 1577700, 1597400)),
     4: (8_000_000, (1505600, 1521300, 1537300, 1553700, 1570400, 1587500, 1604900)),
 }
+
+
+def package_env():
+    """The environment of a fresh interpreter that imports the wronoc under
+    test: its source directory leads PYTHONPATH."""
+    src = str(Path(wronoc.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def entry_of(rid, radius_pm, nominals, half_width=0):
@@ -155,7 +165,7 @@ def clocks(monkeypatch):
 # What the solvers own: their clock, search tables, probes and entry points.
 # An oracle that named one of them would share code with what it checks.
 SOLVER_NAMES = {
-    "_Clock", "_Timeout", "tick", "_Mis", "_Workspace", "_seed", "conflicts_of",
+    "_Clock", "_Timeout", "tick", "_walk", "_Mis", "_Workspace", "_seed", "conflicts_of",
     "_admissible", "_packing", "_packs", "_greedy", "_witness", "_completes", "_ladder",
     "_deepest_hole", "_hole_bounds",
 }

@@ -3,7 +3,6 @@ import csv
 import importlib.util
 import io
 import json
-import os
 import subprocess
 import sys
 import time
@@ -14,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wronoc
-from conftest import table1_file_text
+from conftest import package_env, table1_file_text
 from wronoc import cli, model, verify
 from wronoc.model import DeltaPolicy
 from wronoc.parallelism import ParallelismSolution
@@ -645,30 +644,51 @@ class TestErrors:
     def run_timed(args):
         """Run the CLI in a fresh interpreter, capped at 15 s; the process
         and its wall time in seconds."""
-        src = str(Path(wronoc.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         started = time.monotonic()
         proc = subprocess.run(
             [sys.executable, "-m", "wronoc.cli", *args],
-            capture_output=True, text=True, env=env, timeout=15,
+            capture_output=True, text=True, env=package_env(), timeout=15,
         )
         return proc, time.monotonic() - started
 
-    def test_too_deep_a_search_exits_4(self, tmp_path):
-        # The subset search recurses once per radius chosen, so choosing
-        # 1,050 radii passes Python's default recursion limit of 1,000.
+    @staticmethod
+    def one_each(tmp_path, count):
+        """`count` radii of one resonance each, 100 pm apart."""
         path = tmp_path / "one-each.txt"
         lines = []
-        for rid in range(1, 1101):
+        for rid in range(1, count + 1):
             lines += [f"radius {rid} {5_000_000 + 1000 * rid}",
                       f"resonance {rid} {1_500_000 + 100 * rid}"]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_a_deep_search_is_solved(self, tmp_path):
+        # Choosing 1,050 radii takes 1,050 search levels, past Python's
+        # default recursion limit of 1,000; the searches keep their frames
+        # on a stack of their own.  One subset, feasible at 100 pm.
+        path = self.one_each(tmp_path, 1050)
         proc, _ = self.run_timed(
             ["spacing", "--instance", str(path), "--n-radii", "1050", "--parallelism", "1"])
-        assert proc.returncode == 4
-        assert proc.stdout == ""
-        assert proc.stderr == "error: search too deep (recursion limit exceeded)\n"
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["status"] == "optimal"
+        assert doc["result"]["dist_pm"] == 100
+        assert payload_problems(doc, path) == []
+
+    def test_a_deep_search_honours_time_limit(self, tmp_path):
+        # 1,050 of 1,100 radii: every subset ties at 100 pm and the span
+        # bound (100-104 pm) prunes almost none of the C(1100, 1050), so
+        # only the limit ends the search, holding the first leaf's 100 pm.
+        path = self.one_each(tmp_path, 1100)
+        proc, elapsed = self.run_timed(
+            ["spacing", "--instance", str(path), "--n-radii", "1050", "--parallelism", "1",
+             "--time-limit", "2"])
+        assert proc.returncode == 3, proc.stderr
+        assert elapsed < 2 + 3
+        doc = json.loads(proc.stdout)
+        assert doc["status"] == "incumbent-timeout"
+        assert doc["result"]["dist_pm"] == 100
+        assert payload_problems(doc, path) == []
 
     def test_packing_dp_honours_time_limit(self, tmp_path):
         # 4 radii x 13 carriers: 38,416 DP states a probe, over ~4.1M subsets;

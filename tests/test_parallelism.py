@@ -1,5 +1,7 @@
 import importlib
 import pkgutil
+import subprocess
+import sys
 import time
 from itertools import accumulate
 
@@ -14,6 +16,7 @@ from conftest import (
     columns,
     cyclic_garbage_of,
     generate_random_small,
+    package_env,
     restrict,
     solver_names_reached,
     table1_instance,
@@ -73,11 +76,33 @@ class TestEvaluateSubset:
 class TestSolve:
     @pytest.mark.parametrize("half_width, n_radii, limit", [(100, 4, 0), (1000, 16, 0.001)])
     def test_a_solve_leaves_no_cyclic_garbage(self, half_width, n_radii, limit):
-        # A recursive closure is a cycle that would hold the search tables until
-        # the next full collection; the search clears it, timed out or not.
+        # A search frame that named its own function would be a cycle holding
+        # the search tables until the next full collection; `_walk` frames
+        # yield their children's arguments instead, timed out or not.
         inst = apply_delta(generate(GenSpec(seed=1000, jitter_pm=100)), half_width)
         config = SolveConfig(time_limit=limit)
         assert cyclic_garbage_of(lambda: solve_max_parallelism(inst, n_radii, config)) == 0
+
+    def test_search_depth_is_not_bounded_by_recursion(self):
+        # 150 search levels under a recursion limit of 120: Phase 1, the
+        # Phase-2 subset search and the row search all keep their frames on
+        # `_walk`'s stack, not on the interpreter's.
+        code = """if True:
+            import sys
+            from wronoc import (SpacingProblem, parse_instance, solve_max_parallelism,
+                                solve_spacing)
+            inst = parse_instance("".join(
+                f"radius {r} {5_000_000 + 1000 * r}\\nresonance {r} {1_500_000 + 100 * r}\\n"
+                for r in range(1, 151)))
+            sys.setrecursionlimit(120)
+            sol = solve_max_parallelism(inst, 150)
+            assert (sol.status, sol.parallelism) == ("optimal", 1), sol
+            sol = solve_spacing(inst, SpacingProblem(150, 1))
+            assert (sol.status, sol.dist_pm) == ("optimal", 100), sol
+        """
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=package_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_three_radii(self, table1):
         sol = solve_max_parallelism(table1, 3)

@@ -645,8 +645,9 @@ class TestSolve:
         (SpacingProblem(3, 5, "base"), 0.01),
     ])
     def test_a_solve_leaves_no_cyclic_garbage(self, problem, limit):
-        # The recursive `dfs` closure is a cycle that would hold the search's
-        # tables until the next full collection; the solve clears it.
+        # A search frame that named its own function would be a cycle holding
+        # the search's tables until the next full collection; `_walk` frames
+        # yield their children's arguments instead.
         inst = generate(GenSpec(seed=1000, jitter_pm=100))
         config = SolveConfig(time_limit=limit)
         assert cyclic_garbage_of(lambda: solve_spacing(inst, problem, config)) == 0
