@@ -46,8 +46,18 @@ capacity order, chosen together, are worth the least capacity their
 masks keep against each other.  The seed reads them from a table like
 the search's, built over its first 2, 4, 8, ... radii in turn, and stops
 as soon as its value falls to the least capacity of the instance, where
-it could drop no radius; the table is then built over every radius.  The
-search starts at floor L - 1 with the seed as its incumbent.
+it could drop no radius; the table is then built over every radius, and
+the search starts at floor 0.  Otherwise the seed is the incumbent, and
+when more than 2 * ``n_radii`` radii reach L, one more doubling comes
+first: the value search runs over the first 2 * ``n_radii`` radii in
+capacity order, from floor L, and its value V (L when it finds nothing
+better) leaves only the radii of capacity at least V.  Unless the prefix
+already holds them all, the table is built over them and the search runs
+again from floor V, so it never repeats the prefix's proof.  With 2 *
+``n_radii`` radii or fewer at L, the one table holds them, and the
+search starts at floor L - 1.  Either way the last table holds every
+radius that can beat or tie the value, so it proves the optimum and the
+canonical pass below runs on it.
 
 Among equally good optima the solver returns the lexicographically
 smallest solution (by sorted radius ids, then per-radius selections).
@@ -90,8 +100,9 @@ class SolveConfig:
     trim_to_p: bool = False
 
     def __post_init__(self):
-        if not self.time_limit >= 0:  # NaN fails every comparison
-            raise ValueError("time_limit must be >= 0")
+        # NaN fails every comparison; infinity is no limit, and no JSON number.
+        if not 0 <= self.time_limit < math.inf:
+            raise ValueError("time_limit must be >= 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -315,7 +326,12 @@ class _Workspace:
             """Frame of `_walk` over the completions of `chosen` from `pool`."""
             nonlocal floor, incumbent
             need = n_radii - len(chosen)
-            limit = colour_limit(pool, need) if need >= 3 else len(pool) - need + 1
+            # Below the root, a pool of exactly `need` is one subset: the node
+            # tests settle it, where colouring it costs O(need^2) a level.
+            if need >= 3 and (len(pool) > need or not chosen):
+                limit = colour_limit(pool, need)
+            else:
+                limit = len(pool) - need + 1
             for i, (rid, mask_r) in enumerate(pool):
                 tick()
                 if i >= limit:
@@ -402,28 +418,37 @@ def _solve(instance: Instance, n_radii: int, clock: _Clock):
     caps = [m.size(f) for m, f in zip(mis, full)]
     by_capacity = sorted(range(len(entries)), key=lambda p: (-caps[p], p))
     try:
-        low = _seed(entries, mis, full, caps, by_capacity[:n_radii], clock)
+        best = _seed(entries, mis, full, caps, by_capacity[:n_radii], clock)
     except _Timeout:
         return None, True
-    # A solution worth `low` or more uses only radii of capacity >= low,
-    # the seed's among them: a prefix of the capacity order.  Positions
-    # from here on are those of the restricted table.
-    kept = sorted(by_capacity[:sum(cap >= low for cap in caps)])
-    ws = _Workspace(entries, full, mis, kept)
-    caps = [caps[p] for p in kept]
-    positions = range(len(kept))
-    by_capacity = sorted(positions, key=lambda p: (-caps[p], p))
-    best, subset, timed_out = ws.search(by_capacity, n_radii, max(low - 1, 0), False,
-                                        clock)
-    if subset is None and low:  # cut short before a leaf reached the seed's value
-        subset = sorted(by_capacity[:n_radii])
-    if subset is not None and not timed_out:
+    # A solution worth `best` or more uses only radii of capacity >= best,
+    # the incumbent's among them: a prefix of the capacity order.  Past
+    # 2 * n_radii radii, a search over those first may raise `best` and so
+    # shorten the prefix; each later search starts at floor `best`, so it
+    # never repeats an earlier one's proof.
+    incumbent = sorted(by_capacity[:n_radii]) if best else None  # positions in `entries`
+    n, floor = sum(cap >= best for cap in caps), max(best - 1, 0)
+    if best and n > 2 * n_radii:
+        n, floor = 2 * n_radii, best
+    while True:  # at most twice: the last table holds every radius that can tie
+        kept = sorted(by_capacity[:n])
+        ws = _Workspace(entries, full, mis, kept)
+        at = {p: i for i, p in enumerate(kept)}
+        floor, found, timed_out = ws.search([at[p] for p in by_capacity[:n]], n_radii,
+                                            floor, False, clock)
+        if found is not None:
+            best, incumbent = floor, [kept[i] for i in found]
+        if timed_out or (wide := sum(cap >= best for cap in caps)) <= n:
+            break
+        n = wide
+    if incumbent is not None and not timed_out:
         # The value is proven; the first subset in ascending id order
         # that sustains it is the canonical witness.
-        root = [p for p in positions if caps[p] >= best]
+        root = [i for i, p in enumerate(kept) if caps[p] >= best]
         _, canonical, timed_out = ws.search(root, n_radii, best - 1, True, clock)
-        subset = canonical or subset
-    return (None if subset is None else ws.rows(subset)), timed_out
+        if canonical is not None:
+            incumbent = [kept[i] for i in canonical]
+    return (None if incumbent is None else ws.rows([at[p] for p in incumbent])), timed_out
 
 
 def solve_max_parallelism(

@@ -605,6 +605,23 @@ class TestErrors:
         assert out == ""
         assert "time_limit must be >= 0" in err
 
+    @pytest.mark.parametrize("limit", ["inf", "1e400"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["max-parallelism", "--n-radii", "2"],
+         ["spacing", "--n-radii", "2", "--parallelism", "2"],
+         ["pipeline", "--n-radii", "2"],
+         ["bench", "--n-radii", "2", "--phases", "1,2"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_infinite_time_limit_exits_2(self, capsys, table1_file, argv, limit):
+        # An infinite limit would echo as `Infinity`, which is not JSON.
+        code, out, err = run_cli(
+            capsys, argv + ["--instance", table1_file, "--time-limit", limit]
+        )
+        assert (code, out) == (2, "")
+        assert "time_limit must be >= 0" in err
+
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -743,6 +760,11 @@ def solve_requests(draw):
     return argv
 
 
+def _not_json(token):
+    """`json.loads` accepts NaN and Infinity, which JSON has no token for."""
+    raise ValueError(f"{token} is not JSON")
+
+
 class TestExitCodeContract:
     @given(argv=solve_requests())
     @settings(max_examples=150, deadline=None)
@@ -756,7 +778,7 @@ class TestExitCodeContract:
             assert code != 1
             assert all(len(row) == 7 for row in csv.reader(io.StringIO(out.getvalue())))
         elif out.getvalue():
-            doc = json.loads(out.getvalue())
+            doc = json.loads(out.getvalue(), parse_constant=_not_json)
             assert (code == 1) == (doc["status"] == "infeasible")
             assert payload_problems(doc, table1_path) == []
         else:

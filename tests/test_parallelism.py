@@ -182,7 +182,7 @@ class TestSolve:
         build = parallelism.conflicts_of
 
         def slow_build(instance):
-            if len(instance.radii) > 4:  # the restricted table, not the seed's
+            if len(instance.radii) > 4:  # past the seed's tables
                 time.sleep(0.1)
             return build(instance)
 
@@ -217,6 +217,14 @@ class TestSolve:
         sol = solve_max_parallelism(inst, 550, SolveConfig(time_limit=0.5))
         assert sol.status == "incumbent-timeout"
         assert time.monotonic() - started < 2
+
+    def test_a_chain_of_single_candidates_is_not_coloured(self):
+        # 600 conflict-free one-resonance radii, all 600 to choose: one
+        # subset.  Below the root every pool holds exactly the radii still
+        # needed, and colouring each would cost O(pool^2) per level.
+        inst = build_instance({r: (1_500_000 + 100 * r,) for r in range(1, 601)})
+        sol = solve_max_parallelism(inst, 600, SolveConfig(time_limit=2))
+        assert (sol.status, sol.parallelism, len(sol.selected_radii)) == ("optimal", 1, 600)
 
     def test_a_leaf_must_beat_the_floor_by_capacity(self):
         # Widened so that each radius's own intervals overlap: radii 1-3
@@ -330,10 +338,11 @@ class TestRestrictedTable:
 
     def test_a_seed_restricts_the_table(self, built):
         inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 100)
-        # The seed's tables over its first 2 and all 4 radii, then the
-        # table over the 56 radii of capacity at least the seed's value.
+        # The seed's tables over its first 2 and all 4 radii; 56 radii have
+        # capacity at least its value, so a search over the first 8 comes
+        # next, and its value leaves 35 radii that can tie or beat it.
         assert solve_max_parallelism(inst, 4).parallelism == 24
-        assert built == [2, 4, 56]
+        assert built == [2, 4, 8, 35]
 
     def test_no_seed_stops_at_its_first_prefix(self, built):
         # Infeasible: the seed's value falls to the least capacity at its
@@ -358,6 +367,62 @@ class TestRestrictedTable:
         # Of the 200 cells, 52 build a restricted table and 84 break the
         # tie between radii 5 and 6.
         assert (restricted, tied) == (52, 84)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_last_table_holds_every_radius_that_can_tie(self, monkeypatch, seed):
+        # Whatever prefixes the seed and the prefix search read, the table
+        # the value is proven on holds every radius of capacity >= P, and
+        # each answer is the unrestricted search's: the solve with no seed,
+        # whose one table holds every radius.
+        tables = []
+        build = parallelism.conflicts_of
+
+        def recording(instance):
+            tables.append({e.id for e in instance.radii})
+            return build(instance)
+
+        monkeypatch.setattr(parallelism, "conflicts_of", recording)
+        base = generate(GenSpec(seed=seed, jitter_pm=100))
+        prefixed = 0
+        for delta in (0, 100, 300):
+            inst = apply_delta(base, delta)
+            everyone = {e.id for e in inst.radii}
+            caps = {e.id: len(parallelism._longest_chain(e.lmins, e.lmaxs,
+                                                         tuple(range(len(e.lmins)))))
+                    for e in inst.radii}
+            for n in range(1, 9):
+                tables.clear()
+                sol = solve_max_parallelism(inst, n)
+                p = sol.parallelism or 0
+                assert {rid for rid in everyone if caps[rid] >= p} <= tables[-1], (delta, n)
+                prefixed += 2 * n in map(len, tables[:-1])
+                with monkeypatch.context() as m:
+                    m.setattr(parallelism, "_seed", lambda *args: 0)
+                    tables.clear()
+                    assert solve_max_parallelism(inst, n) == sol, (delta, n)
+                    assert tables == [everyone]
+        # Every delta-100 cell from n = 2 up searches a 2n-radius prefix.
+        assert prefixed == 7
+
+    def test_a_cut_final_search_reports_the_prefix_search(self, monkeypatch):
+        # The limit runs out while the final table is built, after the
+        # search over the first 8 radii raised the seed's value, so the
+        # final search stops at its first clock read and that value stands.
+        build = parallelism.conflicts_of
+
+        def slow_build(instance):
+            if len(instance.radii) > 8:  # the final table
+                time.sleep(0.1)
+            return build(instance)
+
+        monkeypatch.setattr(parallelism, "conflicts_of", slow_build)
+        desk = apply_delta(generate(GenSpec(seed=1000, jitter_pm=100)), 100)
+        seed = sorted(desk.radii, key=lambda e: (-len(e.nominals()), e.id))[:4]
+        seed_value = evaluate_subset(desk, [e.id for e in seed])
+        sol = solve_max_parallelism(desk, 4, SolveConfig(time_limit=0.05))
+        assert sol.status == "incumbent-timeout"
+        assert sol.parallelism > min(seed_value.values())
+        assert check_parallelism_solution(desk, sol, 4) == []
 
 
 class TestMonotonicity:
@@ -474,7 +539,7 @@ class TestSearchEffort:
         inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 3000)
         sol = solve_max_parallelism(inst, 4)
         assert (sol.status, sol.parallelism) == ("optimal", 1)
-        assert [c.steps for c in clocks] == [2563]
+        assert [c.steps for c in clocks] == [2564]
 
     def test_floor_zero_colours_resonances(self, clocks):
         # Every pair of radii keeps a resonance each against the other, so
@@ -502,15 +567,16 @@ class TestSearchEffort:
         return calls
 
     def test_mis_runs_outside_the_node_tests(self, clocks, mis_calls):
-        # 101 capacities for the root order and 4 per leaf at 7 leaves in
-        # the two passes; the seed reads its value from witnesses, which
+        # 101 capacities for the root order and 4 per leaf at 6 leaves: 3
+        # in the search over the first 8 radii, 2 on the final table and 1
+        # in the canonical pass; the seed reads its value from witnesses, which
         # run no size, as the final rows do.  An MIS in the node tests
         # would make these counts grow with the steps.  Every desk radius
         # is disjoint at delta 100, so every call is a bit count.
         inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 100)
         solve_max_parallelism(inst, 4)
-        assert [c.steps for c in clocks] == [308]
-        assert (len(mis_calls), sum(mis_calls)) == (129, 0)
+        assert [c.steps for c in clocks] == [211]
+        assert (len(mis_calls), sum(mis_calls)) == (125, 0)
 
     def test_overlapping_radii_take_the_chain_pass(self, clocks, mis_calls):
         # 101 root capacities and 4 per leaf at 2 leaves, the seed's
@@ -518,7 +584,7 @@ class TestSearchEffort:
         # own intervals overlap at delta 3000.
         inst = apply_delta(generate(GenSpec(seed=0, jitter_pm=100)), 3000)
         solve_max_parallelism(inst, 4)
-        assert [c.steps for c in clocks] == [2563]
+        assert [c.steps for c in clocks] == [2564]
         assert (len(mis_calls), sum(mis_calls)) == (109, 41)
 
 
